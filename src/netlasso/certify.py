@@ -24,9 +24,11 @@ from .flow import (
     DEFAULT_SCALE,
     CutCertificate,
     DemandSpec,
+    DemandWitness,
     FeasibilityResult,
     feasible_flow,
     scaled,
+    verify_demand_witness,
 )
 from .graphs import (
     Edge,
@@ -148,11 +150,29 @@ def _boundary_injections(
     return b
 
 
+def _boundary_arcs(
+    oriented: tuple[OrientedEdge, ...], L: float, scale: int
+) -> tuple[tuple[int, int, int], ...]:
+    """(tail, head, prescribed scaled flow L*W) for each oriented boundary edge."""
+    return tuple((a.tail, a.head, scaled(L * a.weight, scale)) for a in oriented)
+
+
+def _orientation_spec(
+    query: NccQuery, oriented: tuple[OrientedEdge, ...], scale: int
+) -> DemandSpec:
+    """Demand the interior edges must meet for one boundary orientation."""
+    b = _boundary_injections(oriented, query.graph.node_count, query.L, scale)
+    return DemandSpec(
+        injections={i: v / scale for i, v in enumerate(b) if v != 0},
+        slack_nodes=frozenset(query.sample_nodes),
+        slack_bound=query.K,
+    )
+
+
 def check_ncc(
     query: NccQuery,
     max_boundary: int = DEFAULT_MAX_BOUNDARY,
     scale: int = DEFAULT_SCALE,
-    backend: str = "auto",
 ) -> NccCertificate:
     """Enumerate all boundary orientations and test flow feasibility for each.
 
@@ -177,18 +197,12 @@ def check_ncc(
                 f"orientations exceeds the cap of 2^{max_boundary}"
             ),
         )
-    slack = frozenset(query.sample_nodes)
     witnesses = []
     total = 1 << len(bnd)
     for bits in range(total):
         oriented = orient_edges(g, bnd, bits)
-        b_scaled = _boundary_injections(oriented, g.node_count, query.L, scale)
-        spec = DemandSpec(
-            injections={i: v / scale for i, v in enumerate(b_scaled) if v != 0},
-            slack_nodes=slack,
-            slack_bound=query.K,
-        )
-        result: FeasibilityResult = feasible_flow(g, bnd, spec, scale=scale, backend=backend)
+        spec = _orientation_spec(query, oriented, scale)
+        result: FeasibilityResult = feasible_flow(g, bnd, spec, scale=scale)
         if not result.feasible:
             return NccCertificate(
                 verdict="fails",
@@ -206,9 +220,7 @@ def check_ncc(
         witnesses.append(
             OrientationWitness(
                 bits=bits,
-                boundary_arcs=tuple(
-                    (a.tail, a.head, scaled(query.L * a.weight, scale)) for a in oriented
-                ),
+                boundary_arcs=_boundary_arcs(oriented, query.L, scale),
                 interior_flows=result.witness.edge_flows,
             )
         )
@@ -227,45 +239,29 @@ def check_ncc(
 def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     """Independent integer re-check of every witness in a ``holds`` certificate.
 
-    Verifies, for each orientation: prescribed flow on every boundary arc,
-    capacity on every interior edge, exact conservation at non-sampled
-    nodes, and imbalance at most K at sampled nodes.
+    Requires one witness per orientation, in order. For each: the prescribed
+    flow on every boundary arc, then ``verify_demand_witness`` on the interior
+    flows (capacity on every interior edge, exact conservation at non-sampled
+    nodes, imbalance at most K at sampled nodes).
     """
     if cert.verdict != "holds" or cert.witnesses is None:
         return False
     g = query.graph
     scale = cert.scale
     bnd = boundary(g, query.partition)
-    if cert.boundary_edges != bnd or len(cert.witnesses) != 1 << len(bnd):
+    if cert.boundary_edges != bnd:
         return False
-    k_scaled = scaled(query.K, scale)
-    sampled = set(query.sample_nodes)
-    interior_caps = [scaled(float(g.weights[g.edge_id(*e)]), scale) for e in cert.interior_edges]
+    if [w.bits for w in cert.witnesses] != list(range(1 << len(bnd))):
+        return False
     for witness in cert.witnesses:
         oriented = orient_edges(g, bnd, witness.bits)
-        if len(witness.boundary_arcs) != len(oriented):
+        if witness.boundary_arcs != _boundary_arcs(oriented, query.L, scale):
             return False
-        net = [0] * g.node_count
-        for arc, (tail, head, flow) in zip(oriented, witness.boundary_arcs):
-            if (tail, head) != (arc.tail, arc.head):
-                return False
-            if flow != scaled(query.L * arc.weight, scale):
-                return False
-            net[tail] += flow
-            net[head] -= flow
-        if len(witness.interior_flows) != len(cert.interior_edges):
+        interior = DemandWitness.from_edge_flows(
+            g.node_count, cert.interior_edges, witness.interior_flows, scale
+        )
+        if not verify_demand_witness(g, bnd, _orientation_spec(query, oriented, scale), interior):
             return False
-        for (i, j), f, cap in zip(cert.interior_edges, witness.interior_flows, interior_caps):
-            if abs(f) > cap:
-                return False
-            net[i] += f
-            net[j] -= f
-        for i in range(g.node_count):
-            if i in sampled:
-                if abs(net[i]) > k_scaled:
-                    return False
-            elif net[i] != 0:
-                return False
     return True
 
 

@@ -3,10 +3,8 @@
 All flow arithmetic happens on integers: capacities and demands are
 quantized by a configurable scale factor (default 10**6) before solving, so
 results are exact at that quantization and certificates re-verify with
-integer arithmetic. Two interchangeable max-flow backends are provided: a
-pure-Python Dinic (arbitrary-precision capacities, parallel arcs kept
-distinct) and scipy's C implementation (used automatically when capacities
-fit comfortably in int64).
+integer arithmetic. Max flow is one pure-Python Dinic solver on Python ints,
+so capacities of any size stay exact and parallel arcs stay distinct.
 
 Undirected graph edges act as bidirectional capacity: each edge {i,j} may
 carry up to W_ij in a direction of the solver's choosing. Feasibility of a
@@ -23,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
 from .errors import (
     InvalidConfigError,
@@ -34,10 +30,6 @@ from .errors import (
 from .graphs import Edge, Graph
 
 DEFAULT_SCALE = 10**6
-
-# scipy's solver works on int64 capacities; stay far from overflow when
-# summing capacities along augmenting paths.
-_SCIPY_CAP_LIMIT = 2**60
 
 
 def scaled(value: float, scale: int) -> int:
@@ -155,9 +147,6 @@ class _Dinic:
                 e = path_arcs.pop()
                 u = s if not path_arcs else head[path_arcs[-1]]
 
-    def arc_flow(self, arc_id: int, original_capacity: int) -> int:
-        return original_capacity - self.cap[arc_id]
-
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s through positive residual capacity."""
         seen = {s}
@@ -174,61 +163,14 @@ class _Dinic:
 
 
 def _solve_int_max_flow(
-    n: int,
-    arcs: Sequence[tuple[int, int, int]],
-    s: int,
-    t: int,
-    backend: str = "auto",
-) -> tuple[int, list[int]]:
-    """Exact integer max flow; returns (value, per-arc flows)."""
-    if backend not in ("auto", "dinic", "scipy"):
-        raise InvalidConfigError(f"unknown flow backend {backend!r}")
-    if backend == "auto":
-        total_cap = sum(c for _, _, c in arcs)
-        backend = "scipy" if total_cap < _SCIPY_CAP_LIMIT else "dinic"
-    if backend == "scipy":
-        return _scipy_int_max_flow(n, arcs, s, t)
-    return _dinic_int_max_flow(n, arcs, s, t)
-
-
-def _dinic_int_max_flow(n, arcs, s, t):
+    n: int, arcs: Sequence[tuple[int, int, int]], s: int, t: int
+) -> tuple[int, list[int], _Dinic]:
+    """Exact integer max flow; returns (value, per-arc flows, solved residual)."""
     solver = _Dinic(n)
     ids = [solver.add_arc(u, v, c) for u, v, c in arcs]
     value = solver.max_flow(s, t)
-    flows = [solver.arc_flow(a, c) for a, (_, _, c) in zip(ids, arcs)]
-    return value, flows
-
-
-def _scipy_int_max_flow(n, arcs, s, t):
-    # csr construction sums duplicate entries, merging parallel arcs; the
-    # merged flow is split back across the originals greedily afterwards.
-    rows, cols, data = [], [], []
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, v, c) in enumerate(arcs):
-        if c > 0:
-            rows.append(u)
-            cols.append(v)
-            data.append(c)
-            by_pair.setdefault((u, v), []).append(idx)
-    if not rows:
-        return 0, [0] * len(arcs)
-    matrix = sp.csr_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)), shape=(n, n)
-    )
-    result = _scipy_maximum_flow(matrix, s, t)
-    flows = [0] * len(arcs)
-    flow_coo = result.flow.tocoo()
-    for u, v, f in zip(flow_coo.row, flow_coo.col, flow_coo.data):
-        if f <= 0:
-            continue
-        remaining = int(f)
-        for idx in by_pair.get((int(u), int(v)), ()):
-            take = min(remaining, arcs[idx][2])
-            flows[idx] = take
-            remaining -= take
-            if remaining == 0:
-                break
-    return int(result.flow_value), flows
+    flows = [c - solver.cap[a] for a, (_, _, c) in zip(ids, arcs)]
+    return value, flows, solver
 
 
 def max_flow(
@@ -236,7 +178,6 @@ def max_flow(
     s: int,
     t: int,
     scale: int = DEFAULT_SCALE,
-    backend: str = "auto",
 ) -> tuple[float, FlowAssignment]:
     """Maximum s-t flow, exact at the integer quantization ``scale``."""
     if not (0 <= s < net.node_count and 0 <= t < net.node_count):
@@ -244,7 +185,7 @@ def max_flow(
     if s == t:
         raise InvalidConfigError("source equals sink")
     int_arcs = [(u, v, scaled(c, scale)) for u, v, c in net.arcs]
-    value, flows = _solve_int_max_flow(net.node_count, int_arcs, s, t, backend)
+    value, flows, _ = _solve_int_max_flow(net.node_count, int_arcs, s, t)
     assignment = FlowAssignment(
         flows=tuple(f / scale for f in flows),
         scaled_flows=tuple(flows),
@@ -317,6 +258,17 @@ class DemandWitness:
     node_net_outflow: tuple[int, ...]
     scale: int
 
+    @classmethod
+    def from_edge_flows(
+        cls, node_count: int, edges: tuple[Edge, ...], edge_flows: tuple[int, ...], scale: int
+    ) -> DemandWitness:
+        """Witness whose per-node net outflows are summed from the edge flows."""
+        net_out = [0] * node_count
+        for (i, j), f in zip(edges, edge_flows):
+            net_out[i] += f
+            net_out[j] -= f
+        return cls(tuple(edges), tuple(edge_flows), tuple(net_out), scale)
+
 
 @dataclass(frozen=True)
 class CutCertificate:
@@ -361,7 +313,6 @@ def feasible_flow(
     excluded: Iterable[Edge],
     spec: DemandSpec,
     scale: int = DEFAULT_SCALE,
-    backend: str = "auto",
 ) -> FeasibilityResult:
     """Decide whether the graph minus ``excluded`` supports the demanded flow.
 
@@ -380,14 +331,11 @@ def feasible_flow(
     supply_total = sum(v for v in b if v > 0)
     demand_total = sum(-v for v in b if v < 0)
 
+    # Kept edge number pos becomes arcs 2*pos (i -> j) and 2*pos + 1 (j -> i).
     arcs: list[tuple[int, int, int]] = []
-    forward_ids = {}
-    backward_ids = {}
     for pos, k in enumerate(kept):
         i, j = g.edges[k]
-        forward_ids[k] = len(arcs)
         arcs.append((i, j, caps[pos]))
-        backward_ids[k] = len(arcs)
         arcs.append((j, i, caps[pos]))
     for i in sorted(spec.slack_nodes):
         arcs.append((i, reservoir, k_scaled))
@@ -402,27 +350,19 @@ def feasible_flow(
     if supply_total > 0:
         arcs.append((reservoir, sink, supply_total))
 
-    value, flows = _solve_int_max_flow(n + 3, arcs, source, sink, backend)
+    value, flows, solver = _solve_int_max_flow(n + 3, arcs, source, sink)
     required = supply_total + demand_total
 
     if value == required:
-        edge_flows = []
-        net_out = [0] * n
-        for k in kept:
-            i, j = g.edges[k]
-            f = flows[forward_ids[k]] - flows[backward_ids[k]]
-            edge_flows.append(f)
-            net_out[i] += f
-            net_out[j] -= f
-        witness = DemandWitness(
-            edges=tuple(g.edges[k] for k in kept),
-            edge_flows=tuple(edge_flows),
-            node_net_outflow=tuple(net_out),
-            scale=scale,
+        witness = DemandWitness.from_edge_flows(
+            n,
+            tuple(g.edges[k] for k in kept),
+            tuple(flows[2 * pos] - flows[2 * pos + 1] for pos in range(len(kept))),
+            scale,
         )
         return FeasibilityResult(True, witness, None, scale)
 
-    reachable = _residual_reachable(n + 3, arcs, flows, source)
+    reachable = solver.residual_reachable(source)
     if reservoir in reachable:
         # Complement side: the unreached nodes must absorb more than can reach them.
         nodes = tuple(sorted(i for i in range(n) if i not in reachable))
@@ -449,31 +389,13 @@ def feasible_flow(
     return FeasibilityResult(False, None, cut, scale)
 
 
-def _residual_reachable(n, arcs, flows, s):
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, c), f in zip(arcs, flows):
-        if c - f > 0:
-            out[u].append((v, c - f))
-        if f > 0:
-            out[v].append((u, f))
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, _ in out[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def verify_demand_witness(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, witness: DemandWitness
 ) -> bool:
     """Re-verify a witness against the raw instance with integer arithmetic."""
     scale = witness.scale
     kept = _kept_edges(g, excluded)
-    if tuple(g.edges[k] for k in kept) != witness.edges:
+    if tuple(g.edges[k] for k in kept) != witness.edges or len(witness.edge_flows) != len(kept):
         return False
     b = _scaled_injections(g, spec, scale)
     k_scaled = scaled(spec.slack_bound, scale)

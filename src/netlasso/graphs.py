@@ -324,6 +324,8 @@ class Observations:
             raise EmptySamplingSetError("sampling set is empty")
         if len(set(nodes)) != len(nodes) or list(nodes) != sorted(nodes):
             raise EmptySamplingSetError("sampling nodes must be sorted and unique")
+        if nodes[0] < 0:
+            raise NodeOutOfRangeError(f"negative sampling node {nodes[0]}")
         object.__setattr__(self, "nodes", nodes)
         y = np.array(self.y, dtype=np.float64)
         eps = np.array(self.eps, dtype=np.float64)

@@ -50,7 +50,6 @@ class SolverConfig:
     eps_abs: float = 1e-6
     eps_rel: float = 1e-5
     max_iters: int = 100_000
-    init: str = "zero"  # hook for future warm starts
     record_trace: bool = False
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class SolverConfig:
             raise InvalidConfigError("tolerances must be positive")
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be at least 1")
-        if self.init != "zero":
-            raise InvalidConfigError(f"unsupported initialization {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class SolverResult:
                 "eps_abs": self.config.eps_abs,
                 "eps_rel": self.config.eps_rel,
                 "max_iters": self.config.max_iters,
-                "init": self.config.init,
             },
         }
 

@@ -39,7 +39,7 @@ from netlasso.graphs import (
 )
 from netlasso.sampling import sample_boundary_aware
 from netlasso.solver import SolverConfig, solve_admm, solve_oracle
-from test_flow import brute_force_min_cut, random_network
+from test_flow import brute_force_min_cut, random_network, scipy_max_flow_value
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -172,14 +172,15 @@ def test_criterion_3_solver_oracle_equivalence():
 
 
 def test_criterion_4_flow_correctness():
-    """Max flow equals enumerated min cut; feasibility witnesses re-verify."""
+    """Max flow equals enumerated min cut and scipy's value; feasibility
+    witnesses re-verify."""
     rng = np.random.default_rng(41)
     for i in range(100):
         net = random_network(rng)
         s, t = 0, net.node_count - 1
-        backend = ("dinic", "scipy")[i % 2]
-        value, assignment = max_flow(net, s, t, scale=1, backend=backend)
+        value, assignment = max_flow(net, s, t, scale=1)
         assert assignment.value_scaled == brute_force_min_cut(net, s, t, scale=1)
+        assert assignment.value_scaled == scipy_max_flow_value(net, s, t, scale=1)
         assert verify_max_flow_assignment(net, s, t, assignment)
     witnesses = cuts = 0
     for i in range(120):
@@ -210,7 +211,7 @@ def test_criterion_4_flow_correctness():
     report(
         "criterion 4 (flow correctness)",
         witnesses > 0 and cuts > 0,
-        f"100/100 max-flow values equal brute-force min cuts; "
+        f"100/100 max-flow values equal brute-force min cuts and scipy's values; "
         f"{witnesses} witnesses and {cuts} cut certificates re-verified",
     )
 

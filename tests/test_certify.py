@@ -1,5 +1,6 @@
 """Compatibility condition, sufficient condition, and the error bound."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from netlasso.graphs import (
     Partition,
     boundary,
     clustered_signal,
+    orient_edges,
     validate_graph,
 )
 from netlasso.sampling import sample_boundary_aware
@@ -129,12 +131,99 @@ class TestCheckNcc:
         )
         assert verify_cut_certificate(g, bnd, spec, cert.cut)
 
+    def test_weight_4096_copy_repeats_unit_verdict(self):
+        # At weight 4096 the scaled capacities pass 2^31; scaling every weight
+        # and K by the same factor must leave verdict and certificate unchanged.
+        from netlasso.certify import _orientation_spec
+
+        verdicts = set()
+        for seed in range(12):
+            instances = [
+                generate_planted_partition(PlantedPartitionConfig((5, 5, 5), 1.0, 0.06, w, seed))
+                for w in (1.0, 4096.0)
+            ]
+            g1, p = instances[0]
+            if len(boundary(g1, p)) > 6:
+                continue
+            m = sample_boundary_aware(g1, p, 6)
+            for factor in (1.0, 2.0, 4.0):
+                certs = []
+                for (g, p), w in zip(instances, (1.0, 4096.0)):
+                    query = NccQuery(g, p, m, K=factor * w, L=2.0)
+                    cert = check_ncc(query)
+                    if cert.verdict == "holds":
+                        assert verify_ncc_witnesses(query, cert)
+                    else:
+                        bnd = boundary(g, p)
+                        oriented = orient_edges(g, bnd, cert.failed_bits)
+                        spec = _orientation_spec(query, oriented, cert.scale)
+                        assert verify_cut_certificate(g, bnd, spec, cert.cut)
+                    certs.append(cert)
+                unit, heavy = certs
+                assert heavy.verdict == unit.verdict
+                assert heavy.failed_bits == unit.failed_bits
+                if unit.cut is not None:
+                    assert (heavy.cut.kind, heavy.cut.nodes) == (unit.cut.kind, unit.cut.nodes)
+                    assert heavy.cut.demand_scaled == 4096 * unit.cut.demand_scaled
+                verdicts.add(unit.verdict)
+        assert verdicts == {"holds", "fails"}
+
     def test_certificate_serializes(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
         payload = json.loads(cert.to_json())
         assert payload["verdict"] == "holds"
         assert len(payload["witnesses"]) == 2
+
+
+class TestVerifyNccWitnesses:
+    @pytest.fixture
+    def holds(self):
+        """Clusters {0,1,4} and {2,3} joined by boundary edge {1,2}; node 4 is
+        a sampled neighbour of sampled node 0, so edge {0,4} moves imbalance
+        between two sampled nodes only."""
+        g = validate_graph([(0, 1), (0, 4), (1, 2), (2, 3)], [4.0, 4.0, 1.0, 4.0], 5)
+        p = Partition((frozenset({0, 1, 4}), frozenset({2, 3})))
+        query = NccQuery(g, p, (0, 3, 4), K=4.0, L=4.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "holds"
+        assert verify_ncc_witnesses(query, cert)
+        return query, cert
+
+    @staticmethod
+    def corrupt(cert, **changes):
+        """Certificate whose orientation-0 witness (boundary arc 1 -> 2) is changed."""
+        first = dataclasses.replace(cert.witnesses[0], **changes)
+        return dataclasses.replace(cert, witnesses=(first, *cert.witnesses[1:]))
+
+    def test_rejects_corrupt_interior_flow(self, holds):
+        query, cert = holds
+        pos = cert.interior_edges.index((0, 1))
+        flows = list(cert.witnesses[0].interior_flows)
+        flows[pos] -= 1  # unbalances non-sampled node 1
+        assert not verify_ncc_witnesses(query, self.corrupt(cert, interior_flows=tuple(flows)))
+
+    def test_rejects_corrupt_boundary_arc(self, holds):
+        query, cert = holds
+        ((tail, head, flow),) = cert.witnesses[0].boundary_arcs
+        for arc in ((tail, head, flow - 1), (head, tail, flow)):
+            assert not verify_ncc_witnesses(query, self.corrupt(cert, boundary_arcs=(arc,)))
+
+    def test_rejects_sampled_imbalance_above_k(self, holds):
+        query, cert = holds
+        pos = cert.interior_edges.index((0, 4))
+        flows = list(cert.witnesses[0].interior_flows)
+        # Node 1 forces 4 units over {0,1}; 4 more over {0,4} leaves node 0
+        # with net outflow 8 > K while every edge stays within capacity.
+        flows[pos] = 4 * cert.scale
+        assert not verify_ncc_witnesses(query, self.corrupt(cert, interior_flows=tuple(flows)))
+
+    def test_rejects_missing_or_repeated_orientation(self, holds):
+        query, cert = holds
+        first = cert.witnesses[0]
+        for witnesses in ((first,), (first, first)):
+            bad = dataclasses.replace(cert, witnesses=witnesses)
+            assert not verify_ncc_witnesses(query, bad)
 
 
 class TestCheckSupportCondition:

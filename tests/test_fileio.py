@@ -108,3 +108,11 @@ def test_observations_roundtrip_with_truth(tmp_path):
     assert obs2.nodes == (0, 2)
     assert np.array_equal(obs2.y, obs.y)
     assert np.array_equal(obs2.eps, obs.eps)
+
+
+def test_observations_reject_negative_node(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("0 1.0\n-1 2.0\n")
+    with pytest.raises(FileFormatError) as err:
+        fileio.read_observations(path, np.array([1.0, 2.0]))
+    assert err.value.line == 2

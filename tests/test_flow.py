@@ -1,7 +1,11 @@
-"""Max flow against a brute-force min-cut oracle; demand feasibility checks."""
+"""Max flow against a brute-force min-cut oracle and scipy's max flow;
+demand feasibility against Hoffman's cut condition."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 from conftest import random_connected_graph
 from netlasso.errors import InvalidConfigError, InvalidDemandSpecError, NodeOutOfRangeError
@@ -10,13 +14,12 @@ from netlasso.flow import (
     FlowNetwork,
     feasible_flow,
     max_flow,
+    scaled,
     verify_cut_certificate,
     verify_demand_witness,
     verify_max_flow_assignment,
 )
 from netlasso.graphs import validate_graph
-
-BACKENDS = ("dinic", "scipy")
 
 
 def brute_force_min_cut(net: FlowNetwork, s: int, t: int, scale: int) -> int:
@@ -37,6 +40,71 @@ def brute_force_min_cut(net: FlowNetwork, s: int, t: int, scale: int) -> int:
     return best
 
 
+def scipy_max_flow_value(net: FlowNetwork, s: int, t: int, scale: int) -> int:
+    """Reference max-flow value from scipy, which sums parallel arcs and needs int32."""
+    rows, cols, data = [], [], []
+    for u, v, c in net.arcs:
+        if scaled(c, scale) > 0:
+            rows.append(u)
+            cols.append(v)
+            data.append(scaled(c, scale))
+    assert sum(data) < 2**31, "reference only valid on int32 capacities"
+    if not data:
+        return 0
+    matrix = csr_matrix(
+        (np.asarray(data, dtype=np.int32), (rows, cols)), shape=(net.node_count,) * 2
+    )
+    return int(scipy_maximum_flow(matrix, s, t).flow_value)
+
+
+def hoffman_feasible(g, excluded, spec: DemandSpec, scale: int) -> bool:
+    """Feasibility by Hoffman's condition, enumerating every node set U.
+
+    The demand is feasible iff each U has |b(U)| <= W(edges leaving U) +
+    K * |U intersect slack nodes|, with b the required net outflows.
+    """
+    n = g.node_count
+    b = [scaled(spec.injections.get(i, 0.0), scale) for i in range(n)]
+    k = scaled(spec.slack_bound, scale)
+    excluded = set(excluded)
+    kept = [(e, scaled(float(w), scale)) for e, w in zip(g.edges, g.weights) if e not in excluded]
+    for mask in range(1, 1 << n):
+        inside = [mask >> i & 1 for i in range(n)]
+        demand = sum(b[i] for i in range(n) if inside[i])
+        capacity = sum(c for (i, j), c in kept if inside[i] != inside[j])
+        capacity += k * sum(1 for i in spec.slack_nodes if inside[i])
+        if abs(demand) > capacity:
+            return False
+    return True
+
+
+@st.composite
+def networks(draw, max_nodes: int = 7):
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 1000)), max_size=3 * n))
+    return FlowNetwork(n, tuple((u, v, float(c)) for u, v, c in arcs if u != v))
+
+
+@st.composite
+def demand_instances(draw, max_nodes: int = 6):
+    """Connected graph with integer weights plus a demand spec, exact at scale 1."""
+    n = draw(st.integers(2, max_nodes))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {e for e in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+              if e[0] < e[1]}
+    edges = sorted(edges)
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    g = validate_graph(edges, [float(w) for w in weights], n)
+    injections = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-4, 4)))
+    spec = DemandSpec(
+        injections={i: float(v) for i, v in injections.items()},
+        slack_nodes=frozenset(draw(st.sets(st.integers(0, n - 1)))),
+        slack_bound=float(draw(st.integers(0, 3))),
+    )
+    return g, spec
+
+
 def random_network(rng: np.random.Generator, max_nodes: int = 8) -> FlowNetwork:
     n = int(rng.integers(2, max_nodes + 1))
     arcs = []
@@ -54,24 +122,21 @@ def random_network(rng: np.random.Generator, max_nodes: int = 8) -> FlowNetwork:
 class TestMaxFlow:
     def test_single_arc(self):
         net = FlowNetwork(2, ((0, 1, 5.0),))
-        for backend in BACKENDS:
-            value, asg = max_flow(net, 0, 1, backend=backend)
-            assert value == 5.0
-            assert asg.flows == (5.0,)
+        value, asg = max_flow(net, 0, 1)
+        assert value == 5.0
+        assert asg.flows == (5.0,)
 
     def test_two_path_with_cross_arc(self):
         # min cut {s, a} has capacity 2 + 1 + 1 = 4
         net = FlowNetwork(4, ((0, 1, 3.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 3.0), (1, 2, 1.0)))
-        for backend in BACKENDS:
-            value, asg = max_flow(net, 0, 3, backend=backend)
-            assert value == 4.0
-            assert verify_max_flow_assignment(net, 0, 3, asg)
+        value, asg = max_flow(net, 0, 3)
+        assert value == 4.0
+        assert verify_max_flow_assignment(net, 0, 3, asg)
 
     def test_zero_capacity_network(self):
         net = FlowNetwork(3, ((0, 1, 0.0), (1, 2, 0.0)))
-        for backend in BACKENDS:
-            value, _ = max_flow(net, 0, 2, backend=backend)
-            assert value == 0.0
+        value, _ = max_flow(net, 0, 2)
+        assert value == 0.0
 
     def test_node_out_of_range(self):
         net = FlowNetwork(2, ((0, 1, 1.0),))
@@ -83,23 +148,40 @@ class TestMaxFlow:
         with pytest.raises(InvalidConfigError):
             max_flow(net, 1, 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_brute_force_min_cut(self, backend):
+    def test_matches_brute_force_min_cut(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             net = random_network(rng)
             s, t = 0, net.node_count - 1
-            value, asg = max_flow(net, s, t, scale=1, backend=backend)
+            value, asg = max_flow(net, s, t, scale=1)
             assert asg.value_scaled == brute_force_min_cut(net, s, t, scale=1)
             assert verify_max_flow_assignment(net, s, t, asg)
 
-    def test_backends_agree_on_value(self):
+    def test_matches_scipy_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             net = random_network(rng)
-            v1, _ = max_flow(net, 0, net.node_count - 1, backend="dinic")
-            v2, _ = max_flow(net, 0, net.node_count - 1, backend="scipy")
-            assert v1 == v2
+            t = net.node_count - 1
+            _, asg = max_flow(net, 0, t)
+            assert asg.value_scaled == scipy_max_flow_value(net, 0, t, asg.scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks(), st.data())
+    def test_matches_scipy_reference_on_random_networks(self, net, data):
+        s = data.draw(st.integers(0, net.node_count - 1))
+        t = data.draw(st.integers(0, net.node_count - 1).filter(lambda v: v != s))
+        _, asg = max_flow(net, s, t, scale=1)
+        assert asg.value_scaled == scipy_max_flow_value(net, s, t, scale=1)
+        assert verify_max_flow_assignment(net, s, t, asg)
+
+    def test_capacities_beyond_int32_exact(self):
+        net = FlowNetwork(3, ((0, 1, 3e10), (1, 2, 5e9)))
+        _, asg = max_flow(net, 0, 2, scale=1)
+        assert asg.value_scaled == 5 * 10**9
+        assert asg.scaled_flows == (5 * 10**9, 5 * 10**9)
+        value, asg = max_flow(net, 0, 2)
+        assert value == 5e9
+        assert verify_max_flow_assignment(net, 0, 2, asg)
 
     def test_integrality_with_integer_capacities(self):
         rng = np.random.default_rng(9)
@@ -207,8 +289,9 @@ class TestFeasibleFlow:
             res2 = feasible_flow(scaled_up, [], spec)
             assert res2.feasible
 
-    def test_backends_agree_on_feasibility(self):
+    def test_feasibility_matches_hoffman_condition(self):
         rng = np.random.default_rng(12)
+        verdicts = set()
         for _ in range(40):
             n = int(rng.integers(2, 7))
             g = random_connected_graph(rng, n)
@@ -217,6 +300,30 @@ class TestFeasibleFlow:
                 slack_nodes=frozenset({n - 1}),
                 slack_bound=float(rng.integers(0, 4)),
             )
-            r1 = feasible_flow(g, [], spec, backend="dinic")
-            r2 = feasible_flow(g, [], spec, backend="scipy")
-            assert r1.feasible == r2.feasible
+            res = feasible_flow(g, [], spec)
+            assert res.feasible == hoffman_feasible(g, [], spec, res.scale)
+            verdicts.add(res.feasible)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(demand_instances(), st.data())
+    def test_certificate_reverifies_exactly_when_decided(self, instance, data):
+        g, spec = instance
+        excluded = data.draw(st.sets(st.sampled_from(g.edges)))
+        res = feasible_flow(g, excluded, spec, scale=1)
+        assert res.feasible == hoffman_feasible(g, excluded, spec, scale=1)
+        if res.feasible:
+            assert res.cut is None
+            assert verify_demand_witness(g, excluded, spec, res.witness)
+        else:
+            assert res.witness is None
+            assert verify_cut_certificate(g, excluded, spec, res.cut)
+
+    def test_weight_3000_path_feasible(self):
+        # Scaled capacities of 3e9 exceed int32; the answer must stay exact.
+        g = validate_graph([(0, 1), (1, 2)], [3000.0, 3000.0], 3)
+        spec = DemandSpec(injections={0: 3000.0, 2: -3000.0})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible
+        assert res.witness.edge_flows == (3 * 10**9, 3 * 10**9)
+        assert verify_demand_witness(g, [], spec, res.witness)

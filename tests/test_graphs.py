@@ -15,6 +15,7 @@ from netlasso.errors import (
     SelfLoopError,
 )
 from netlasso.graphs import (
+    Observations,
     Partition,
     boundary,
     clustered_signal,
@@ -234,3 +235,10 @@ class TestOrientEdges:
         assert (oriented[1].tail, oriented[1].head) == (3, 2)
         assert oriented[1].weight == 1.0
         assert oriented[1].pair == (2, 3)
+
+
+class TestObservations:
+    def test_rejects_negative_node(self):
+        # A negative id would index from the end of a signal: node N-1.
+        with pytest.raises(NodeOutOfRangeError):
+            Observations(nodes=(-1, 0), y=np.array([1.0, 0.0]), eps=np.zeros(2))

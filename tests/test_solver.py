@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from netlasso.errors import InstanceTooLargeError, InvalidConfigError
+from netlasso.errors import InstanceTooLargeError, InvalidConfigError, NodeOutOfRangeError
 from netlasso.graphs import Observations, clustered_signal, tv, validate_graph
 from netlasso.solver import (
     SolverConfig,
@@ -64,8 +64,6 @@ class TestSolverConfig:
             SolverConfig(lam=1.0, rho=0.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(lam=1.0, max_iters=0)
-        with pytest.raises(InvalidConfigError):
-            SolverConfig(lam=1.0, init="warm")
 
 
 class TestSolveAdmm:
@@ -150,6 +148,10 @@ class TestSolveAdmm:
             for a, b in zip(tvs, tvs[1:]):
                 assert b <= a + 1e-5 * (1.0 + a)  # slack covers solver tolerance
 
+    def test_rejects_negative_observed_node(self, path2):
+        with pytest.raises(NodeOutOfRangeError):
+            solve_admm(path2, obs_of((-1, 0), [1.0, 0.0]), SolverConfig(lam=0.5))
+
 
 class TestSolveOracle:
     def test_two_node_example(self, path2):
@@ -175,6 +177,10 @@ class TestSolveOracle:
         obs = obs_of((0,), [1.0])
         with pytest.raises(InstanceTooLargeError):
             solve_oracle(g, obs, 1.0)
+
+    def test_rejects_negative_observed_node(self, path2):
+        with pytest.raises(NodeOutOfRangeError):
+            solve_oracle(path2, obs_of((-1, 0), [1.0, 0.0]), 0.5)
 
     def test_scaling_invariance_of_objective(self):
         # positive homogeneity: scaling labels scales the optimum
