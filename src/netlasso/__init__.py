@@ -31,8 +31,9 @@ from .generate import (
     NoiseConfig,
     PlantedPartitionConfig,
     generate_planted_partition,
+    noise_field,
+    observe,
     paper_like_config,
-    sample_observations,
 )
 from .graphs import (
     Graph,
@@ -85,10 +86,11 @@ __all__ = [
     "feasible_flow",
     "generate_planted_partition",
     "max_flow",
+    "noise_field",
     "objective",
+    "observe",
     "paper_like_config",
     "sample_boundary_aware",
-    "sample_observations",
     "sample_uniform",
     "solve_admm",
     "solve_oracle",

@@ -298,6 +298,8 @@ def check_support_condition(
         raise InvalidQueryError("L must be strictly positive")
     partition.check_against(g)
     sampled = set(int(i) for i in sample_nodes)
+    if sampled and (min(sampled) < 0 or max(sampled) >= g.node_count):
+        raise InvalidQueryError("sampling set not within the graph's nodes")
     lab = partition.labels
     bnd = boundary(g, partition)
     if not bnd:

@@ -124,6 +124,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.strategy == "boundary" and args.partition is None:
+        raise NetlassoError("--strategy boundary requires --partition")
     g = fileio.read_graph(args.graph)
     if args.strategy == "boundary":
         partition = fileio.read_partition(args.partition, g)

@@ -11,7 +11,15 @@ class NetlassoError(Exception):
 
 
 class GraphError(NetlassoError):
-    """Invalid graph construction input."""
+    """Invalid graph construction input.
+
+    ``index`` is the position of the offending edge in the edge list, or
+    None when the error is not about one edge.
+    """
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class SelfLoopError(GraphError):

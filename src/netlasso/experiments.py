@@ -26,9 +26,11 @@ from .generate import (
     NoiseConfig,
     PlantedPartitionConfig,
     generate_planted_partition,
+    noise_field,
+    observe,
     paper_like_config,
 )
-from .graphs import Graph, Observations, Partition, boundary, clustered_signal, tv
+from .graphs import Graph, Partition, boundary, clustered_signal, tv
 from .sampling import sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, SolverResult, solve_admm
 
@@ -112,22 +114,6 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int]:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
     a, b, c = ss.generate_state(3, dtype=np.uint64)
     return int(a), int(b), int(c)
-
-
-def noise_field(node_count: int, noise: NoiseConfig) -> np.ndarray:
-    """Full-length noise vector; both strategies index into the same field."""
-    if noise.distribution == "none" or noise.sigma == 0.0:
-        return np.zeros(node_count)
-    rng = np.random.default_rng(noise.seed)
-    if noise.distribution == "gaussian":
-        return rng.normal(0.0, noise.sigma, size=node_count)
-    return rng.laplace(0.0, noise.sigma, size=node_count)
-
-
-def observe(x_true: np.ndarray, nodes: tuple[int, ...], eps_full: np.ndarray) -> Observations:
-    idx = list(nodes)
-    y = x_true[idx] + eps_full[idx]
-    return Observations(nodes=nodes, y=y, eps=y - x_true[idx])
 
 
 def resolve_lambda(

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FileFormatError, NetlassoError
+from .errors import FileFormatError, GraphError, NetlassoError
 from .graphs import Graph, Observations, Partition, as_signal, validate_graph
 
 
@@ -32,7 +32,7 @@ def read_graph(path: str | os.PathLike) -> Graph:
     node_count = None
     edges = []
     weights = []
-    seen = set()
+    linenos = []
     for lineno, line in _content_lines(path):
         parts = line.split()
         if node_count is None:
@@ -52,20 +52,15 @@ def read_graph(path: str | os.PathLike) -> Graph:
             w = float(parts[2])
         except ValueError:
             raise FileFormatError(f"unparsable edge line {line!r}", path, lineno) from None
-        # Validate each edge at its own line so the report is actionable.
-        try:
-            validate_graph([(i, j)], [w], node_count)
-        except NetlassoError as exc:
-            raise FileFormatError(str(exc), path, lineno) from exc
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise FileFormatError(f"duplicate edge {key}", path, lineno)
-        seen.add(key)
         edges.append((i, j))
         weights.append(w)
+        linenos.append(lineno)
     if node_count is None:
         raise FileFormatError("missing header 'N <node_count>'", path, 1)
-    return validate_graph(edges, weights, node_count)
+    try:
+        return validate_graph(edges, weights, node_count)
+    except GraphError as exc:
+        raise FileFormatError(str(exc), path, linenos[exc.index]) from exc
 
 
 def write_graph(path: str | os.PathLike, g: Graph) -> None:
@@ -130,8 +125,9 @@ def read_partition(path: str | os.PathLike, g: Graph | None = None) -> Partition
         if c != int(c):
             raise FileFormatError(f"cluster index for node {i} must be an integer", path)
         labels[i] = int(c)
-    n = max(labels) + 1 if labels else 0
-    if set(labels) != set(range(n)):
+    n = len(labels)
+    # node ids are distinct and nonnegative, so they are 0..n-1 iff the largest is n-1
+    if n and max(labels) != n - 1:
         raise FileFormatError("partition lines must cover exactly nodes 0..N-1", path)
     try:
         part = Partition.from_labels([labels[i] for i in range(n)])

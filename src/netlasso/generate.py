@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (
     DisconnectedAfterRetriesError,
-    EmptySamplingSetError,
     InvalidConfigError,
+    NodeOutOfRangeError,
 )
 from .graphs import (
     Graph,
@@ -142,27 +142,27 @@ class NoiseConfig:
             raise InvalidConfigError("sigma must be finite and >= 0")
 
 
-def sample_observations(x_true, sample_nodes, noise: NoiseConfig) -> Observations:
-    """Observe y_i = x[i] + eps_i on the given nodes.
-
-    Noise variates are drawn in ascending node order from a generator seeded
-    by noise.seed. The stored eps is recomputed as y - x so the recorded
-    noise matches the labels bit-exactly.
-    """
-    x = np.asarray(x_true, dtype=np.float64)
-    nodes = tuple(sorted(int(i) for i in set(sample_nodes)))
-    if not nodes:
-        raise EmptySamplingSetError("sampling set is empty")
-    if nodes[0] < 0 or nodes[-1] >= len(x):
-        raise EmptySamplingSetError(f"sampling set not within 0..{len(x) - 1}")
-    m = len(nodes)
+def noise_field(node_count: int, noise: NoiseConfig) -> np.ndarray:
+    """Noise on every node, drawn in node order from a generator seeded by
+    noise.seed; any sampling set indexes into the same field."""
     if noise.distribution == "none" or noise.sigma == 0.0:
-        eps = np.zeros(m)
-    else:
-        rng = np.random.default_rng(noise.seed)
-        if noise.distribution == "gaussian":
-            eps = rng.normal(0.0, noise.sigma, size=m)
-        else:
-            eps = rng.laplace(0.0, noise.sigma, size=m)
-    y = x[list(nodes)] + eps
-    return Observations(nodes=nodes, y=y, eps=y - x[list(nodes)])
+        return np.zeros(node_count)
+    rng = np.random.default_rng(noise.seed)
+    if noise.distribution == "gaussian":
+        return rng.normal(0.0, noise.sigma, size=node_count)
+    return rng.laplace(0.0, noise.sigma, size=node_count)
+
+
+def observe(x_true: np.ndarray, nodes: tuple[int, ...], eps_full: np.ndarray) -> Observations:
+    """Observe y_i = x_true[i] + eps_full[i] on the sorted, unique sampling nodes.
+
+    The stored eps is recomputed as y - x_true so the recorded noise matches
+    the labels bit-exactly.
+    """
+    if nodes and max(nodes) >= len(x_true):
+        raise NodeOutOfRangeError(
+            f"sampling node {max(nodes)} outside 0..{len(x_true) - 1}"
+        )
+    idx = list(nodes)
+    y = x_true[idx] + eps_full[idx]
+    return Observations(nodes=nodes, y=y, eps=y - x_true[idx])

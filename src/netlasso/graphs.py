@@ -56,38 +56,36 @@ class Graph:
     _edge_index: dict[Edge, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.node_count <= 0:
+        n = self.node_count
+        if n <= 0:
             raise GraphError("node_count must be positive")
         weights = np.array(self.weights, dtype=np.float64)  # own copy, frozen below
         if weights.shape != (len(self.edges),):
             raise GraphError("one weight per edge required")
-        if not np.all(np.isfinite(weights)):
-            raise NonPositiveWeightError("weights must be finite")
-        if np.any(weights <= 0.0):
-            k = int(np.argmax(weights <= 0.0))
+        bad = ~((weights > 0.0) & (weights < np.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
             raise NonPositiveWeightError(
-                f"edge {self.edges[k]} has non-positive weight {weights[k]}"
+                f"edge {self.edges[k]} needs a finite positive weight, got {weights[k]}", k
             )
-        seen: set[Edge] = set()
-        for i, j in self.edges:
-            if i == j:
-                raise SelfLoopError(f"self loop at node {i}")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise NodeOutOfRangeError(f"edge ({i}, {j}) outside 0..{self.node_count - 1}")
-            if i > j:
-                raise GraphError(f"edge ({i}, {j}) not in canonical order")
-            if (i, j) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         index: dict[Edge, int] = {}
         for k, (i, j) in enumerate(self.edges):
+            if not 0 <= i < j < n:
+                if i == j:
+                    raise SelfLoopError(f"self loop at node {i}", k)
+                if not (0 <= i < n and 0 <= j < n):
+                    raise NodeOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}", k)
+                raise GraphError(f"edge ({i}, {j}) not in canonical order", k)
+            e = (i, j)
+            if e in index:
+                raise DuplicateEdgeError(f"duplicate edge {e}", k)
+            index[e] = k
             adj[i].append((j, k))
             adj[j].append((i, k))
-            index[(i, j)] = k
         object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_edge_index", index)
 
@@ -136,32 +134,27 @@ def validate_graph(
     raw_weights: Iterable[float],
     node_count: int,
 ) -> Graph:
-    """Build a Graph from raw edge/weight lists, rejecting invalid input.
+    """Build a Graph from raw edge/weight lists, in any order and orientation.
 
-    Raises SelfLoopError, DuplicateEdgeError (also for a pair given in both
-    orders), NonPositiveWeightError or NodeOutOfRangeError.
+    Each pair is put smaller endpoint first and the edges are stably sorted;
+    the Graph checks them. Raises SelfLoopError, DuplicateEdgeError (also for
+    a pair given in both orders), NonPositiveWeightError or
+    NodeOutOfRangeError, whose ``index`` is the position in ``raw_edges`` of
+    the offending edge (for a repeated pair, of the later copy).
     """
     raw_edges = list(raw_edges)
     raw_weights = list(raw_weights)
     if len(raw_edges) != len(raw_weights):
         raise GraphError("edge and weight counts differ")
-    pairs: dict[Edge, float] = {}
-    for (i, j), w in zip(raw_edges, raw_weights):
-        i, j = int(i), int(j)
-        if i == j:
-            raise SelfLoopError(f"self loop at node {i}")
-        if not (0 <= i < node_count and 0 <= j < node_count):
-            raise NodeOutOfRangeError(f"edge ({i}, {j}) outside 0..{node_count - 1}")
-        e = canonical_edge(i, j)
-        if e in pairs:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
-        w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeightError(f"edge {e} has non-positive weight {w}")
-        pairs[e] = w
-    edges = tuple(sorted(pairs))
-    weights = np.array([pairs[e] for e in edges], dtype=np.float64)
-    return Graph(node_count, edges, weights)
+    pairs = [(i, j) if i <= j else (j, i) for i, j in ((int(a), int(b)) for a, b in raw_edges)]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    weights = np.array([raw_weights[k] for k in order], dtype=np.float64)
+    try:
+        return Graph(node_count, tuple(pairs[k] for k in order), weights)
+    except GraphError as exc:
+        if exc.index is not None:
+            exc.index = order[exc.index]
+        raise
 
 
 def as_signal(g: Graph, values) -> np.ndarray:
@@ -238,9 +231,13 @@ class Partition:
         labels = list(int(c) for c in labels)
         if not labels:
             raise InvalidPartitionError("no nodes")
-        k = max(labels) + 1
         if min(labels) < 0:
             raise InvalidPartitionError("negative cluster index")
+        k = max(labels) + 1
+        if k > len(labels):
+            raise InvalidPartitionError(
+                f"empty cluster: cluster index {k - 1} with only {len(labels)} nodes"
+            )
         clusters: list[set[int]] = [set() for _ in range(k)]
         for node, c in enumerate(labels):
             clusters[c].add(node)

@@ -246,6 +246,12 @@ class TestCheckSupportCondition:
         res = check_support_condition(path4, p, (0,), 3.0)
         assert res.satisfied and res.degenerate and res.K == 0.0
 
+    @pytest.mark.parametrize("m", [(10**6, -5), (0, 4), (-1, 3)])
+    def test_rejects_nodes_outside_graph(self, two_cluster_fixture, m):
+        g, p, _ = two_cluster_fixture
+        with pytest.raises(InvalidQueryError):
+            check_support_condition(g, p, m, 1.0)
+
     def test_endpoint_itself_not_a_support(self):
         # sampling only the boundary endpoints leaves no in-cluster neighbor support
         g = validate_graph([(0, 1), (1, 2), (2, 3)], [4.0, 1.0, 4.0], 4)

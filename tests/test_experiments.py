@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from netlasso import cli
 from netlasso.errors import InvalidConfigError
 from netlasso.experiments import (
     ExperimentConfig,
@@ -47,8 +48,7 @@ class TestHarness:
         assert a.outcomes[0].sample_nodes == b.outcomes[0].sample_nodes
 
     def test_strategies_share_noise_at_common_nodes(self):
-        from netlasso.experiments import noise_field, observe
-        from netlasso.generate import NoiseConfig
+        from netlasso.generate import NoiseConfig, noise_field, observe
 
         rng = np.random.default_rng(0)
         x_true = rng.normal(size=10)
@@ -208,6 +208,14 @@ class TestCli:
                       "--tolerance", "-1")  # negative tolerance forces strictness
         # recovered == true gives tv_error 0 <= bound 0 only with tolerance >= 0
         assert bad.returncode in (0, 2)
+
+    def test_sample_boundary_requires_partition(self, fixture_files, capsys):
+        d = fixture_files
+        code = cli.main(["sample", "--graph", str(d / "g.txt"), "--strategy", "boundary",
+                         "--budget", "2", "--out", str(d / "mb.txt")])
+        assert code == 1
+        assert "--partition" in capsys.readouterr().err
+        assert not (d / "mb.txt").exists()
 
     def test_sample_uniform_and_usage_error(self, fixture_files):
         d = fixture_files

@@ -5,7 +5,7 @@ import pytest
 
 from netlasso import fileio
 from netlasso.errors import FileFormatError
-from netlasso.graphs import Observations, Partition, validate_graph
+from netlasso.graphs import Graph, Observations, Partition, validate_graph
 
 
 @pytest.fixture
@@ -38,6 +38,11 @@ def test_graph_comments_and_blank_lines(tmp_path):
         ("N 2\n0 1 1.0\n1 0 2.0\n", 3),  # duplicate edge, reversed order
         ("N 2\n0 5 1.0\n", 2),  # node out of range
         ("N 0\n", 1),  # bad node count
+        ("N 2\n0 1 nan\n", 2),  # non-finite weight
+        ("N 2\n0 1 inf\n", 2),  # non-finite weight
+        ("N 5\n3 4 1.0\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n4 3 2.0\n", 8),  # late duplicate
+        ("N 5\n3 4 1.0\n0 1 1.0\n1 2 1.0\n0 2 0\n", 5),  # bad weight after good lines
+        ("N 5\n3 4 1.0\n0 1 1.0\n1 2 1.0\n2 2 1.0\n", 5),  # self loop after good lines
     ],
 )
 def test_graph_errors_carry_line_numbers(tmp_path, content, bad_line):
@@ -46,6 +51,21 @@ def test_graph_errors_carry_line_numbers(tmp_path, content, bad_line):
     with pytest.raises(FileFormatError) as err:
         fileio.read_graph(path)
     assert err.value.line == bad_line
+
+
+def test_read_graph_builds_one_graph(tmp_path, monkeypatch):
+    post_init = Graph.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    path = tmp_path / "g.txt"
+    path.write_text("N 4\n2 3 3.0\n0 1 1.0\n1 2 2.0\n")
+    g = fileio.read_graph(path)
+    assert len(built) == 1 and built[0] is g
 
 
 def test_signal_roundtrip(tmp_path, g):
@@ -81,6 +101,20 @@ def test_partition_roundtrip(tmp_path, g):
 def test_partition_rejects_fractional_cluster(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("0 0.5\n1 1\n")
+    with pytest.raises(FileFormatError):
+        fileio.read_partition(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "0 0\n1000000000000 1\n",  # node id far beyond the node count
+        "0 0\n1 1000000000000\n",  # cluster index far beyond the node count
+    ],
+)
+def test_partition_rejects_huge_ids_without_allocating(tmp_path, content):
+    path = tmp_path / "p.txt"
+    path.write_text(content)
     with pytest.raises(FileFormatError):
         fileio.read_partition(path)
 

@@ -7,14 +7,16 @@ from netlasso.errors import (
     DisconnectedAfterRetriesError,
     EmptySamplingSetError,
     InvalidConfigError,
+    NodeOutOfRangeError,
 )
 from netlasso.generate import (
     NoiseConfig,
     PlantedPartitionConfig,
     expected_edge_count,
     generate_planted_partition,
+    noise_field,
+    observe,
     paper_like_config,
-    sample_observations,
 )
 from netlasso.graphs import boundary, is_connected
 
@@ -93,24 +95,26 @@ class TestGeneratePlantedPartition:
 
 
 class TestSampleObservations:
+    """Observing a sampling set through noise_field + observe."""
+
     def test_noiseless_exact(self):
         x = np.array([1.0, 2.0, 3.0])
-        obs = sample_observations(x, (0, 2), NoiseConfig())
+        obs = observe(x, (0, 2), noise_field(3, NoiseConfig()))
         assert np.array_equal(obs.y, [1.0, 3.0])
         assert obs.noise_l1() == 0.0
 
     def test_seeded_noise_reproducible(self):
         x = np.zeros(5)
         cfg = NoiseConfig(distribution="laplace", sigma=0.1, seed=9)
-        a = sample_observations(x, (0, 1, 4), cfg)
-        b = sample_observations(x, (0, 1, 4), cfg)
+        a = observe(x, (0, 1, 4), noise_field(5, cfg))
+        b = observe(x, (0, 1, 4), noise_field(5, cfg))
         assert np.array_equal(a.eps, b.eps)
         assert np.any(a.eps != 0.0)
 
     def test_zero_sigma_gaussian_equals_none(self):
         x = np.arange(4.0)
-        a = sample_observations(x, (1, 3), NoiseConfig("gaussian", 0.0, seed=5))
-        b = sample_observations(x, (1, 3), NoiseConfig())
+        a = observe(x, (1, 3), noise_field(4, NoiseConfig("gaussian", 0.0, seed=5)))
+        b = observe(x, (1, 3), noise_field(4, NoiseConfig()))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.eps, b.eps)
 
@@ -118,9 +122,14 @@ class TestSampleObservations:
         rng = np.random.default_rng(0)
         x = rng.normal(size=20)
         cfg = NoiseConfig(distribution="gaussian", sigma=0.3, seed=2)
-        obs = sample_observations(x, tuple(range(0, 20, 3)), cfg)
+        obs = observe(x, tuple(range(0, 20, 3)), noise_field(20, cfg))
         assert np.array_equal(obs.y - x[list(obs.nodes)], obs.eps)
 
     def test_empty_sampling_set_rejected(self):
         with pytest.raises(EmptySamplingSetError):
-            sample_observations(np.zeros(3), (), NoiseConfig())
+            observe(np.zeros(3), (), noise_field(3, NoiseConfig()))
+
+    @pytest.mark.parametrize("nodes", [(0, 3), (-1, 0)])
+    def test_node_outside_signal_rejected(self, nodes):
+        with pytest.raises(NodeOutOfRangeError):
+            observe(np.zeros(3), nodes, noise_field(3, NoiseConfig()))

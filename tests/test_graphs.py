@@ -9,12 +9,14 @@ from netlasso.errors import (
     DimensionMismatchError,
     DuplicateEdgeError,
     EdgeNotInGraphError,
+    GraphError,
     InvalidPartitionError,
     NodeOutOfRangeError,
     NonPositiveWeightError,
     SelfLoopError,
 )
 from netlasso.graphs import (
+    Graph,
     Observations,
     Partition,
     boundary,
@@ -51,6 +53,26 @@ class TestValidateGraph:
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRangeError):
             validate_graph([(0, 5)], [1.0], 3)
+
+    @pytest.mark.parametrize(
+        "edges,weights,error,index",
+        [
+            ([(2, 3), (3, 2), (0, 1)], [1.0, 1.0, 1.0], DuplicateEdgeError, 1),
+            ([(2, 3), (0, 1), (1, 1)], [1.0, 1.0, 1.0], SelfLoopError, 2),
+            ([(2, 3), (0, 1), (1, 2)], [1.0, 1.0, float("nan")], NonPositiveWeightError, 2),
+            ([(3, 1), (0, 9)], [1.0, 1.0], NodeOutOfRangeError, 1),
+        ],
+    )
+    def test_error_index_is_raw_position(self, edges, weights, error, index):
+        # each bad edge sorts to a position other than its input position
+        with pytest.raises(error) as err:
+            validate_graph(edges, weights, 4)
+        assert err.value.index == index
+
+    def test_graph_rejects_non_canonical_edge_with_index(self):
+        with pytest.raises(GraphError) as err:
+            Graph(3, ((0, 1), (2, 1)), np.ones(2))
+        assert err.value.index == 1
 
     def test_canonicalizes_and_sorts(self):
         g = validate_graph([(2, 1), (1, 0)], [3.0, 1.0], 3)
@@ -148,6 +170,11 @@ class TestPartition:
         p = Partition.from_labels([0, 0, 1, 1, 2])
         assert p.cluster_count == 3
         assert p.clusters[1] == frozenset({2, 3})
+
+    def test_from_labels_rejects_cluster_index_beyond_node_count(self):
+        # rejected before one set per cluster index is allocated
+        with pytest.raises(InvalidPartitionError):
+            Partition.from_labels([0, 10**12])
 
     def test_rejects_overlap(self):
         with pytest.raises(InvalidPartitionError):
