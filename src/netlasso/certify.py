@@ -9,23 +9,27 @@ prescribed flow exempt from their own capacity (the condition is vacuous
 otherwise for L > 1); capacity binds on the remaining edges only.
 
 Certificates carry per-orientation witness flows (scaled integers) that
-re-verify independently, or the violating orientation plus a cut.
+re-verify independently, or the violating orientation plus a cut. The scale
+of a query is derived from its inputs: the smallest power of two that makes
+every weight, every boundary flow L*W_e and K an exact integer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidQueryError, LNotGreaterThanOneError
 from .flow import (
-    DEFAULT_SCALE,
     CutCertificate,
     DemandSpec,
     DemandWitness,
     FeasibilityResult,
+    exact_at,
+    exact_scale,
     feasible_flow,
     scaled,
     verify_demand_witness,
@@ -163,24 +167,29 @@ def _orientation_spec(
     """Demand the interior edges must meet for one boundary orientation."""
     b = _boundary_injections(oriented, query.graph.node_count, query.L, scale)
     return DemandSpec(
-        injections={i: v / scale for i, v in enumerate(b) if v != 0},
+        injections={i: Fraction(v, scale) for i, v in enumerate(b) if v != 0},
         slack_nodes=frozenset(query.sample_nodes),
         slack_bound=query.K,
     )
 
 
-def check_ncc(
-    query: NccQuery,
-    max_boundary: int = DEFAULT_MAX_BOUNDARY,
-    scale: int = DEFAULT_SCALE,
-) -> NccCertificate:
+def _query_values(query: NccQuery, bnd: tuple[Edge, ...]) -> list[float]:
+    """Every number a query scales: all weights, L*W of each boundary edge, and K."""
+    g = query.graph
+    return [*g.weights.tolist(), *(query.L * g.weight(*e) for e in bnd), query.K]
+
+
+def check_ncc(query: NccQuery, max_boundary: int = DEFAULT_MAX_BOUNDARY) -> NccCertificate:
     """Enumerate all boundary orientations and test flow feasibility for each.
 
     Returns verdict ``indeterminate`` without solving when the boundary has
     more than ``max_boundary`` edges (2^|boundary| orientations otherwise).
+    Witness flows are at the query's scale; a cut keeps the scale of its
+    orientation's feasibility query, which divides the query's scale.
     """
     g = query.graph
     bnd = boundary(g, query.partition)
+    scale = exact_scale(_query_values(query, bnd))
     bnd_set = set(bnd)
     interior = tuple(e for e in g.edges if e not in bnd_set)
     if len(bnd) > max_boundary:
@@ -202,7 +211,7 @@ def check_ncc(
     for bits in range(total):
         oriented = orient_edges(g, bnd, bits)
         spec = _orientation_spec(query, oriented, scale)
-        result: FeasibilityResult = feasible_flow(g, bnd, spec, scale=scale)
+        result: FeasibilityResult = feasible_flow(g, bnd, spec)
         if not result.feasible:
             return NccCertificate(
                 verdict="fails",
@@ -217,11 +226,12 @@ def check_ncc(
                 cut=result.cut,
             )
         assert result.witness is not None and result.witness.edges == interior
+        factor = scale // result.scale  # the orientation's scale divides the query's
         witnesses.append(
             OrientationWitness(
                 bits=bits,
                 boundary_arcs=_boundary_arcs(oriented, query.L, scale),
-                interior_flows=result.witness.edge_flows,
+                interior_flows=tuple(factor * f for f in result.witness.edge_flows),
             )
         )
     return NccCertificate(
@@ -239,7 +249,8 @@ def check_ncc(
 def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     """Independent integer re-check of every witness in a ``holds`` certificate.
 
-    Requires one witness per orientation, in order. For each: the prescribed
+    Requires a scale that makes every number of the query an exact integer,
+    and one witness per orientation, in order. For each: the prescribed
     flow on every boundary arc, then ``verify_demand_witness`` on the interior
     flows (capacity on every interior edge, exact conservation at non-sampled
     nodes, imbalance at most K at sampled nodes).
@@ -249,7 +260,7 @@ def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     g = query.graph
     scale = cert.scale
     bnd = boundary(g, query.partition)
-    if cert.boundary_edges != bnd:
+    if cert.boundary_edges != bnd or not exact_at(scale, _query_values(query, bnd)):
         return False
     if [w.bits for w in cert.witnesses] != list(range(1 << len(bnd))):
         return False

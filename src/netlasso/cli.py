@@ -25,7 +25,6 @@ from .certify import (
 )
 from .errors import NetlassoError
 from .experiments import ExperimentConfig, run_experiment, summarize, write_outputs
-from .flow import DEFAULT_SCALE
 from .generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -148,7 +147,7 @@ def cmd_certify(args) -> int:
         + (f" (K={support.K})" if support.satisfied else f" on {len(support.violations)} edges")
     )
     query = NccQuery(g, partition, samples, K=args.K, L=args.L)
-    cert = check_ncc(query, max_boundary=args.max_boundary, scale=args.scale)
+    cert = check_ncc(query, max_boundary=args.max_boundary)
     print(
         f"compatibility condition at K={args.K}, L={args.L}: {cert.verdict}"
         + (f" ({cert.reason})" if cert.reason else "")
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--K", type=float, required=True)
     p_cert.add_argument("--L", type=float, required=True)
     p_cert.add_argument("--max-boundary", type=int, default=DEFAULT_MAX_BOUNDARY)
-    p_cert.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     p_cert.add_argument("--report")
     p_cert.set_defaults(func=cmd_certify)
 

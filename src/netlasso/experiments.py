@@ -63,7 +63,6 @@ RESULTS_CSV_FIELDS = [
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: PlantedPartitionConfig | None = None  # None -> paper-like preset
-    coefficients: tuple[float, ...] | None = None  # None -> 1..cluster_count
     budget: int | None = None  # None -> N // 2
     noise: str = "none"
     sigma: float = 0.0
@@ -143,8 +142,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         seed=seed_graph,
     )
     g, partition = generate_planted_partition(gen_cfg)
-    coeffs = cfg.coefficients or tuple(float(c + 1) for c in range(partition.cluster_count))
-    x_true = clustered_signal(partition, coeffs)
+    x_true = clustered_signal(partition, [float(c + 1) for c in range(partition.cluster_count)])
     budget = cfg.budget if cfg.budget is not None else g.node_count // 2
 
     m_boundary = sample_boundary_aware(g, partition, budget)

@@ -1,10 +1,12 @@
 """Maximum flow and feasibility of flows with node demands.
 
-All flow arithmetic happens on integers: capacities and demands are
-quantized by a configurable scale factor (default 10**6) before solving, so
-results are exact at that quantization and certificates re-verify with
-integer arithmetic. Max flow is one pure-Python Dinic solver on Python ints,
-so capacities of any size stay exact and parallel arcs stay distinct.
+All flow arithmetic happens on integers. Each call derives its scale from
+its inputs: the smallest power of two that makes every capacity, injection
+and slack bound an exact integer (every finite float is a dyadic rational,
+so one always exists). Nothing is rounded, so results are exact for the real
+inputs, and certificates carry their scale and re-verify with integer
+arithmetic. Max flow is one pure-Python Dinic solver on Python ints, so
+capacities of any size stay exact and parallel arcs stay distinct.
 
 Undirected graph edges act as bidirectional capacity: each edge {i,j} may
 carry up to W_ij in a direction of the solver's choosing. Feasibility of a
@@ -16,6 +18,8 @@ outflow exceeds the capacity leaving it.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -29,12 +33,35 @@ from .errors import (
 )
 from .graphs import Edge, Graph
 
-DEFAULT_SCALE = 10**6
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of a finite float or rational, exactly."""
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return operator.index(value), 1
+
+
+def exact_scale(values: Iterable) -> int:
+    """Smallest positive integer s that makes s * v an integer for every v.
+
+    For floats s is a power of two; Python ints hold it at any size.
+    """
+    return math.lcm(*{_ratio(v)[1] for v in values})
+
+
+def exact_at(scale: int, values: Iterable) -> bool:
+    """Whether ``scale`` makes every value an exact integer."""
+    return scale > 0 and scale % exact_scale(values) == 0
 
 
 def scaled(value: float, scale: int) -> int:
-    """Quantize a real capacity/demand to the integer grid."""
-    return int(round(value * scale))
+    """``value * scale`` as an exact integer; raises if it is not an integer."""
+    p, q = _ratio(value)
+    n, r = divmod(p * scale, q)
+    if r:
+        raise InvalidConfigError(f"scale {scale} does not make {value!r} an integer")
+    return n
 
 
 @dataclass(frozen=True)
@@ -173,17 +200,13 @@ def _solve_int_max_flow(
     return value, flows, solver
 
 
-def max_flow(
-    net: FlowNetwork,
-    s: int,
-    t: int,
-    scale: int = DEFAULT_SCALE,
-) -> tuple[float, FlowAssignment]:
-    """Maximum s-t flow, exact at the integer quantization ``scale``."""
+def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[float, FlowAssignment]:
+    """Exact maximum s-t flow, at the scale derived from the capacities."""
     if not (0 <= s < net.node_count and 0 <= t < net.node_count):
         raise NodeOutOfRangeError(f"source/sink outside 0..{net.node_count - 1}")
     if s == t:
         raise InvalidConfigError("source equals sink")
+    scale = exact_scale(c for _, _, c in net.arcs)
     int_arcs = [(u, v, scaled(c, scale)) for u, v, c in net.arcs]
     value, flows, _ = _solve_int_max_flow(net.node_count, int_arcs, s, t)
     assignment = FlowAssignment(
@@ -199,7 +222,9 @@ def max_flow(
 def verify_max_flow_assignment(
     net: FlowNetwork, s: int, t: int, assignment: FlowAssignment
 ) -> bool:
-    """Independent check: capacity bounds and conservation away from s, t."""
+    """Independent check: exact scale, capacity bounds and conservation away from s, t."""
+    if not exact_at(assignment.scale, (c for _, _, c in net.arcs)):
+        return False
     balance = [0] * net.node_count
     for (u, v, c), f in zip(net.arcs, assignment.scaled_flows):
         if f < 0 or f > scaled(c, assignment.scale):
@@ -220,7 +245,8 @@ class DemandSpec:
 
     A node with injection b must have net outflow exactly b; a slack node
     may deviate from its injection by at most ``slack_bound`` in either
-    direction. Injections default to zero.
+    direction. Injections default to zero; they may be floats or exact
+    rationals such as ``fractions.Fraction``.
     """
 
     injections: Mapping[int, float] = field(default_factory=dict)
@@ -230,10 +256,10 @@ class DemandSpec:
     def __post_init__(self):
         object.__setattr__(self, "injections", dict(self.injections))
         object.__setattr__(self, "slack_nodes", frozenset(int(i) for i in self.slack_nodes))
-        if not np.isfinite(self.slack_bound) or self.slack_bound < 0.0:
+        if not math.isfinite(self.slack_bound) or self.slack_bound < 0.0:
             raise InvalidDemandSpecError("slack_bound must be finite and >= 0")
         for i, b in self.injections.items():
-            if not np.isfinite(b):
+            if not math.isfinite(b):
                 raise InvalidDemandSpecError(f"injection at node {i} is not finite")
 
     def validate_nodes(self, node_count: int) -> None:
@@ -308,23 +334,26 @@ def _kept_edges(g: Graph, excluded: Iterable[Edge]) -> list[int]:
     return [k for k in range(g.edge_count) if k not in excluded_ids]
 
 
-def feasible_flow(
-    g: Graph,
-    excluded: Iterable[Edge],
-    spec: DemandSpec,
-    scale: int = DEFAULT_SCALE,
-) -> FeasibilityResult:
+def _instance_values(weights: list[float], spec: DemandSpec) -> list:
+    """Every number a demand instance scales: kept weights, injections, slack bound."""
+    return [*weights, *spec.injections.values(), spec.slack_bound]
+
+
+def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
     """Decide whether the graph minus ``excluded`` supports the demanded flow.
 
     Each kept edge {i,j} may carry up to W_ij in one direction of the
     solver's choosing. Returns a witness flow when feasible, otherwise a cut
-    certificate proving infeasibility.
+    certificate proving infeasibility, both at the scale derived from the
+    kept weights, the injections and the slack bound.
     """
     spec.validate_nodes(g.node_count)
     kept = _kept_edges(g, excluded)
+    weights = g.weights[kept].tolist()
+    scale = exact_scale(_instance_values(weights, spec))
     b = _scaled_injections(g, spec, scale)
     k_scaled = scaled(spec.slack_bound, scale)
-    caps = [scaled(float(g.weights[k]), scale) for k in kept]
+    caps = [scaled(w, scale) for w in weights]
 
     n = g.node_count
     reservoir, source, sink = n, n + 1, n + 2
@@ -397,11 +426,14 @@ def verify_demand_witness(
     kept = _kept_edges(g, excluded)
     if tuple(g.edges[k] for k in kept) != witness.edges or len(witness.edge_flows) != len(kept):
         return False
+    weights = g.weights[kept].tolist()
+    if not exact_at(scale, _instance_values(weights, spec)):
+        return False
     b = _scaled_injections(g, spec, scale)
     k_scaled = scaled(spec.slack_bound, scale)
     net = [0] * g.node_count
-    for (i, j), f, k in zip(witness.edges, witness.edge_flows, kept):
-        if abs(f) > scaled(float(g.weights[k]), scale):
+    for (i, j), f, w in zip(witness.edges, witness.edge_flows, weights):
+        if abs(f) > scaled(w, scale):
             return False
         net[i] += f
         net[j] -= f
@@ -421,15 +453,18 @@ def verify_cut_certificate(
 ) -> bool:
     """Re-verify that a cut certificate proves infeasibility."""
     scale = cut.scale
+    kept = _kept_edges(g, excluded)
+    weights = g.weights[kept].tolist()
+    if not exact_at(scale, _instance_values(weights, spec)):
+        return False
     inside = set(cut.nodes)
     b = _scaled_injections(g, spec, scale)
     k_scaled = scaled(spec.slack_bound, scale)
     sign = 1 if cut.kind == "supply-excess" else -1
     demand = sum(sign * b[i] for i in inside)
-    kept = _kept_edges(g, excluded)
     capacity = sum(
-        scaled(float(g.weights[k]), scale)
-        for k in kept
+        scaled(w, scale)
+        for k, w in zip(kept, weights)
         if (g.edges[k][0] in inside) != (g.edges[k][1] in inside)
     )
     capacity += k_scaled * sum(1 for i in spec.slack_nodes if i in inside)

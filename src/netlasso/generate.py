@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     DisconnectedAfterRetriesError,
     InvalidConfigError,
     NodeOutOfRangeError,
@@ -159,6 +160,10 @@ def observe(x_true: np.ndarray, nodes: tuple[int, ...], eps_full: np.ndarray) ->
     The stored eps is recomputed as y - x_true so the recorded noise matches
     the labels bit-exactly.
     """
+    if len(eps_full) != len(x_true):
+        raise DimensionMismatchError(
+            f"noise field has {len(eps_full)} entries for a signal of {len(x_true)}"
+        )
     if nodes and max(nodes) >= len(x_true):
         raise NodeOutOfRangeError(
             f"sampling node {max(nodes)} outside 0..{len(x_true) - 1}"

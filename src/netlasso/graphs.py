@@ -97,9 +97,6 @@ class Graph:
         """Pairs (neighbor, edge_index) incident to node i."""
         return self._adjacency[i]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return canonical_edge(i, j) in self._edge_index
-
     def edge_id(self, i: int, j: int) -> int:
         e = canonical_edge(i, j)
         try:

@@ -178,7 +178,7 @@ def test_criterion_4_flow_correctness():
     for i in range(100):
         net = random_network(rng)
         s, t = 0, net.node_count - 1
-        value, assignment = max_flow(net, s, t, scale=1)
+        value, assignment = max_flow(net, s, t)
         assert assignment.value_scaled == brute_force_min_cut(net, s, t, scale=1)
         assert assignment.value_scaled == scipy_max_flow_value(net, s, t, scale=1)
         assert verify_max_flow_assignment(net, s, t, assignment)
@@ -201,7 +201,7 @@ def test_criterion_4_flow_correctness():
         spec = DemandSpec(
             injections=injections, slack_nodes=slack, slack_bound=float(rng.integers(0, 3))
         )
-        res = feasible_flow(g, [], spec, scale=1)
+        res = feasible_flow(g, [], spec)
         if res.feasible:
             assert verify_demand_witness(g, [], spec, res.witness)
             witnesses += 1

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netlasso.certify import (
     NccQuery,
@@ -27,6 +29,29 @@ from netlasso.graphs import (
     validate_graph,
 )
 from netlasso.sampling import sample_boundary_aware
+
+
+@st.composite
+def ncc_queries(draw):
+    """Two small clusters joined by one to three boundary edges; integer
+    weights, K a multiple of 1/2 and L in {1, 1.5, 2}."""
+    a_size, b_size = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    n = a_size + b_size
+    clusters = (list(range(a_size)), list(range(a_size, n)))
+    edges = set()
+    for nodes in clusters:
+        for pos in range(1, len(nodes)):
+            edges.add((nodes[draw(st.integers(0, pos - 1))], nodes[pos]))
+    cross = st.tuples(st.sampled_from(clusters[0]), st.sampled_from(clusters[1]))
+    edges |= draw(st.sets(cross, min_size=1, max_size=3))
+    edges = sorted(edges)
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    g = validate_graph(edges, [float(w) for w in weights], n)
+    partition = Partition(tuple(frozenset(c) for c in clusters))
+    samples = tuple(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    K = draw(st.integers(1, 8)) / 2
+    L = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return g, partition, samples, K, L
 
 
 class TestNccQueryValidation:
@@ -168,6 +193,36 @@ class TestCheckNcc:
                 verdicts.add(unit.verdict)
         assert verdicts == {"holds", "fails"}
 
+    @settings(max_examples=100, deadline=None)
+    @given(ncc_queries(), st.integers(0, 60))
+    def test_verdict_invariant_under_power_of_two_scaling(self, instance, k):
+        g, p, m, K, L = instance
+        f = 2.0**-k
+        small_g = validate_graph(g.edges, g.weights * f, g.node_count)
+        small = NccQuery(small_g, p, m, K=K * f, L=L)
+        cert, small_cert = check_ncc(NccQuery(g, p, m, K=K, L=L)), check_ncc(small)
+        assert (small_cert.verdict, small_cert.failed_bits) == (cert.verdict, cert.failed_bits)
+        if small_cert.verdict == "holds":
+            assert verify_ncc_witnesses(small, small_cert)
+
+    def test_boundary_injection_exact_below_float_resolution(self):
+        # Node 1 meets boundary edges of weight 1 and 2**-60; its injection of
+        # 1 + 2**-60 has no float, so it must reach the flow solver exactly.
+        from netlasso.certify import _orientation_spec
+
+        g = validate_graph([(0, 1), (1, 2), (1, 3), (2, 3)], [2.0, 1.0, 2.0**-60, 2.0], 4)
+        p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+        query = NccQuery(g, p, (0, 2, 3), K=2.0, L=1.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "holds" and cert.scale == 2**60
+        assert verify_ncc_witnesses(query, cert)
+        both_in = orient_edges(g, cert.boundary_edges, 0b11)  # 2 -> 1 and 3 -> 1
+        assert _orientation_spec(query, both_in, cert.scale).injections[1] == 1 + Fraction(
+            1, 2**60
+        )
+        flows = dict(zip(cert.interior_edges, cert.witnesses[0b11].interior_flows))
+        assert flows[(0, 1)] == -(2**60 + 1)  # node 1 sends it all to node 0
+
     def test_certificate_serializes(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
@@ -217,6 +272,16 @@ class TestVerifyNccWitnesses:
         # with net outflow 8 > K while every edge stays within capacity.
         flows[pos] = 4 * cert.scale
         assert not verify_ncc_witnesses(query, self.corrupt(cert, interior_flows=tuple(flows)))
+
+    def test_rejects_coarse_scale(self, two_cluster_fixture):
+        # On a 1e-6 grid K = 3.6e-6 rounds to 4e-6, and this failing query
+        # passes for the unit query that holds at K = 4.
+        g, p, m = two_cluster_fixture
+        unit = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
+        tiny = NccQuery(validate_graph(g.edges, g.weights * 1e-6, 4), p, m, K=3.6e-6, L=4.0)
+        assert check_ncc(tiny).verdict == "fails"
+        coarse = dataclasses.replace(unit, K=tiny.K, scale=10**6)
+        assert not verify_ncc_witnesses(tiny, coarse)
 
     def test_rejects_missing_or_repeated_orientation(self, holds):
         query, cert = holds

@@ -1,6 +1,8 @@
 """Max flow against a brute-force min-cut oracle and scipy's max flow;
 demand feasibility against Hoffman's cut condition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,9 @@ from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 from conftest import random_connected_graph
 from netlasso.errors import InvalidConfigError, InvalidDemandSpecError, NodeOutOfRangeError
 from netlasso.flow import (
+    CutCertificate,
     DemandSpec,
+    FlowAssignment,
     FlowNetwork,
     feasible_flow,
     max_flow,
@@ -153,7 +157,7 @@ class TestMaxFlow:
         for _ in range(100):
             net = random_network(rng)
             s, t = 0, net.node_count - 1
-            value, asg = max_flow(net, s, t, scale=1)
+            value, asg = max_flow(net, s, t)
             assert asg.value_scaled == brute_force_min_cut(net, s, t, scale=1)
             assert verify_max_flow_assignment(net, s, t, asg)
 
@@ -170,24 +174,43 @@ class TestMaxFlow:
     def test_matches_scipy_reference_on_random_networks(self, net, data):
         s = data.draw(st.integers(0, net.node_count - 1))
         t = data.draw(st.integers(0, net.node_count - 1).filter(lambda v: v != s))
-        _, asg = max_flow(net, s, t, scale=1)
+        _, asg = max_flow(net, s, t)
         assert asg.value_scaled == scipy_max_flow_value(net, s, t, scale=1)
         assert verify_max_flow_assignment(net, s, t, asg)
 
     def test_capacities_beyond_int32_exact(self):
         net = FlowNetwork(3, ((0, 1, 3e10), (1, 2, 5e9)))
-        _, asg = max_flow(net, 0, 2, scale=1)
+        value, asg = max_flow(net, 0, 2)
+        assert asg.scale == 1
         assert asg.value_scaled == 5 * 10**9
         assert asg.scaled_flows == (5 * 10**9, 5 * 10**9)
-        value, asg = max_flow(net, 0, 2)
         assert value == 5e9
         assert verify_max_flow_assignment(net, 0, 2, asg)
+
+    def test_extreme_capacities_exact(self):
+        net = FlowNetwork(3, ((0, 1, 1e300), (1, 2, 5e-324)))
+        value, asg = max_flow(net, 0, 2)
+        assert asg.scale == 2**1074
+        assert asg.value_scaled == 1 and value == 5e-324
+        assert verify_max_flow_assignment(net, 0, 2, asg)
+
+    def test_coarse_scale_assignment_rejected(self):
+        # On a 1e-6 grid both capacities of 1.5e-6 round to 2, so a flow of
+        # 2e-6 would pass as feasible there.
+        net = FlowNetwork(3, ((0, 1, 1.5e-6), (1, 2, 1.5e-6)))
+        value, asg = max_flow(net, 0, 2)
+        assert value == 1.5e-6
+        assert verify_max_flow_assignment(net, 0, 2, asg)
+        coarse = FlowAssignment(
+            flows=(2e-6, 2e-6), scaled_flows=(2, 2), scale=10**6, value=2e-6, value_scaled=2
+        )
+        assert not verify_max_flow_assignment(net, 0, 2, coarse)
 
     def test_integrality_with_integer_capacities(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             net = random_network(rng)
-            _, asg = max_flow(net, 0, net.node_count - 1, scale=1)
+            _, asg = max_flow(net, 0, net.node_count - 1)
             assert all(isinstance(f, int) for f in asg.scaled_flows)
             assert isinstance(asg.value_scaled, int)
 
@@ -233,11 +256,50 @@ class TestFeasibleFlow:
         assert not res.feasible
         assert verify_cut_certificate(path4, [], spec, res.cut)
 
+    def test_rational_demands_exact(self, path4):
+        third = Fraction(1, 3)
+        spec = DemandSpec(injections={0: third}, slack_nodes=frozenset({3}), slack_bound=third)
+        res = feasible_flow(path4, [], spec)
+        assert res.feasible and res.scale == 3
+        assert verify_demand_witness(path4, [], spec, res.witness)
+
     def test_excluded_edges_removed(self, path4):
         spec = DemandSpec(injections={0: 1.0, 3: -1.0})
         res = feasible_flow(path4, [(1, 2)], spec)
         assert not res.feasible
         assert verify_cut_certificate(path4, [(1, 2)], spec, res.cut)
+
+    @pytest.fixture
+    def two_routes(self):
+        """Routes 0-1-3 and 0-2-3 of edges of weight 1.4e-6: capacity 2.8e-6."""
+        return validate_graph([(0, 1), (0, 2), (1, 3), (2, 3)], [1.4e-6] * 4, 4)
+
+    def test_two_routes_below_a_coarse_grid_feasible(self, two_routes):
+        spec = DemandSpec(injections={0: 2.6e-6, 3: -2.6e-6})
+        res = feasible_flow(two_routes, [], spec)
+        assert res.feasible
+        assert verify_demand_witness(two_routes, [], spec, res.witness)
+
+    def test_coarse_scale_cut_rejected(self, two_routes):
+        # On a 1e-6 grid the routes round to capacity 2 against a demand of 3.
+        spec = DemandSpec(injections={0: 2.6e-6, 3: -2.6e-6})
+        cut = CutCertificate("supply-excess", (0,), demand_scaled=3, capacity_scaled=2, scale=10**6)
+        assert not verify_cut_certificate(two_routes, [], spec, cut)
+
+    def test_extreme_weights_exact(self):
+        g = validate_graph([(0, 1), (1, 2)], [1e300, 5e-324], 3)
+        tiny = DemandSpec(injections={0: 5e-324, 2: -5e-324})
+        res = feasible_flow(g, [], tiny)
+        assert res.feasible and res.scale == 2**1074
+        assert res.witness.edge_flows == (1, 1)
+        assert verify_demand_witness(g, [], tiny, res.witness)
+        huge = DemandSpec(injections={0: 1e300, 2: -1e300})
+        res = feasible_flow(g, [], huge)
+        assert not res.feasible
+        assert res.cut.nodes == (0, 1)
+        assert res.cut.demand_scaled == int(1e300) * 2**1074
+        assert res.cut.capacity_scaled == 1
+        assert verify_cut_certificate(g, [], huge, res.cut)
 
     def test_invalid_demand_spec(self, path2):
         with pytest.raises(InvalidDemandSpecError):
@@ -265,7 +327,7 @@ class TestFeasibleFlow:
                 int(i) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)
             )
             spec = DemandSpec(injections=b, slack_nodes=slack, slack_bound=float(rng.integers(0, 3)))
-            res = feasible_flow(g, [], spec, scale=1)
+            res = feasible_flow(g, [], spec)
             if res.feasible:
                 feasible_seen += 1
                 assert all(isinstance(f, int) for f in res.witness.edge_flows)
@@ -310,7 +372,7 @@ class TestFeasibleFlow:
     def test_certificate_reverifies_exactly_when_decided(self, instance, data):
         g, spec = instance
         excluded = data.draw(st.sets(st.sampled_from(g.edges)))
-        res = feasible_flow(g, excluded, spec, scale=1)
+        res = feasible_flow(g, excluded, spec)
         assert res.feasible == hoffman_feasible(g, excluded, spec, scale=1)
         if res.feasible:
             assert res.cut is None
@@ -319,11 +381,34 @@ class TestFeasibleFlow:
             assert res.witness is None
             assert verify_cut_certificate(g, excluded, spec, res.cut)
 
-    def test_weight_3000_path_feasible(self):
-        # Scaled capacities of 3e9 exceed int32; the answer must stay exact.
-        g = validate_graph([(0, 1), (1, 2)], [3000.0, 3000.0], 3)
-        spec = DemandSpec(injections={0: 3000.0, 2: -3000.0})
+    @settings(max_examples=200, deadline=None)
+    @given(demand_instances(), st.integers(0, 60))
+    def test_feasibility_invariant_under_power_of_two_scaling(self, instance, k):
+        g, spec = instance
+        f = 2.0**-k
+        small_g = validate_graph(g.edges, g.weights * f, g.node_count)
+        small_spec = DemandSpec(
+            injections={i: v * f for i, v in spec.injections.items()},
+            slack_nodes=spec.slack_nodes,
+            slack_bound=spec.slack_bound * f,
+        )
+        res, small = feasible_flow(g, [], spec), feasible_flow(small_g, [], small_spec)
+        assert small.feasible == res.feasible
+        if small.feasible:
+            assert verify_demand_witness(small_g, [], small_spec, small.witness)
+            # The same real flows, exactly.
+            assert [Fraction(v, small.scale) for v in small.witness.edge_flows] == [
+                Fraction(v, res.scale) * Fraction(1, 2**k) for v in res.witness.edge_flows
+            ]
+        else:
+            assert verify_cut_certificate(small_g, [], small_spec, small.cut)
+
+    def test_weight_3e9_path_feasible(self):
+        # Capacities of 3e9 exceed int32 at the derived scale of 1; the answer
+        # must stay exact.
+        g = validate_graph([(0, 1), (1, 2)], [3e9, 3e9], 3)
+        spec = DemandSpec(injections={0: 3e9, 2: -3e9})
         res = feasible_flow(g, [], spec)
-        assert res.feasible
+        assert res.feasible and res.scale == 1
         assert res.witness.edge_flows == (3 * 10**9, 3 * 10**9)
         assert verify_demand_witness(g, [], spec, res.witness)

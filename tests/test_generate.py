@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netlasso.errors import (
+    DimensionMismatchError,
     DisconnectedAfterRetriesError,
     EmptySamplingSetError,
     InvalidConfigError,
@@ -133,3 +134,8 @@ class TestSampleObservations:
     def test_node_outside_signal_rejected(self, nodes):
         with pytest.raises(NodeOutOfRangeError):
             observe(np.zeros(3), nodes, noise_field(3, NoiseConfig()))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_noise_length_must_match_signal(self, length):
+        with pytest.raises(DimensionMismatchError):
+            observe(np.zeros(3), (0, 2), np.zeros(length))
