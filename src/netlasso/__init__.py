@@ -13,6 +13,7 @@ from .certify import (
     check_support_condition,
     check_ncc,
     recovery_error_bound,
+    verify_ncc_cut,
     verify_ncc_witnesses,
     verify_error_bound,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "validate_graph",
     "verify_cut_certificate",
     "verify_demand_witness",
+    "verify_ncc_cut",
     "verify_ncc_witnesses",
     "verify_error_bound",
 ]

@@ -32,6 +32,7 @@ from .flow import (
     exact_scale,
     feasible_flow,
     scaled,
+    verify_cut_certificate,
     verify_demand_witness,
 )
 from .graphs import (
@@ -274,6 +275,25 @@ def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
         if not verify_demand_witness(g, bnd, _orientation_spec(query, oriented, scale), interior):
             return False
     return True
+
+
+def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:
+    """Independent integer re-check of the cut in a ``fails`` certificate.
+
+    Rebuilds the failed orientation's demand from the query at the query's
+    derived scale (the cut's own scale may be too coarse for a single
+    boundary flow L*W even where every net injection is exact) and checks
+    the cut with ``verify_cut_certificate`` at the cut's scale.
+    """
+    if cert.verdict != "fails" or cert.cut is None or cert.failed_bits is None:
+        return False
+    g = query.graph
+    bnd = boundary(g, query.partition)
+    if cert.boundary_edges != bnd or not 0 <= cert.failed_bits < 1 << len(bnd):
+        return False
+    oriented = orient_edges(g, bnd, cert.failed_bits)
+    spec = _orientation_spec(query, oriented, exact_scale(_query_values(query, bnd)))
+    return verify_cut_certificate(g, bnd, spec, cert.cut)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Randomness is drawn from numpy's PCG64 generator seeded explicitly, and the
 draw order is fixed: for each attempt, one uniform variate per unordered node
 pair in lexicographic order. Outputs are therefore reproducible from the
-config alone.
+config alone. They are drawn a few rows of the pair triangle at a time; as
+``random()`` takes one 64-bit output per double, the row draws together equal
+one draw per attempt, and a retry continues the same stream.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .graphs import (
 )
 
 MAX_CONNECTIVITY_RETRIES = 100
+# Rows of the pair triangle are drawn in groups of about this many pairs: one
+# numpy call for a small graph, O(N) memory per attempt for a large one.
+_PAIRS_PER_DRAW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,20 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
     partition = _block_partition(cfg.sizes)
     n = cfg.node_count
     labels = partition.labels
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    probs = np.where(
-        labels[[i for i, _ in pairs]] == labels[[j for _, j in pairs]],
-        cfg.p_in,
-        cfg.p_out,
-    )
+    step = max(1, _PAIRS_PER_DRAW // n)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(MAX_CONNECTIVITY_RETRIES):
-        u = rng.random(len(pairs))
-        keep = u < probs
-        edges = tuple(p for p, k in zip(pairs, keep) if k)
-        g = Graph(n, edges, np.full(len(edges), cfg.weight))
+        edges = []
+        for start in range(0, n - 1, step):  # draw cells j > i of these rows, row-major
+            rows = np.arange(start, min(start + step, n - 1))
+            cols = np.arange(start + 1, n)
+            upper = cols > rows[:, None]
+            u = np.ones(upper.shape)  # 1.0 never falls below a probability
+            u[upper] = rng.random(np.count_nonzero(upper))
+            probs = np.where(labels[rows, None] == labels[cols], cfg.p_in, cfg.p_out)
+            hit_rows, hit_cols = np.nonzero(u < probs)
+            edges.extend(zip(rows[hit_rows].tolist(), cols[hit_cols].tolist()))
+        g = Graph(n, tuple(edges), np.full(len(edges), cfg.weight))
         if is_connected(g) and all(
             subgraph_is_connected(g, set(c)) for c in partition.clusters
         ):

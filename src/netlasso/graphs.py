@@ -111,11 +111,7 @@ class Graph:
         return len(self._adjacency[i])
 
     def weighted_degrees(self) -> np.ndarray:
-        d = np.zeros(self.node_count)
-        for (i, j), w in zip(self.edges, self.weights):
-            d[i] += w
-            d[j] += w
-        return d
+        return endpoint_sums(self.node_count, *self.endpoint_arrays(), self.weights)
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two int arrays (canonical i < j)."""
@@ -124,6 +120,12 @@ class Graph:
             return empty, empty.copy()
         arr = np.asarray(self.edges, dtype=np.intp)
         return arr[:, 0], arr[:, 1]
+
+
+def endpoint_sums(n: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per node, the sum of w over the edges (ii, jj) it ends, added in edge
+    order (interleaved endpoints), as a loop of ``d[i] += w; d[j] += w`` would."""
+    return np.bincount(np.stack([ii, jj], 1).ravel(), np.repeat(w, 2), minlength=n)
 
 
 def validate_graph(

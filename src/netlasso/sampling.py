@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceedsNodesError
-from .graphs import Graph, Partition, boundary
+from .graphs import Graph, Partition, endpoint_sums
 
 
 def _check_budget(g: Graph, budget: int) -> int:
@@ -39,39 +39,30 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
     budget = _check_budget(g, budget)
     partition.check_against(g)
     lab = partition.labels
-    bnd = boundary(g, partition)
+    ii, jj = g.endpoint_arrays()
+    cross = lab[ii] != lab[jj]
+    cross_weight = endpoint_sums(g.node_count, ii[cross], jj[cross], g.weights[cross])
+    support = np.zeros(g.node_count)  # strongest in-cluster edge to a boundary endpoint
+    for near, far in ((ii, jj), (jj, ii)):
+        hit = ~cross & (cross_weight[near] > 0.0)  # weights > 0: endpoints only
+        np.maximum.at(support, far[hit], g.weights[hit])
 
-    cross_weight = np.zeros(g.node_count)
-    endpoints = set()
-    for i, j in bnd:
-        w = g.weight(i, j)
-        cross_weight[i] += w
-        cross_weight[j] += w
-        endpoints.update((i, j))
-    support = np.zeros(g.node_count)
-    for u in endpoints:
-        cluster = lab[u]
-        for v, k in g.neighbors(u):
-            if lab[v] == cluster:
-                support[v] = max(support[v], float(g.weights[k]))
-    wdeg = g.weighted_degrees()
-
-    chosen: list[int] = []
+    # Key: (-cross_weight * cluster discount, -support, -weighted degree, id). Nodes are
+    # ranked once by the last three; a pick is the first minimum of the first by rank.
+    order = np.lexsort((-g.weighted_degrees(), -support))
+    neg_cross = -cross_weight[order]
+    order_lab = lab[order]
+    alive = np.ones(g.node_count, dtype=bool)
+    discount = np.ones(partition.cluster_count)
     cluster_counts = [0] * partition.cluster_count
-    remaining = set(range(g.node_count))
+    chosen: list[int] = []
     while len(chosen) < budget:
-        best = min(
-            remaining,
-            key=lambda v: (
-                -cross_weight[v] * SATURATION_DISCOUNT ** cluster_counts[lab[v]],
-                -support[v],
-                -wdeg[v],
-                v,
-            ),
-        )
-        chosen.append(best)
-        cluster_counts[lab[best]] += 1
-        remaining.discard(best)
+        k = int(np.argmin(np.where(alive, neg_cross * discount[order_lab], np.inf)))
+        alive[k] = False
+        chosen.append(int(order[k]))
+        c = order_lab[k]
+        cluster_counts[c] += 1
+        discount[c] = SATURATION_DISCOUNT ** cluster_counts[c]
     return tuple(sorted(chosen))
 
 

@@ -14,6 +14,7 @@ from netlasso.certify import (
     check_support_condition,
     check_ncc,
     recovery_error_bound,
+    verify_ncc_cut,
     verify_ncc_witnesses,
     verify_error_bound,
 )
@@ -229,6 +230,59 @@ class TestCheckNcc:
         payload = json.loads(cert.to_json())
         assert payload["verdict"] == "holds"
         assert len(payload["witnesses"]) == 2
+
+
+class TestVerifyNccCut:
+    @staticmethod
+    def fine_injection_query():
+        # The failed orientation injects 1 + 2^-60, which a float rounds.
+        g = validate_graph([(0, 1), (1, 2), (1, 3), (2, 3)], [1.0, 1.0, 2.0**-60, 2.0], 4)
+        p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+        return NccQuery(g, p, (0, 2, 3), K=0.5, L=1.0)
+
+    def test_accepts_cut_below_float_resolution(self):
+        query = self.fine_injection_query()
+        cert = check_ncc(query)
+        assert cert.verdict == "fails" and cert.failed_bits == 0
+        assert verify_ncc_cut(query, cert)
+
+    def test_accepts_cut_at_a_coarser_scale_than_a_boundary_flow(self):
+        # Boundary arcs 0->1->2->0 of flow 0.5 cancel at every node, so the
+        # failed orientation's own scale is 1 while 0.5 needs 2.
+        g = validate_graph(
+            [(0, 1), (1, 2), (0, 2), (3, 4), (0, 3), (2, 4)], [0.5, 0.5, 0.5, 1.0, 1.0, 1.0], 5
+        )
+        p = Partition((frozenset({0, 3}), frozenset({1}), frozenset({2, 4})))
+        query = NccQuery(g, p, (1,), K=1.0, L=1.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "fails" and cert.cut.scale == 1 and cert.scale == 2
+        assert verify_ncc_cut(query, cert)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"nodes": (0,)},
+            {"nodes": (0, 1, 2, 3)},
+            {"kind": "supply-excess"},
+            {"demand_scaled": 0},
+            {"capacity_scaled": 0},
+            {"scale": 1},
+        ],
+    )
+    def test_rejects_tampered_cut(self, change):
+        query = self.fine_injection_query()
+        cert = check_ncc(query)
+        tampered = dataclasses.replace(cert, cut=dataclasses.replace(cert.cut, **change))
+        assert not verify_ncc_cut(query, tampered)
+
+    def test_rejects_other_orientation_and_other_verdicts(self, two_cluster_fixture):
+        query = self.fine_injection_query()
+        cert = check_ncc(query)
+        for bits in (1, 2, -1, None):
+            assert not verify_ncc_cut(query, dataclasses.replace(cert, failed_bits=bits))
+        g, p, m = two_cluster_fixture
+        holds_query = NccQuery(g, p, m, K=4.0, L=4.0)
+        assert not verify_ncc_cut(holds_query, check_ncc(holds_query))
 
 
 class TestVerifyNccWitnesses:
