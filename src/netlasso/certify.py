@@ -1,22 +1,33 @@
 """Recoverability certificates for (sampling set, partition) pairs.
 
-The compatibility check asks: for every orientation of the boundary edges,
-can the prescribed boundary flow L*W_e be routed through the remaining
-edges, sourced and sunk only at sampled nodes with per-node imbalance at
-most K? Each orientation reduces to one flow-feasibility query; the verdict
-is ``holds`` only if all of them are feasible. Boundary edges carry their
-prescribed flow exempt from their own capacity (the condition is vacuous
-otherwise for L > 1); capacity binds on the remaining edges only.
+The compatibility condition (NCC) asks: for every orientation of the
+boundary edges, can the prescribed boundary flow L*W_e be routed through the
+interior edges, sourced and sunk only at sampled nodes with per-node
+imbalance at most K? Boundary edges carry their prescribed flow exempt from
+their own capacity (the condition is vacuous otherwise for L > 1); capacity
+binds on the interior edges only.
 
-Certificates carry per-orientation witness flows (scaled integers) that
-re-verify independently, or the violating orientation plus a cut. The scale
-of a query is derived from its inputs: the smallest power of two that makes
+One flow decides all 2^|boundary| orientations at once. Give every
+boundary-edge endpoint a supply of sum L*W_e over its boundary edges, route
+the supplies over the interior edges, and allow each sampled node an
+imbalance of at most K. By Hoffman's circulation theorem that flow is
+feasible iff every node set U has supply(U) <= W_int(dU) + K*|U & samples|.
+Interior edges never join two clusters, so both sides add up over U's
+per-cluster parts, and for a U inside one cluster supply(U) = L*W_bnd(dU),
+which is exactly the worst orientation's demand on U: all of U's boundary
+edges pointing in.
+
+A ``holds`` certificate is that one interior flow (scaled integers). A
+``fails`` certificate is the orientation that points every boundary edge of
+a violating single-cluster set U into U, plus U as its cut. The scale of a
+query is derived from its inputs: the smallest power of two that makes
 every weight, every boundary flow L*W_e and K an exact integer.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -27,7 +38,6 @@ from .flow import (
     CutCertificate,
     DemandSpec,
     DemandWitness,
-    FeasibilityResult,
     exact_at,
     exact_scale,
     feasible_flow,
@@ -45,8 +55,6 @@ from .graphs import (
     orient_edges,
     tv,
 )
-
-DEFAULT_MAX_BOUNDARY = 16
 
 
 @dataclass(frozen=True)
@@ -75,33 +83,25 @@ class NccQuery:
 
 
 @dataclass(frozen=True)
-class OrientationWitness:
-    """Feasible flow for one boundary orientation, in scaled integers.
+class NccCertificate:
+    """Verdict over all ``orientations_total`` = 2^|boundary| orientations.
 
-    ``interior_flows`` aligns with the certificate's interior_edges; signs
-    are relative to the canonical (smaller, larger) direction. Boundary arcs
-    are listed as (tail, head, prescribed_flow_scaled).
+    ``interior_flows`` (``holds``) aligns with ``interior_edges``, in scaled
+    integers at ``scale``; signs are relative to the canonical (smaller,
+    larger) direction.
     """
 
-    bits: int
-    boundary_arcs: tuple[tuple[int, int, int], ...]
-    interior_flows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NccCertificate:
-    verdict: str  # holds | fails | indeterminate
+    verdict: str  # holds: interior_flows is a feasible supply flow | fails: failed_bits + cut
     K: float
     L: float
     scale: int
     boundary_edges: tuple[Edge, ...]
     interior_edges: tuple[Edge, ...]
     orientations_total: int
-    witnesses: tuple[OrientationWitness, ...] | None = None
+    interior_flows: tuple[int, ...] | None = None
     failed_bits: int | None = None
     failed_orientation: tuple[OrientedEdge, ...] | None = None
     cut: CutCertificate | None = None
-    reason: str | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -112,18 +112,9 @@ class NccCertificate:
             "boundary_edges": [list(e) for e in self.boundary_edges],
             "orientations_total": self.orientations_total,
         }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.verdict == "holds" and self.witnesses is not None:
+        if self.interior_flows is not None:
             out["interior_edges"] = [list(e) for e in self.interior_edges]
-            out["witnesses"] = [
-                {
-                    "bits": w.bits,
-                    "boundary_arcs": [list(a) for a in w.boundary_arcs],
-                    "interior_flows": list(w.interior_flows),
-                }
-                for w in self.witnesses
-            ]
+            out["interior_flows"] = list(self.interior_flows)
         if self.verdict == "fails":
             out["failed_bits"] = self.failed_bits
             out["failed_orientation"] = [
@@ -155,11 +146,23 @@ def _boundary_injections(
     return b
 
 
-def _boundary_arcs(
-    oriented: tuple[OrientedEdge, ...], L: float, scale: int
-) -> tuple[tuple[int, int, int], ...]:
-    """(tail, head, prescribed scaled flow L*W) for each oriented boundary edge."""
-    return tuple((a.tail, a.head, scaled(L * a.weight, scale)) for a in oriented)
+def _boundary_supplies(query: NccQuery, bnd: tuple[Edge, ...], scale: int) -> list[int]:
+    """Per node, sum of L*W over its boundary edges, as exact scaled integers."""
+    s = [0] * query.graph.node_count
+    for i, j in bnd:
+        h = scaled(query.L * query.graph.weight(i, j), scale)
+        s[i] += h
+        s[j] += h
+    return s
+
+
+def _demand_spec(query: NccQuery, b: list[int], scale: int) -> DemandSpec:
+    """Interior demand b / scale, with every sampled node's slack bounded by K."""
+    return DemandSpec(
+        injections={i: Fraction(v, scale) for i, v in enumerate(b) if v != 0},
+        slack_nodes=frozenset(query.sample_nodes),
+        slack_bound=query.K,
+    )
 
 
 def _orientation_spec(
@@ -167,11 +170,7 @@ def _orientation_spec(
 ) -> DemandSpec:
     """Demand the interior edges must meet for one boundary orientation."""
     b = _boundary_injections(oriented, query.graph.node_count, query.L, scale)
-    return DemandSpec(
-        injections={i: Fraction(v, scale) for i, v in enumerate(b) if v != 0},
-        slack_nodes=frozenset(query.sample_nodes),
-        slack_bound=query.K,
-    )
+    return _demand_spec(query, b, scale)
 
 
 def _query_values(query: NccQuery, bnd: tuple[Edge, ...]) -> list[float]:
@@ -180,101 +179,89 @@ def _query_values(query: NccQuery, bnd: tuple[Edge, ...]) -> list[float]:
     return [*g.weights.tolist(), *(query.L * g.weight(*e) for e in bnd), query.K]
 
 
-def check_ncc(query: NccQuery, max_boundary: int = DEFAULT_MAX_BOUNDARY) -> NccCertificate:
-    """Enumerate all boundary orientations and test flow feasibility for each.
+def _cluster_cut(
+    query: NccQuery, supplies: list[int], nodes: tuple[int, ...], scale: int
+) -> CutCertificate:
+    """Restrict a violated supply cut to its first violated single-cluster part.
 
-    Returns verdict ``indeterminate`` without solving when the boundary has
-    more than ``max_boundary`` edges (2^|boundary| orientations otherwise).
-    Witness flows are at the query's scale; a cut keeps the scale of its
-    orientation's feasibility query, which divides the query's scale.
+    Interior edges never join two clusters, so the cut's excess (supply
+    minus interior capacity leaving it minus K per sampled node) is the sum
+    of its cluster parts' excesses, and one of them is positive.
+    """
+    g, lab = query.graph, query.partition.labels.tolist()
+    inside, sampled = set(nodes), set(query.sample_nodes)
+    k = scaled(query.K, scale)
+    excess: Counter = Counter()
+    for i in nodes:
+        excess[lab[i]] += supplies[i] - (k if i in sampled else 0)
+    for (i, j), w in zip(g.edges, g.weights.tolist()):
+        if lab[i] == lab[j] and (i in inside) != (j in inside):
+            excess[lab[i]] -= scaled(w, scale)
+    c = min(c for c, e in excess.items() if e > 0)
+    part = tuple(i for i in nodes if lab[i] == c)
+    demand = sum(supplies[i] for i in part)
+    return CutCertificate("supply-excess", part, demand, demand - excess[c], scale)
+
+
+def check_ncc(query: NccQuery) -> NccCertificate:
+    """Decide the compatibility condition for all boundary orientations with one flow.
+
+    The boundary supplies must reach the sampled nodes over the interior
+    edges, with imbalance at most K at each sampled node. A feasible flow certifies
+    ``holds``; otherwise the flow's cut, restricted to its first violated
+    cluster part U, certifies ``fails`` for the orientation pointing U's
+    boundary edges into U. Flows and cut are at the query's scale.
     """
     g = query.graph
     bnd = boundary(g, query.partition)
     scale = exact_scale(_query_values(query, bnd))
-    bnd_set = set(bnd)
-    interior = tuple(e for e in g.edges if e not in bnd_set)
-    if len(bnd) > max_boundary:
-        return NccCertificate(
-            verdict="indeterminate",
-            K=query.K,
-            L=query.L,
-            scale=scale,
-            boundary_edges=bnd,
-            interior_edges=interior,
-            orientations_total=0,
-            reason=(
-                f"boundary has {len(bnd)} edges; enumerating 2^{len(bnd)} "
-                f"orientations exceeds the cap of 2^{max_boundary}"
-            ),
-        )
-    witnesses = []
-    total = 1 << len(bnd)
-    for bits in range(total):
-        oriented = orient_edges(g, bnd, bits)
-        spec = _orientation_spec(query, oriented, scale)
-        result: FeasibilityResult = feasible_flow(g, bnd, spec)
-        if not result.feasible:
-            return NccCertificate(
-                verdict="fails",
-                K=query.K,
-                L=query.L,
-                scale=scale,
-                boundary_edges=bnd,
-                interior_edges=interior,
-                orientations_total=total,
-                failed_bits=bits,
-                failed_orientation=oriented,
-                cut=result.cut,
-            )
-        assert result.witness is not None and result.witness.edges == interior
-        factor = scale // result.scale  # the orientation's scale divides the query's
-        witnesses.append(
-            OrientationWitness(
-                bits=bits,
-                boundary_arcs=_boundary_arcs(oriented, query.L, scale),
-                interior_flows=tuple(factor * f for f in result.witness.edge_flows),
-            )
-        )
-    return NccCertificate(
-        verdict="holds",
+    supplies = _boundary_supplies(query, bnd, scale)
+    lab = query.partition.labels.tolist()
+    fields = dict(
         K=query.K,
         L=query.L,
         scale=scale,
         boundary_edges=bnd,
-        interior_edges=interior,
-        orientations_total=total,
-        witnesses=tuple(witnesses),
+        interior_edges=tuple((i, j) for i, j in g.edges if lab[i] == lab[j]),
+        orientations_total=1 << len(bnd),
+    )
+    result = feasible_flow(g, bnd, _demand_spec(query, supplies, scale))
+    if result.feasible:
+        factor = scale // result.scale  # the flow's scale divides the query's
+        flows = tuple(factor * f for f in result.witness.edge_flows)
+        return NccCertificate(verdict="holds", interior_flows=flows, **fields)
+    cut = _cluster_cut(query, supplies, result.cut.nodes, scale)
+    inside = set(cut.nodes)
+    # Bit k set orients (i, j) as j -> i: point every boundary edge at i in U into U.
+    bits = sum(1 << k for k, (i, _) in enumerate(bnd) if i in inside)
+    return NccCertificate(
+        verdict="fails",
+        failed_bits=bits,
+        failed_orientation=orient_edges(g, bnd, bits),
+        cut=cut,
+        **fields,
     )
 
 
 def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
-    """Independent integer re-check of every witness in a ``holds`` certificate.
+    """Independent integer re-check of the interior flow in a ``holds`` certificate.
 
-    Requires a scale that makes every number of the query an exact integer,
-    and one witness per orientation, in order. For each: the prescribed
-    flow on every boundary arc, then ``verify_demand_witness`` on the interior
-    flows (capacity on every interior edge, exact conservation at non-sampled
-    nodes, imbalance at most K at sampled nodes).
+    Requires the query's boundary and a scale that makes every number of the
+    query an exact integer, then ``verify_demand_witness`` on the boundary
+    supplies: capacity on every interior edge, exact conservation at
+    non-sampled nodes, and imbalance at most K at sampled nodes.
     """
-    if cert.verdict != "holds" or cert.witnesses is None:
+    if cert.verdict != "holds" or cert.interior_flows is None:
         return False
     g = query.graph
-    scale = cert.scale
     bnd = boundary(g, query.partition)
-    if cert.boundary_edges != bnd or not exact_at(scale, _query_values(query, bnd)):
+    if cert.boundary_edges != bnd or not exact_at(cert.scale, _query_values(query, bnd)):
         return False
-    if [w.bits for w in cert.witnesses] != list(range(1 << len(bnd))):
-        return False
-    for witness in cert.witnesses:
-        oriented = orient_edges(g, bnd, witness.bits)
-        if witness.boundary_arcs != _boundary_arcs(oriented, query.L, scale):
-            return False
-        interior = DemandWitness.from_edge_flows(
-            g.node_count, cert.interior_edges, witness.interior_flows, scale
-        )
-        if not verify_demand_witness(g, bnd, _orientation_spec(query, oriented, scale), interior):
-            return False
-    return True
+    witness = DemandWitness.from_edge_flows(
+        g.node_count, cert.interior_edges, cert.interior_flows, cert.scale
+    )
+    spec = _demand_spec(query, _boundary_supplies(query, bnd, cert.scale), cert.scale)
+    return verify_demand_witness(g, bnd, spec, witness)
 
 
 def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:

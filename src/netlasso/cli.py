@@ -17,7 +17,6 @@ import numpy as np
 
 from . import fileio
 from .certify import (
-    DEFAULT_MAX_BOUNDARY,
     NccQuery,
     check_support_condition,
     check_ncc,
@@ -147,11 +146,8 @@ def cmd_certify(args) -> int:
         + (f" (K={support.K})" if support.satisfied else f" on {len(support.violations)} edges")
     )
     query = NccQuery(g, partition, samples, K=args.K, L=args.L)
-    cert = check_ncc(query, max_boundary=args.max_boundary)
-    print(
-        f"compatibility condition at K={args.K}, L={args.L}: {cert.verdict}"
-        + (f" ({cert.reason})" if cert.reason else "")
-    )
+    cert = check_ncc(query)
+    print(f"compatibility condition at K={args.K}, L={args.L}: {cert.verdict}")
     if args.report:
         payload = cert.to_json_dict()
         payload["support_condition"] = support.to_json_dict()
@@ -257,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--samples", required=True)
     p_cert.add_argument("--K", type=float, required=True)
     p_cert.add_argument("--L", type=float, required=True)
-    p_cert.add_argument("--max-boundary", type=int, default=DEFAULT_MAX_BOUNDARY)
     p_cert.add_argument("--report")
     p_cert.set_defaults(func=cmd_certify)
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncc_reference import orientation_feasible, reference_verdict
+from netlasso import certify
 from netlasso.certify import (
     NccQuery,
     ErrorBoundReport,
@@ -19,8 +21,12 @@ from netlasso.certify import (
     verify_error_bound,
 )
 from netlasso.errors import InvalidQueryError, LNotGreaterThanOneError
-from netlasso.flow import verify_cut_certificate
-from netlasso.generate import PlantedPartitionConfig, generate_planted_partition
+from netlasso.flow import feasible_flow, verify_cut_certificate
+from netlasso.generate import (
+    PlantedPartitionConfig,
+    generate_planted_partition,
+    paper_like_config,
+)
 from netlasso.graphs import (
     Observations,
     Partition,
@@ -55,6 +61,38 @@ def ncc_queries(draw):
     return g, partition, samples, K, L
 
 
+@st.composite
+def clustered_queries(draw):
+    """Two to four clusters, each a random tree plus extra edges, joined by
+    1 to 12 boundary edges; at least half the nodes sampled. Weights all 1,
+    all 4096, or dyadic in 0.25..3; L in [1, 3] and K in [0.5, 40] times
+    the weight unit."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    labels = [c for c, size in enumerate(sizes) for _ in range(size)]
+    n = len(labels)
+    edges = set()
+    for c in range(len(sizes)):
+        nodes = [i for i in range(n) if labels[i] == c]
+        for pos in range(1, len(nodes)):
+            edges.add((nodes[draw(st.integers(0, pos - 1))], nodes[pos]))
+        pairs = [(i, j) for i in nodes for j in nodes if i < j]
+        if pairs:
+            edges |= draw(st.sets(st.sampled_from(pairs), max_size=3))
+    cross = [(i, j) for i in range(n) for j in range(i + 1, n) if labels[i] != labels[j]]
+    edges = sorted(edges | draw(st.sets(st.sampled_from(cross), min_size=1, max_size=12)))
+    unit = draw(st.sampled_from([1.0, 4096.0, None]))
+    if unit is None:
+        quarters = st.lists(st.integers(1, 12), min_size=len(edges), max_size=len(edges))
+        weights = [q / 4 for q in draw(quarters)]
+    else:
+        weights = [unit] * len(edges)
+    samples = draw(st.sets(st.integers(0, n - 1), min_size=(n + 1) // 2))
+    K = draw(st.floats(0.5, 40.0)) * (unit or 1.0)
+    L = draw(st.floats(1.0, 3.0))
+    g = validate_graph(edges, weights, n)
+    return NccQuery(g, Partition.from_labels(labels), tuple(samples), K=K, L=L)
+
+
 class TestNccQueryValidation:
     def test_empty_sampling_set(self, two_cluster_fixture):
         g, p, _ = two_cluster_fixture
@@ -76,13 +114,11 @@ class TestCheckNcc:
         cert = check_ncc(query)
         assert cert.verdict == "holds"
         assert cert.orientations_total == 2
-        assert len(cert.witnesses) == 2
+        assert cert.interior_edges == ((0, 1), (2, 3))
         assert verify_ncc_witnesses(query, cert)
-        # orientation i->j routes the prescribed 4 units m->i->j->n
-        wit = cert.witnesses[0]
-        assert wit.boundary_arcs == ((1, 2, 4 * cert.scale),)
-        flows = dict(zip(cert.interior_edges, wit.interior_flows))
-        assert flows[(0, 1)] == 4 * cert.scale  # m -> i (canonical 0 -> 1)
+        # i and j each supply L*W = 4 units, absorbed by m and n
+        flows = dict(zip(cert.interior_edges, cert.interior_flows))
+        assert flows[(0, 1)] == -4 * cert.scale  # i -> m (canonical 0 -> 1)
         assert flows[(2, 3)] == 4 * cert.scale  # j -> n (canonical 2 -> 3)
 
     def test_fixture_fails_at_k1(self, two_cluster_fixture):
@@ -98,13 +134,30 @@ class TestCheckNcc:
         assert cert.orientations_total == 1
         assert cert.boundary_edges == ()
 
-    def test_indeterminate_beyond_cap(self):
-        cfg = PlantedPartitionConfig(sizes=(6, 6), p_in=1.0, p_out=1.0, seed=0)
-        g, p = generate_planted_partition(cfg)
-        assert len(boundary(g, p)) == 36
-        cert = check_ncc(NccQuery(g, p, (0, 6), K=1.0, L=1.0), max_boundary=16)
-        assert cert.verdict == "indeterminate"
-        assert "36" in cert.reason
+    def test_preset_decided_with_one_flow(self, monkeypatch):
+        # The paper-like preset has 50 boundary edges, far beyond enumeration;
+        # its smallest certifying K at budget 15 and L = 1 is 28/3.
+        g, p = generate_planted_partition(paper_like_config(seed=3))
+        m = sample_boundary_aware(g, p, 15)
+        assert len(boundary(g, p)) == 50
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return feasible_flow(*args)
+
+        monkeypatch.setattr(certify, "feasible_flow", counted)
+        for K, expected in ((1.0, "fails"), (5.0, "fails"), (9.0, "fails"),
+                            (10.0, "holds"), (20.0, "holds")):
+            calls.clear()
+            query = NccQuery(g, p, m, K=K, L=1.0)
+            cert = check_ncc(query)
+            assert len(calls) == 1, K
+            assert (cert.verdict, cert.orientations_total) == (expected, 2**50), K
+            if expected == "holds":
+                assert verify_ncc_witnesses(query, cert)
+            else:
+                assert verify_ncc_cut(query, cert)
 
     def test_verdict_invariant_under_relabeling(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
@@ -221,7 +274,7 @@ class TestCheckNcc:
         assert _orientation_spec(query, both_in, cert.scale).injections[1] == 1 + Fraction(
             1, 2**60
         )
-        flows = dict(zip(cert.interior_edges, cert.witnesses[0b11].interior_flows))
+        flows = dict(zip(cert.interior_edges, cert.interior_flows))
         assert flows[(0, 1)] == -(2**60 + 1)  # node 1 sends it all to node 0
 
     def test_certificate_serializes(self, two_cluster_fixture):
@@ -229,13 +282,28 @@ class TestCheckNcc:
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
         payload = json.loads(cert.to_json())
         assert payload["verdict"] == "holds"
-        assert len(payload["witnesses"]) == 2
+        assert payload["interior_edges"] == [[0, 1], [2, 3]]
+        assert len(payload["interior_flows"]) == 2
+        assert "witnesses" not in payload
+
+
+class TestCheckNccMatchesEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_queries())
+    def test_one_flow_equals_orientation_enumeration(self, query):
+        cert = check_ncc(query)
+        assert cert.verdict == reference_verdict(query)[0]
+        if cert.verdict == "holds":
+            assert verify_ncc_witnesses(query, cert)
+        else:
+            assert verify_ncc_cut(query, cert)
+            assert not orientation_feasible(query, cert.failed_bits)
 
 
 class TestVerifyNccCut:
     @staticmethod
     def fine_injection_query():
-        # The failed orientation injects 1 + 2^-60, which a float rounds.
+        # Node 1 supplies 1 + 2^-60, which a float rounds.
         g = validate_graph([(0, 1), (1, 2), (1, 3), (2, 3)], [1.0, 1.0, 2.0**-60, 2.0], 4)
         p = Partition((frozenset({0, 1}), frozenset({2, 3})))
         return NccQuery(g, p, (0, 2, 3), K=0.5, L=1.0)
@@ -243,27 +311,37 @@ class TestVerifyNccCut:
     def test_accepts_cut_below_float_resolution(self):
         query = self.fine_injection_query()
         cert = check_ncc(query)
-        assert cert.verdict == "fails" and cert.failed_bits == 0
+        # Both boundary edges point into the violated part {0, 1}.
+        assert cert.verdict == "fails" and cert.failed_bits == 0b11
+        assert cert.cut.nodes == (0, 1)
         assert verify_ncc_cut(query, cert)
 
     def test_accepts_cut_at_a_coarser_scale_than_a_boundary_flow(self):
-        # Boundary arcs 0->1->2->0 of flow 0.5 cancel at every node, so the
-        # failed orientation's own scale is 1 while 0.5 needs 2.
+        # The failed orientation's boundary arcs 1->0, 2->0 and 1->2 of flow
+        # 0.5 leave net injections of +-1 only, so that orientation's own
+        # feasibility query cuts at scale 1 while 0.5 needs 2.
+        from netlasso.certify import _orientation_spec
+
         g = validate_graph(
             [(0, 1), (1, 2), (0, 2), (3, 4), (0, 3), (2, 4)], [0.5, 0.5, 0.5, 1.0, 1.0, 1.0], 5
         )
         p = Partition((frozenset({0, 3}), frozenset({1}), frozenset({2, 4})))
         query = NccQuery(g, p, (1,), K=1.0, L=1.0)
         cert = check_ncc(query)
-        assert cert.verdict == "fails" and cert.cut.scale == 1 and cert.scale == 2
+        assert cert.verdict == "fails" and cert.scale == 2
+        bnd = cert.boundary_edges
+        oriented = orient_edges(g, bnd, cert.failed_bits)
+        own = feasible_flow(g, bnd, _orientation_spec(query, oriented, cert.scale))
+        assert not own.feasible and own.cut.scale == 1
         assert verify_ncc_cut(query, cert)
+        assert verify_ncc_cut(query, dataclasses.replace(cert, cut=own.cut))
 
     @pytest.mark.parametrize(
         "change",
         [
             {"nodes": (0,)},
             {"nodes": (0, 1, 2, 3)},
-            {"kind": "supply-excess"},
+            {"kind": "demand-excess"},
             {"demand_scaled": 0},
             {"capacity_scaled": 0},
             {"scale": 1},
@@ -300,32 +378,41 @@ class TestVerifyNccWitnesses:
         return query, cert
 
     @staticmethod
-    def corrupt(cert, **changes):
-        """Certificate whose orientation-0 witness (boundary arc 1 -> 2) is changed."""
-        first = dataclasses.replace(cert.witnesses[0], **changes)
-        return dataclasses.replace(cert, witnesses=(first, *cert.witnesses[1:]))
+    def with_flow(cert, edge, flow):
+        """Certificate whose interior flow on ``edge`` is replaced."""
+        flows = dict(zip(cert.interior_edges, cert.interior_flows))
+        flows[edge] = flow
+        return dataclasses.replace(cert, interior_flows=tuple(flows.values()))
 
     def test_rejects_corrupt_interior_flow(self, holds):
         query, cert = holds
-        pos = cert.interior_edges.index((0, 1))
-        flows = list(cert.witnesses[0].interior_flows)
-        flows[pos] -= 1  # unbalances non-sampled node 1
-        assert not verify_ncc_witnesses(query, self.corrupt(cert, interior_flows=tuple(flows)))
+        flow = dict(zip(cert.interior_edges, cert.interior_flows))[(0, 1)]
+        for delta in (-1, 1):  # unbalances non-sampled node 1
+            assert not verify_ncc_witnesses(query, self.with_flow(cert, (0, 1), flow + delta))
 
-    def test_rejects_corrupt_boundary_arc(self, holds):
+    def test_rejects_wrong_boundary_edges(self, holds):
         query, cert = holds
-        ((tail, head, flow),) = cert.witnesses[0].boundary_arcs
-        for arc in ((tail, head, flow - 1), (head, tail, flow)):
-            assert not verify_ncc_witnesses(query, self.corrupt(cert, boundary_arcs=(arc,)))
+        for bnd in ((), ((1, 2), (2, 3)), ((0, 1),)):
+            assert not verify_ncc_witnesses(query, dataclasses.replace(cert, boundary_edges=bnd))
 
     def test_rejects_sampled_imbalance_above_k(self, holds):
         query, cert = holds
-        pos = cert.interior_edges.index((0, 4))
-        flows = list(cert.witnesses[0].interior_flows)
-        # Node 1 forces 4 units over {0,1}; 4 more over {0,4} leaves node 0
-        # with net outflow 8 > K while every edge stays within capacity.
-        flows[pos] = 4 * cert.scale
-        assert not verify_ncc_witnesses(query, self.corrupt(cert, interior_flows=tuple(flows)))
+        # Node 1 forces 4 units over {1,0}; 4 more over {4,0} leaves node 0
+        # absorbing 8 > K while every edge stays within capacity.
+        assert not verify_ncc_witnesses(query, self.with_flow(cert, (0, 4), -4 * cert.scale))
+
+    def test_rejects_flow_above_capacity(self):
+        # A circulation of 3 around the unit triangle 0 -> 1 -> 2 -> 0 keeps
+        # every node balanced and puts at least 2 on each triangle edge.
+        g = validate_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], [1.0] * 5, 5)
+        p = Partition((frozenset({0, 1, 2}), frozenset({3, 4})))
+        query = NccQuery(g, p, (0, 4), K=2.0, L=1.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "holds" and verify_ncc_witnesses(query, cert)
+        flows = dict(zip(cert.interior_edges, cert.interior_flows))
+        for edge, sign in (((0, 1), 1), ((1, 2), 1), ((0, 2), -1)):
+            cert = self.with_flow(cert, edge, flows[edge] + sign * 3 * cert.scale)
+        assert not verify_ncc_witnesses(query, cert)
 
     def test_rejects_coarse_scale(self, two_cluster_fixture):
         # On a 1e-6 grid K = 3.6e-6 rounds to 4e-6, and this failing query
@@ -337,12 +424,13 @@ class TestVerifyNccWitnesses:
         coarse = dataclasses.replace(unit, K=tiny.K, scale=10**6)
         assert not verify_ncc_witnesses(tiny, coarse)
 
-    def test_rejects_missing_or_repeated_orientation(self, holds):
-        query, cert = holds
-        first = cert.witnesses[0]
-        for witnesses in ((first,), (first, first)):
-            bad = dataclasses.replace(cert, witnesses=witnesses)
-            assert not verify_ncc_witnesses(query, bad)
+    def test_rejects_fails_certificate(self, two_cluster_fixture):
+        g, p, m = two_cluster_fixture
+        query = NccQuery(g, p, m, K=1.0, L=4.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "fails"
+        assert not verify_ncc_witnesses(query, cert)
+        assert not verify_ncc_witnesses(query, dataclasses.replace(cert, verdict="holds"))
 
 
 class TestCheckSupportCondition:
@@ -407,7 +495,7 @@ class TestCheckSupportCondition:
             if not res.satisfied or not res.K:
                 continue
             accepted += 1
-            cert = check_ncc(NccQuery(g, p, m, K=res.K, L=1.0), max_boundary=6)
+            cert = check_ncc(NccQuery(g, p, m, K=res.K, L=1.0))
             if cert.verdict == "holds":
                 held += 1
         assert accepted == 15 and held == 15

@@ -181,6 +181,46 @@ class TestCli:
                     "--samples", str(d / "empty.txt"), "--K", "4", "--L", "4")
         assert r.returncode == 1
 
+    @pytest.fixture
+    def preset_files(self, tmp_path):
+        """Paper-like preset, seed 3 (50 boundary edges), boundary sampling, budget 15."""
+        d = tmp_path
+        assert cli.main(["generate", "--seed", "3", "--out-dir", str(d)]) == 0
+        assert cli.main(["sample", "--graph", str(d / "graph.txt"),
+                         "--partition", str(d / "partition.txt"), "--strategy", "boundary",
+                         "--budget", "15", "--out", str(d / "m.txt")]) == 0
+        return d
+
+    @staticmethod
+    def certify_preset(d, K, *extra):
+        return cli.main(["certify", "--graph", str(d / "graph.txt"),
+                         "--partition", str(d / "partition.txt"), "--samples", str(d / "m.txt"),
+                         "--K", K, "--L", "1", *extra])
+
+    def test_certify_preset_holds_with_one_flow(self, preset_files, capsys):
+        d = preset_files
+        assert self.certify_preset(d, "20", "--report", str(d / "r.json")) == 0
+        assert "compatibility condition at K=20.0, L=1.0: holds" in capsys.readouterr().out
+        report = json.load(open(d / "r.json"))
+        assert report["verdict"] == "holds"
+        assert len(report["boundary_edges"]) == 50
+        assert report["orientations_total"] == 2**50
+        assert len(report["interior_flows"]) == len(report["interior_edges"]) == 98
+        assert all(isinstance(f, int) for f in report["interior_flows"])
+        assert "witnesses" not in report
+
+    def test_certify_preset_fails_exit_two(self, preset_files, capsys):
+        d = preset_files
+        assert self.certify_preset(d, "1", "--report", str(d / "r.json")) == 2
+        assert "compatibility condition at K=1.0, L=1.0: fails" in capsys.readouterr().out
+        report = json.load(open(d / "r.json"))
+        assert report["verdict"] == "fails" and report["cut"]["kind"] == "supply-excess"
+        assert "interior_flows" not in report
+
+    def test_certify_rejects_max_boundary(self, preset_files, capsys):
+        assert self.certify_preset(preset_files, "20", "--max-boundary", "64") == 1
+        assert "--max-boundary" in capsys.readouterr().err
+
     def test_solve_writes_signal_and_report(self, fixture_files):
         d = fixture_files
         r = run_cli("solve", "--graph", str(d / "g.txt"), "--observations", str(d / "obs.txt"),
