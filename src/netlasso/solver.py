@@ -6,9 +6,15 @@ The problem: minimize over signals x
     sum_{i in M} |x[i] - y_i|  +  lam * sum_{{i,j} in E} W_ij |x[i] - x[j]|
 
 Splitting: every edge {i,j} gets copies z_ij (of x_i) and z_ji (of x_j) with
-scaled duals, giving closed-form node and edge updates. All updates are
-vectorized over fixed arrays, so identical inputs produce bit-identical
-iterates.
+scaled duals, giving closed-form node and edge updates. The copies and duals
+are stacked ``(2, m)`` arrays, row 0 for the i ends and row 1 for the j ends,
+so each update is one numpy call over both ends: x is gathered at the edge
+ends once per iteration, and the five norms of the stopping rule come from
+one row-wise sum of squares. A row sum over a contiguous last axis is the
+same pairwise sum as ``np.sum`` of that row alone, and the two rows are
+added as two separate sums would be, so the iterates do not depend on the
+layout. All updates are vectorized over fixed arrays, so identical inputs
+produce bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -55,10 +61,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise InvalidConfigError("lam must be finite and >= 0")
-        if not self.rho > 0.0:
-            raise InvalidConfigError("rho must be positive")
-        if not (self.eps_abs > 0.0 and self.eps_rel > 0.0):
-            raise InvalidConfigError("tolerances must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0.0):
+            raise InvalidConfigError("rho must be finite and positive")
+        if not all(np.isfinite(t) and t > 0.0 for t in (self.eps_abs, self.eps_rel)):
+            raise InvalidConfigError("tolerances must be finite and positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise InvalidConfigError("max_iters must be an integer")
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be at least 1")
 
@@ -116,29 +124,33 @@ def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
 
     n = g.node_count
     m = g.edge_count
-    idx_i, idx_j = g.endpoint_arrays()
+    ends = np.stack(g.endpoint_arrays())  # row 0: i, row 1: j
+    # row j's endpoints shifted by n, so one bincount sums both rows apart
+    ends_shifted = (ends + np.array([[0], [n]])).ravel()
     w = g.weights
     rho = cfg.rho
     lam = cfg.lam
 
+    obs_nodes = np.array(obs.nodes)
     sampled = np.zeros(n, dtype=bool)
-    sampled[list(obs.nodes)] = True
+    sampled[obs_nodes] = True
     y_full = np.zeros(n)
-    y_full[list(obs.nodes)] = obs.y
+    y_full[obs_nodes] = obs.y
 
-    deg = np.bincount(idx_i, minlength=n) + np.bincount(idx_j, minlength=n)
+    deg = np.bincount(ends_shifted, minlength=2 * n).reshape(2, n).sum(axis=0)
     isolated = deg == 0
+    has_isolated = bool(isolated.any())
     safe_deg = np.where(isolated, 1, deg).astype(np.float64)
     # Sampled isolated nodes sit at their label; unsampled isolated at 0.
     isolated_value = np.where(sampled, y_full, 0.0)
 
     x = np.zeros(n)
-    z_i = np.zeros(m)
-    z_j = np.zeros(m)
-    u_i = np.zeros(m)
-    u_j = np.zeros(m)
+    # Rows of a block: primal residual, change of z, x at the edge ends, z, u. An
+    # iteration writes one block and reads the last z and u from the other.
+    cur, prev, squares = np.zeros((5, 2, m)), np.zeros((5, 2, m)), np.empty((5, 2, m))
+    row_signs = np.array([[1.0], [-1.0]])
 
-    sqrt_dim = np.sqrt(2.0 * m)
+    abs_tol = float(np.sqrt(2.0 * m)) * cfg.eps_abs
     shrink_t = 1.0 / (rho * safe_deg)
     theta_cap = lam * w / rho
     trace: list[dict] = []
@@ -148,49 +160,38 @@ def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     r_norm = 0.0
     s_norm = 0.0
     for iterations in range(1, cfg.max_iters + 1):
-        sums = np.bincount(idx_i, weights=z_i - u_i, minlength=n) + np.bincount(
-            idx_j, weights=z_j - u_j, minlength=n
-        )
-        c = sums / safe_deg
+        cur, prev = prev, cur
+        (r, dz, xe, z, u), (z_old, u_old) = cur, prev[3:]
+        sums = np.bincount(ends_shifted, weights=(z_old - u_old).ravel(), minlength=2 * n)
+        c = (sums[:n] + sums[n:]) / safe_deg
         x = np.where(sampled, y_full + _shrink(c - y_full, shrink_t), c)
-        if isolated.any():
+        if has_isolated:
             x = np.where(isolated, isolated_value, x)
 
-        p = x[idx_i] + u_i
-        q = x[idx_j] + u_j
-        delta = p - q
-        theta = np.minimum(theta_cap, np.abs(delta) / 2.0)
-        step = theta * np.sign(delta)
-        z_i_new = p - step
-        z_j_new = q + step
+        np.take(x, ends, out=xe)
+        pq = xe + u_old
+        delta = pq[0] - pq[1]
+        step = np.minimum(theta_cap, np.abs(delta) / 2.0) * np.sign(delta)
+        # z_i = p - step and z_j = q + step, as q - (-step) is q + step exactly
+        np.subtract(pq, step * row_signs, out=z)
+        np.subtract(xe, z, out=r)
+        np.subtract(z, z_old, out=dz)
+        np.add(u_old, r, out=u)
 
-        r_norm = float(
-            np.sqrt(np.sum((x[idx_i] - z_i_new) ** 2) + np.sum((x[idx_j] - z_j_new) ** 2))
-        )
-        s_norm = rho * float(
-            np.sqrt(np.sum((z_i_new - z_i) ** 2) + np.sum((z_j_new - z_j) ** 2))
-        )
-        z_i, z_j = z_i_new, z_j_new
-        u_i = u_i + (x[idx_i] - z_i)
-        u_j = u_j + (x[idx_j] - z_j)
-
-        ax_norm = float(np.sqrt(np.sum(x[idx_i] ** 2) + np.sum(x[idx_j] ** 2)))
-        z_norm = float(np.sqrt(np.sum(z_i**2) + np.sum(z_j**2)))
-        u_norm = float(np.sqrt(np.sum(u_i**2) + np.sum(u_j**2)))
-        eps_pri = sqrt_dim * cfg.eps_abs + cfg.eps_rel * max(ax_norm, z_norm)
-        eps_dual = sqrt_dim * cfg.eps_abs + cfg.eps_rel * rho * u_norm
+        sq = np.sum(np.square(cur, out=squares), axis=-1)
+        r_norm, dz_norm, ax_norm, z_norm, u_norm = np.sqrt(sq[:, 0] + sq[:, 1]).tolist()
+        s_norm = rho * dz_norm
+        eps_pri = abs_tol + cfg.eps_rel * max(ax_norm, z_norm)
+        eps_dual = abs_tol + cfg.eps_rel * rho * u_norm
 
         if cfg.record_trace:
-            trace.append(
-                {
-                    "iteration": iterations,
-                    "primal_residual": r_norm,
-                    "dual_residual": s_norm,
-                    "eps_pri": eps_pri,
-                    "eps_dual": eps_dual,
-                    "objective": objective(g, x, obs, lam),
-                }
-            )
+            # objective(g, x, obs, lam), from the arrays at hand
+            emp = float(np.sum(np.abs(x[obs_nodes] - obs.y)))
+            tv_x = float(np.sum(w * np.abs(xe[1] - xe[0]))) if m else 0.0
+            trace.append(dict(
+                iteration=iterations, primal_residual=r_norm, dual_residual=s_norm,
+                eps_pri=eps_pri, eps_dual=eps_dual, objective=emp + lam * tv_x,
+            ))
 
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True

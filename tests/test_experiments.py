@@ -231,7 +231,23 @@ class TestCli:
         report = json.loads(r.stdout[: r.stdout.rindex("}") + 1])
         assert report["converged"]
         assert report["tv_error_vs_true"] < 1e-6
-        assert (d / "trace.csv").read_text().startswith("iteration,")
+        header, *rows = (d / "trace.csv").read_text().splitlines()
+        assert header.startswith("iteration,") and len(rows) == report["iterations"]
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-abs", "inf"), ("--eps-rel", "nan"), ("--rho", "inf"),
+    ])
+    def test_solve_rejects_non_finite_solver_settings(self, tmp_path, capsys, flag, value):
+        (tmp_path / "g.txt").write_text("N 2\n0 1 1.0\n")
+        (tmp_path / "obs.txt").write_text("0 1.0\n")
+        code = cli.main(["solve", "--graph", str(tmp_path / "g.txt"),
+                         "--observations", str(tmp_path / "obs.txt"), "--lam", "1",
+                         flag, value, "--out", str(tmp_path / "x.txt"),
+                         "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists() and not (tmp_path / "r.json").exists()
 
     def test_verify_bound_pass_and_fail(self, fixture_files):
         d = fixture_files

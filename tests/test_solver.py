@@ -65,6 +65,19 @@ class TestSolverConfig:
         with pytest.raises(InvalidConfigError):
             SolverConfig(lam=1.0, max_iters=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"rho": np.inf}, {"rho": np.nan}, {"rho": -np.inf},
+        {"eps_abs": np.inf}, {"eps_abs": np.nan}, {"eps_rel": np.inf}, {"eps_rel": np.nan},
+        {"max_iters": 2.5}, {"max_iters": 100.0}, {"max_iters": True}, {"max_iters": "10"},
+    ])
+    def test_rejects_non_finite_and_non_integer(self, bad):
+        with pytest.raises(InvalidConfigError):
+            SolverConfig(lam=1.0, **bad)
+
+    def test_accepts_numpy_integer_max_iters(self, path2):
+        res = solve_admm(path2, obs_of((0,), [1.0]), SolverConfig(lam=1.0, max_iters=np.int64(3)))
+        assert res.iterations <= 3
+
 
 class TestSolveAdmm:
     def test_two_node_unfused_regime(self, path2):
