@@ -1,8 +1,9 @@
 """netlasso: clustered graph-signal recovery with flow-based certificates.
 
 Learns graph signals from few noisy node samples by solving a TV-regularized
-l1 regression via ADMM, and certifies recoverability of a (sampling set,
-partition) pair through a flow-feasibility compatibility condition.
+l1 regression, exactly by parametric min cut or by the paper's ADMM, and
+certifies recoverability of a (sampling set, partition) pair through a
+flow-feasibility compatibility condition.
 """
 
 from .certify import (
@@ -50,11 +51,13 @@ from .graphs import (
 )
 from .sampling import sample_boundary_aware, sample_uniform
 from .solver import (
+    ExactResult,
     SolverConfig,
     SolverResult,
     empirical_error,
     objective,
     solve_admm,
+    solve_exact,
     solve_oracle,
 )
 
@@ -78,6 +81,7 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "ErrorBoundReport",
+    "ExactResult",
     "as_signal",
     "boundary",
     "check_support_condition",
@@ -94,6 +98,7 @@ __all__ = [
     "sample_boundary_aware",
     "sample_uniform",
     "solve_admm",
+    "solve_exact",
     "solve_oracle",
     "recovery_error_bound",
     "tv",

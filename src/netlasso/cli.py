@@ -2,8 +2,8 @@
 
 Subcommands: generate, sample, certify, solve, experiment, verify-bound.
 Exit codes: 0 success, 1 usage/config error, 2 infeasible or failed
-certificate, 3 solver non-convergence. The default output directory is
-taken from $NETLASSO_OUT_DIR when set.
+certificate, 3 ADMM non-convergence in ``experiment`` (``solve`` is exact).
+The default output directory is taken from $NETLASSO_OUT_DIR when set.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .generate import (
 )
 from .graphs import boundary, clustered_signal, tv
 from .sampling import sample_boundary_aware, sample_uniform
-from .solver import SolverConfig, solve_admm
+from .solver import solve_admm  # noqa: F401  unused here; perfbench/tracing.py rebinds it
+from .solver import solve_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,10 +162,7 @@ def cmd_solve(args) -> int:
     g = fileio.read_graph(args.graph)
     x_true = fileio.read_signal(args.true_signal, g) if args.true_signal else None
     obs = fileio.read_observations(args.observations, x_true)
-    cfg = SolverConfig(
-        lam=args.lam, record_trace=args.trace is not None, **_solver_overrides(args)
-    )
-    result = solve_admm(g, obs, cfg)
+    result = solve_exact(g, obs, args.lam)
     fileio.write_value_map(args.out, result.x_hat)
     report = result.to_json_dict()
     if x_true is not None:
@@ -174,16 +172,8 @@ def cmd_solve(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("iteration,primal_residual,dual_residual,eps_pri,eps_dual,objective\n")
-            for row in result.trace:
-                fh.write(
-                    f"{row['iteration']},{row['primal_residual']!r},{row['dual_residual']!r},"
-                    f"{row['eps_pri']!r},{row['eps_dual']!r},{row['objective']!r}\n"
-                )
     print(f"recovered signal -> {args.out}")
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
@@ -256,15 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--report")
     p_cert.set_defaults(func=cmd_certify)
 
-    p_solve = sub.add_parser("solve", help="recover a signal from observations")
+    p_solve = sub.add_parser("solve", help="recover a signal from observations, exactly")
     p_solve.add_argument("--graph", required=True)
     p_solve.add_argument("--observations", required=True)
     p_solve.add_argument("--true-signal")
     p_solve.add_argument("--lam", type=float, required=True)
-    _add_solver_args(p_solve)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--report")
-    p_solve.add_argument("--trace")
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("experiment", help="boundary vs uniform sampling comparison")

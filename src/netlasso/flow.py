@@ -107,12 +107,14 @@ class _Dinic:
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
-    def add_arc(self, u: int, v: int, capacity: int) -> int:
+    def add_arc(self, u: int, v: int, capacity: int, reverse: int = 0) -> int:
+        """Arc u -> v paired with v -> u of capacity ``reverse`` (an undirected
+        edge when both are equal); returns the forward arc's id."""
         arc_id = len(self.head)
         self.head.append(v)
         self.cap.append(capacity)
         self.head.append(u)
-        self.cap.append(0)
+        self.cap.append(reverse)
         self.adj[u].append(arc_id)
         self.adj[v].append(arc_id + 1)
         return arc_id

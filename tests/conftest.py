@@ -1,7 +1,25 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from netlasso.graphs import Graph, Partition, validate_graph
+from netlasso.graphs import Graph, Observations, Partition, validate_graph
+
+# The benchmark's HiGHS LP for the l1/TV optimum; it imports nothing from netlasso.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+)
+_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_reference)
+
+
+def lp_optimum(g: Graph, obs: Observations, lam: float) -> float:
+    """Optimal l1/TV objective of (g, obs, lam) by linear programming."""
+    ii, jj = g.endpoint_arrays()
+    return _reference.l1tv_lp_optimum(
+        g.node_count, np.stack([ii, jj], 1), g.weights, obs.nodes, obs.y, lam
+    )
 
 
 @pytest.fixture

@@ -1,0 +1,198 @@
+"""``solve_exact`` against an LP, the enumeration oracle and ADMM, plus its
+tie-breaking (the componentwise smallest minimizer) and input checks."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import lp_optimum
+from netlasso import cli, experiments
+from netlasso.errors import DimensionMismatchError, InvalidConfigError, NodeOutOfRangeError
+from netlasso.graphs import Observations, connected_components, validate_graph
+from netlasso.solver import solve_exact, solve_oracle
+
+LAMS = (0.0, 0.05, 1.0, 7.0)
+
+
+def obs_of(nodes, y):
+    y = np.asarray(y, dtype=np.float64)
+    return Observations(nodes=tuple(nodes), y=y, eps=np.zeros(len(y)))
+
+
+def quiet_solve(g, obs, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return solve_exact(g, obs, lam)
+
+
+@st.composite
+def instances(draw, max_nodes=9, max_samples=9):
+    """Random edge subsets (isolated nodes and sample-free components occur),
+    weights 1e-3..1e3, labels from a small set (repeats) or free floats."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges.sort()
+    weights = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in edges]
+    nodes = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max_samples)))
+    label = (st.sampled_from([-1.5, 0.0, 0.25, 2.0]) if draw(st.booleans())
+             else st.floats(-10.0, 10.0, allow_nan=False))
+    y = [draw(label) for _ in nodes]
+    return validate_graph(edges, weights, n), obs_of(nodes, y), draw(st.sampled_from(LAMS))
+
+
+def check_minimizer(g, obs, lam, result):
+    """Shape, bookkeeping, values drawn from the labels, smallest label where unconstrained."""
+    x = result.x_hat
+    assert x.shape == (g.node_count,)
+    assert set(x.tolist()) <= set(obs.y.tolist())
+    assert result.levels == len(set(obs.y.tolist()))
+    assert result.cuts <= result.levels - 1  # one cut per split of the label range
+    assert result.objective == result.empirical_error + lam * result.tv_term
+    sampled = set(obs.nodes)
+    for comp in connected_components(g):
+        if not comp & sampled or lam == 0.0:
+            free = sorted(comp - sampled)
+            assert np.all(x[free] == obs.y.min())
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_matches_lp_optimum(inst):
+    g, obs, lam = inst
+    result = quiet_solve(g, obs, lam)
+    opt = lp_optimum(g, obs, lam)
+    assert abs(result.objective - opt) <= 1e-9 * (1.0 + opt)
+    check_minimizer(g, obs, lam, result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_nodes=7, max_samples=4))
+def test_matches_oracle_on_tiny_instances(inst):
+    g, obs, lam = inst
+    result = quiet_solve(g, obs, lam)
+    optimum, _ = solve_oracle(g, obs, lam)
+    assert abs(result.objective - optimum) <= 1e-12 * (1.0 + optimum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_smallest_minimizer(inst):
+    # -solve_exact(g, -y) is the largest minimizer; the smallest lies below it
+    # everywhere, and a solver returning any other minimizer fails on some tie.
+    g, obs, lam = inst
+    low = quiet_solve(g, obs, lam).x_hat
+    high = -quiet_solve(g, obs_of(obs.nodes, -obs.y), lam).x_hat
+    assert np.all(low <= high)
+
+
+def test_ties_go_to_the_smallest_signal(path2):
+    # lam = 2 fuses both nodes; every constant in [0, 1] is optimal
+    result = solve_exact(path2, obs_of((0, 1), [0.0, 1.0]), 2.0)
+    assert result.x_hat.tolist() == [0.0, 0.0]
+    assert result.objective == 1.0 and result.cuts == 1 and result.levels == 2
+
+
+def test_two_cluster_fixture_recovered_exactly(two_cluster_fixture):
+    g, _, m = two_cluster_fixture
+    result = solve_exact(g, obs_of(m, [1.0, 2.0]), 0.25)
+    assert result.x_hat.tolist() == [1.0, 1.0, 2.0, 2.0]
+    assert result.objective == 0.25 and result.tv_term == 1.0 and result.empirical_error == 0.0
+    assert result.to_json_dict() == {
+        "objective": 0.25, "empirical_error": 0.0, "tv_term": 1.0, "lam": 0.25,
+        "cuts": 1, "levels": 2,
+    }
+
+
+def test_zero_edge_graph_repeated_labels():
+    g = validate_graph([], [], 5)
+    with pytest.warns(UserWarning, match="smallest label"):
+        result = solve_exact(g, obs_of((0, 2, 3), [3.0, -1.0, 3.0]), 1.0)
+    assert result.x_hat.tolist() == [3.0, -1.0, -1.0, 3.0, -1.0]
+    assert result.objective == 0.0 and result.levels == 2
+
+
+def test_single_label_needs_no_cut(path4):
+    result = solve_exact(path4, obs_of((1, 3), [2.5, 2.5]), 1.0)
+    assert result.x_hat.tolist() == [2.5] * 4 and result.cuts == 0 and result.levels == 1
+
+
+def test_disconnected_graph_warns_and_pins_unsampled_component():
+    g = validate_graph([(0, 1), (2, 3)], [1.0, 1.0], 4)
+    with pytest.warns(UserWarning, match="disconnected"):
+        result = solve_exact(g, obs_of((0, 1), [4.0, 6.0]), 0.5)
+    assert result.x_hat.tolist() == [4.0, 6.0, 4.0, 4.0]
+
+
+def test_connected_graph_does_not_warn(path4):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_exact(path4, obs_of((0, 3), [0.0, 3.0]), 0.5)
+
+
+def test_deterministic():
+    g = validate_graph([(0, 1), (1, 2), (0, 2), (2, 3)], [1.0, 0.5, 2.0, 1e-3], 4)
+    obs = obs_of((0, 1, 3), [1.0, -2.0, 0.5])
+    first = solve_exact(g, obs, 1.0)
+    again = solve_exact(g, obs, 1.0)
+    assert first.x_hat.tobytes() == again.x_hat.tobytes() and first.cuts == again.cuts
+
+
+@pytest.mark.parametrize("lam", [-0.1, -np.inf, np.inf, np.nan])
+def test_rejects_bad_lam(path2, lam):
+    with pytest.raises(InvalidConfigError, match="lam"):
+        solve_exact(path2, obs_of((0,), [1.0]), lam)
+
+
+def test_rejects_observed_node_outside_graph(path2):
+    with pytest.raises(DimensionMismatchError):
+        solve_exact(path2, obs_of((0, 2), [1.0, 0.0]), 0.5)
+    with pytest.raises(NodeOutOfRangeError):
+        solve_exact(path2, obs_of((-1, 0), [1.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("lam, obs, message", [
+    ("-1", "0 1.0\n", "lam"), ("nan", "0 1.0\n", "lam"), ("inf", "0 1.0\n", "lam"),
+    ("1", "0 1.0\n2 0.0\n", "outside the graph"),
+])
+def test_cli_solve_rejects_bad_input(tmp_path, capsys, lam, obs, message):
+    (tmp_path / "g.txt").write_text("N 2\n0 1 1.0\n")
+    (tmp_path / "obs.txt").write_text(obs)
+    code = cli.main(["solve", "--graph", str(tmp_path / "g.txt"),
+                     "--observations", str(tmp_path / "obs.txt"), "--lam", lam,
+                     "--out", str(tmp_path / "x.txt"), "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture(scope="module")
+def readme_regime_solves():
+    """ADMM's solves in six trials of the README regime (lam 0.05, sigma 0.1)."""
+    solves = []
+    solve = experiments.solve_admm
+
+    def capture(g, obs, cfg):
+        result = solve(g, obs, cfg)
+        solves.append((g, obs, cfg.lam, result))
+        return result
+
+    experiments.solve_admm = capture
+    try:
+        cfg = experiments.ExperimentConfig(noise="gaussian", sigma=0.1, lam=0.05, master_seed=11)
+        for trial in range(6):
+            experiments.run_trial(cfg, trial)
+    finally:
+        experiments.solve_admm = solve
+    return solves
+
+
+def test_admm_within_criterion_3_of_exact(readme_regime_solves):
+    assert len(readme_regime_solves) == 12
+    for g, obs, lam, admm in readme_regime_solves:
+        assert lam == 0.05 and admm.converged
+        exact = solve_exact(g, obs, lam)
+        assert exact.objective <= admm.objective + 1e-12 * (1.0 + exact.objective)
+        assert admm.objective - exact.objective <= 1e-4 * (1.0 + exact.objective)

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from netlasso import cli
+from conftest import lp_optimum
+from netlasso import cli, fileio
 from netlasso.errors import InvalidConfigError
 from netlasso.experiments import (
     ExperimentConfig,
@@ -225,35 +226,48 @@ class TestCli:
         d = fixture_files
         r = run_cli("solve", "--graph", str(d / "g.txt"), "--observations", str(d / "obs.txt"),
                     "--true-signal", str(d / "true.txt"), "--lam", "0.25",
-                    "--eps-abs", "1e-9", "--eps-rel", "1e-8",
-                    "--out", str(d / "xhat.txt"), "--trace", str(d / "trace.csv"))
+                    "--out", str(d / "xhat.txt"), "--report", str(d / "r.json"))
         assert r.returncode == 0
         report = json.loads(r.stdout[: r.stdout.rindex("}") + 1])
-        assert report["converged"]
-        assert report["tv_error_vs_true"] < 1e-6
-        header, *rows = (d / "trace.csv").read_text().splitlines()
-        assert header.startswith("iteration,") and len(rows) == report["iterations"]
-        assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+        assert report == json.load(open(d / "r.json"))
+        g = fileio.read_graph(d / "g.txt")
+        obs = fileio.read_observations(d / "obs.txt")
+        opt = lp_optimum(g, obs, 0.25)
+        assert abs(report["objective"] - opt) <= 1e-9 * (1.0 + opt)
+        assert report["cuts"] == 1 and report["levels"] == 2
+        assert report["tv_error_vs_true"] == 0.0 and report["mad_vs_true"] == 0.0
+        assert (d / "xhat.txt").read_text() == "0 1.0\n1 1.0\n2 2.0\n3 2.0\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "1"), ("--eps-abs", "1e-9"), ("--eps-rel", "1e-8"), ("--max-iters", "10"),
+        ("--trace", "t.csv"),
+    ])
+    def test_solve_has_no_admm_flags(self, fixture_files, capsys, flag, value):
+        d = fixture_files
+        code = cli.main(["solve", "--graph", str(d / "g.txt"),
+                         "--observations", str(d / "obs.txt"), "--lam", "1",
+                         flag, value, "--out", str(d / "x.txt")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not (d / "x.txt").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps-abs", "inf"), ("--eps-rel", "nan"), ("--rho", "inf"),
     ])
-    def test_solve_rejects_non_finite_solver_settings(self, tmp_path, capsys, flag, value):
-        (tmp_path / "g.txt").write_text("N 2\n0 1 1.0\n")
-        (tmp_path / "obs.txt").write_text("0 1.0\n")
-        code = cli.main(["solve", "--graph", str(tmp_path / "g.txt"),
-                         "--observations", str(tmp_path / "obs.txt"), "--lam", "1",
-                         flag, value, "--out", str(tmp_path / "x.txt"),
-                         "--report", str(tmp_path / "r.json")])
+    def test_experiment_rejects_non_finite_solver_settings(self, tmp_path, capsys, flag, value):
+        code = cli.main(["experiment", "--preset", "custom", "--sizes", "4,4", "--p-in", "1",
+                         "--p-out", "0.25", "--lam", "1", flag, value,
+                         "--out-dir", str(tmp_path)])
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "x.txt").exists() and not (tmp_path / "r.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_bound_pass_and_fail(self, fixture_files):
         d = fixture_files
-        run_cli("solve", "--graph", str(d / "g.txt"), "--observations", str(d / "obs.txt"),
-                "--lam", "0.25", "--eps-abs", "1e-9", "--eps-rel", "1e-8",
-                "--out", str(d / "xhat.txt"))
+        solved = run_cli("solve", "--graph", str(d / "g.txt"),
+                         "--observations", str(d / "obs.txt"), "--lam", "0.25",
+                         "--out", str(d / "xhat.txt"))
+        assert solved.returncode == 0
         ok = run_cli("verify-bound", "--graph", str(d / "g.txt"),
                      "--true-signal", str(d / "true.txt"), "--recovered", str(d / "xhat.txt"),
                      "--observations", str(d / "obs.txt"), "--K", "4", "--L", "4")
