@@ -6,7 +6,12 @@ and slack bound an exact integer (every finite float is a dyadic rational,
 so one always exists). Nothing is rounded, so results are exact for the real
 inputs, and certificates carry their scale and re-verify with integer
 arithmetic. Max flow is one pure-Python Dinic solver on Python ints, so
-capacities of any size stay exact and parallel arcs stay distinct.
+capacities of any size stay exact and parallel arcs stay distinct. Each phase
+labels nodes by residual distance to the sink (BFS back from t, stopped once
+the source's layer is complete), then a DFS from the source pushes a blocking
+flow along arcs one label closer to t, so it enters only nodes that can still
+reach t (Dinitz 1970; Ahuja & Orlin 1991). The residual graph it leaves gives
+the minimal minimum cut, which is unique whichever maximum flow was found.
 
 Undirected graph edges act as bidirectional capacity: each edge {i,j} may
 carry up to W_ij in a direction of the solver's choosing. Feasibility of a
@@ -22,9 +27,8 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     InvalidConfigError,
@@ -66,7 +70,11 @@ def scaled(value: float, scale: int) -> int:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed arcs (u, v, capacity >= 0); parallel arcs permitted."""
+    """Directed arcs (u, v, capacity >= 0); parallel arcs permitted.
+
+    A capacity is a finite float, an int or a rational such as
+    ``fractions.Fraction``, and keeps its exact value.
+    """
 
     node_count: int
     arcs: tuple[tuple[int, int, float], ...]
@@ -76,14 +84,19 @@ class FlowNetwork:
             raise InvalidConfigError("node_count must be positive")
         cleaned = []
         for u, v, c in self.arcs:
-            u, v, c = int(u), int(v), float(c)
+            u, v = int(u), int(v)
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise NodeOutOfRangeError(f"arc ({u}, {v}) outside 0..{self.node_count - 1}")
             if u == v:
                 raise InvalidConfigError(f"self arc at node {u}")
-            if not np.isfinite(c) or c < 0.0:
-                raise InvalidConfigError(f"arc ({u}, {v}) has invalid capacity {c}")
-            cleaned.append((u, v, c))
+            try:
+                p, q = _ratio(c)
+            except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+                p = -1
+            if p < 0:
+                raise InvalidConfigError(f"arc ({u}, {v}) has invalid capacity {c!r}")
+            exact = float(c) if isinstance(c, float) else Fraction(p, q) if q > 1 else p
+            cleaned.append((u, v, exact))
         object.__setattr__(self, "arcs", tuple(cleaned))
 
 
@@ -99,10 +112,14 @@ class FlowAssignment:
 
 
 class _Dinic:
-    """Blocking-flow max flow on integer capacities (Python ints, no overflow)."""
+    """Dinic max flow on integer capacities (Python ints, no overflow).
+
+    ``phases`` counts the blocking flows that ``max_flow`` has run.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        self.phases = 0
         self.head: list[int] = []
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
@@ -119,62 +136,63 @@ class _Dinic:
         self.adj[v].append(arc_id + 1)
         return arc_id
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        head, cap, adj = self.head, self.cap, self.adj
-        while queue:
-            u = queue.popleft()
-            for e in adj[u]:
-                v = head[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
     def max_flow(self, s: int, t: int) -> int:
+        """Value of a maximum s-t flow, left pushed in the residual capacities."""
         total = 0
-        head, cap, adj = self.head, self.cap, self.adj
+        n, head, cap, adj = self.n, self.head, self.cap, self.adj
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            # Label nodes by residual distance to t: BFS back from t over arcs
+            # whose reverse still has capacity, until s's layer is complete.
+            dist = [-1] * n
+            dist[t] = 0
+            layer = [t]
+            d = 0
+            while layer and dist[s] < 0:
+                d += 1
+                reached = []
+                for v in layer:
+                    for e in adj[v]:
+                        u = head[e]
+                        if dist[u] < 0 and cap[e ^ 1] > 0:
+                            dist[u] = d
+                            reached.append(u)
+                layer = reached
+            if dist[s] < 0:
                 return total
-            it = [0] * self.n
-            # Iterative DFS for a blocking flow in the level graph.
-            path_arcs: list[int] = []
+            self.phases += 1
+            # Blocking flow: a DFS from s that steps one label closer to t, so
+            # it only enters nodes that could still reach t.
+            it = [0] * n
+            path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    push = min(cap[e] for e in path_arcs)
-                    total += push
-                    retreat = 0
-                    for pos, e in enumerate(path_arcs):
+                    push = min(cap[e] for e in path)
+                    for e in path:
                         cap[e] -= push
                         cap[e ^ 1] += push
-                        if cap[e] == 0 and retreat == 0:
-                            retreat = pos
+                    total += push
                     # Back up to the tail of the first saturated arc.
-                    del path_arcs[retreat:]
-                    u = s if not path_arcs else head[path_arcs[-1]]
+                    del path[next(k for k, e in enumerate(path) if not cap[e]):]
+                    u = head[path[-1]] if path else s
                     continue
-                advanced = False
-                while it[u] < len(adj[u]):
-                    e = adj[u][it[u]]
-                    v = head[e]
-                    if cap[e] > 0 and level[v] == level[u] + 1:
-                        path_arcs.append(e)
-                        u = v
-                        advanced = True
+                arcs, i, want = adj[u], it[u], dist[u] - 1
+                m = len(arcs)
+                while i < m:
+                    e = arcs[i]
+                    if cap[e] > 0 and dist[head[e]] == want:
                         break
-                    it[u] += 1
-                if advanced:
-                    continue
-                if u == s:
+                    i += 1
+                it[u] = i
+                if i < m:
+                    path.append(arcs[i])
+                    u = head[arcs[i]]
+                elif u == s:
                     break
-                level[u] = -1  # dead end in this phase
-                e = path_arcs.pop()
-                u = s if not path_arcs else head[path_arcs[-1]]
+                else:
+                    dist[u] = -1  # dead end in this phase
+                    path.pop()
+                    u = head[path[-1]] if path else s
 
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s through positive residual capacity."""

@@ -110,8 +110,9 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Minimizer from ``solve_exact``, with the max flows it took (``cuts``)
-    and the distinct observed labels it chose from (``levels``)."""
+    """Minimizer from ``solve_exact``, with the max flows it took (``cuts``),
+    the distinct observed labels it chose from (``levels``) and the blocking
+    flows its max flows ran (``phases``)."""
 
     x_hat: np.ndarray
     objective: float
@@ -120,6 +121,7 @@ class ExactResult:
     lam: float
     cuts: int
     levels: int
+    phases: int
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "x_hat"}
@@ -168,7 +170,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     # partition the label ranks, so a group is known by its lo.
     lowest = [0] * n
     local = [0] * n
-    cuts = 0
+    cuts = phases = 0
     stack = [(list(range(n)), 0, len(levels) - 1)]
     while stack:
         nodes, lo, hi = stack.pop()
@@ -196,6 +198,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
                 net.add_arc(k, sink, -excess)
         net.max_flow(source, sink)
         cuts += 1
+        phases += net.phases
         above = net.residual_reachable(source)
         upper = [i for k, i in enumerate(nodes) if k in above]
         for i in upper:
@@ -206,7 +209,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     x_hat = np.array(levels)[lowest]
     emp = empirical_error(x_hat, obs)
     tv_term = tv(g, x_hat)
-    return ExactResult(x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels))
+    return ExactResult(x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), phases)
 
 
 def _shrink(v: np.ndarray, t) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netlasso.flow import FlowNetwork
 from netlasso.graphs import Graph, Observations, Partition, validate_graph
 
 # The benchmark's HiGHS LP for the l1/TV optimum; it imports nothing from netlasso.
@@ -63,3 +64,21 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: fl
                 edges[(i, j)] = float(rng.uniform(w_lo, w_hi))
     keys = sorted(edges)
     return validate_graph(keys, [edges[e] for e in keys], n)
+
+
+def brute_force_min_cut(net: FlowNetwork, s: int, t: int, scale: int) -> int:
+    """Minimum s-t cut by enumerating every side assignment of the other nodes."""
+    others = [v for v in range(net.node_count) if v not in (s, t)]
+    best = None
+    for mask in range(1 << len(others)):
+        side = {s}
+        for pos, v in enumerate(others):
+            if mask >> pos & 1:
+                side.add(v)
+        cap = sum(
+            int(round(c * scale))
+            for u, v, c in net.arcs
+            if u in side and v not in side
+        )
+        best = cap if best is None else min(best, cap)
+    return best

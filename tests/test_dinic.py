@@ -1,0 +1,163 @@
+"""The max-flow kernel against the kernel it replaced (``dinic_reference``) and
+a brute-force minimum cut, plus ``solve_exact`` and ``check_ncc`` answers with
+the reference kernel swapped in."""
+
+import signal
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dinic_reference
+from conftest import brute_force_min_cut
+from netlasso import flow, solver
+from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut, verify_ncc_witnesses
+from netlasso.flow import FlowNetwork, _Dinic
+from netlasso.generate import (
+    NoiseConfig,
+    PlantedPartitionConfig,
+    generate_planted_partition,
+    noise_field,
+    observe,
+    paper_like_config,
+)
+from netlasso.graphs import clustered_signal
+from netlasso.sampling import sample_boundary_aware
+from netlasso.solver import solve_exact
+
+capacities = st.one_of(st.integers(0, 10), st.integers(0, 2**80))
+
+
+@st.composite
+def kernel_instances(draw, max_nodes=10):
+    """Node count, arcs (u, v, capacity, reverse capacity) and a source and sink.
+
+    Parallel and antiparallel arcs, zero capacities and capacities up to 2^80
+    all occur."""
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    arc = st.tuples(node, node, capacities, st.one_of(st.just(0), capacities))
+    arcs = draw(st.lists(arc.filter(lambda a: a[0] != a[1]), max_size=4 * n))
+    s = draw(node)
+    t = draw(node.filter(lambda v: v != s))
+    return n, arcs, s, t
+
+
+def _expire(signum, frame):
+    raise TimeoutError
+
+
+def within(seconds, fn, *args):
+    """fn(*args), failing instead of hanging the suite if it runs longer than
+    ``seconds`` (a kernel that loops forever)."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except TimeoutError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    raise AssertionError(f"{fn.__qualname__} ran for more than {seconds} s")
+
+
+def solved(kernel, n, arcs, s, t):
+    net = kernel(n)
+    for u, v, c, r in arcs:
+        net.add_arc(u, v, c, r)
+    return net, within(0.5, net.max_flow, s, t)  # about a millisecond at most on 10 nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances())
+def test_kernel_matches_reference_and_brute_force(instance):
+    n, arcs, s, t = instance
+    net, value = solved(_Dinic, n, arcs, s, t)
+    ref, ref_value = solved(dinic_reference._Dinic, n, arcs, s, t)
+    assert value == ref_value
+    assert net.residual_reachable(s) == ref.residual_reachable(s)
+    both_ways = [(u, v, c) for u, v, c, _ in arcs] + [(v, u, r) for u, v, _, r in arcs]
+    assert value == brute_force_min_cut(FlowNetwork(n, tuple(both_ways)), s, t, scale=1)
+    # the residual capacities hold a flow of that value
+    balance = [0] * n
+    for k, (u, v, c, r) in enumerate(arcs):
+        f = c - net.cap[2 * k]  # net flow u -> v
+        assert -r <= f <= c and net.cap[2 * k + 1] == r + f
+        balance[u] -= f
+        balance[v] += f
+    assert balance[t] == value == -balance[s]
+    assert all(b == 0 for i, b in enumerate(balance) if i not in (s, t))
+    assert (net.phases > 0) == (value > 0)
+
+
+def test_phases_count_blocking_flows():
+    # s=0, t=3: the direct arc 0 -> 3 is one phase, the path over 1 and 2 another
+    net = _Dinic(4)
+    for u, v in ((0, 1), (1, 2), (2, 3), (0, 3)):
+        net.add_arc(u, v, 1)
+    assert net.max_flow(0, 3) == 2 and net.phases == 2
+    assert net.max_flow(0, 3) == 0 and net.phases == 2
+
+
+class _Reference(dinic_reference._Dinic):
+    phases = 0  # the reference kernel does not count its phases
+
+
+def with_reference_kernel(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_Dinic", _Reference)
+        m.setattr(flow, "_Dinic", _Reference)
+        return fn(*args)
+
+
+def preset(seed):
+    g, partition = generate_planted_partition(paper_like_config(seed))
+    return g, partition, sample_boundary_aware(g, partition, 15)
+
+
+def noisy_observations(g, partition, nodes, seed):
+    x_true = clustered_signal(partition, [float(c + 1) for c in range(partition.cluster_count)])
+    return observe(x_true, nodes, noise_field(g.node_count, NoiseConfig("gaussian", 0.1, seed)))
+
+
+def quiet_solve(g, obs, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return solve_exact(g, obs, lam)
+
+
+def assert_same_solve(monkeypatch, g, obs, lam):
+    result = quiet_solve(g, obs, lam)
+    reference = with_reference_kernel(monkeypatch, quiet_solve, g, obs, lam)
+    assert result.x_hat.tobytes() == reference.x_hat.tobytes()
+    assert result.cuts == reference.cuts
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_solve_exact_matches_reference_kernel_on_preset(monkeypatch, seed, lam):
+    g, partition, nodes = preset(seed)
+    assert_same_solve(monkeypatch, g, noisy_observations(g, partition, nodes, seed), lam)
+
+
+def test_solve_exact_matches_reference_kernel_at_n_1e3(monkeypatch):
+    cfg = PlantedPartitionConfig((100,) * 10, 0.1, 5e-4, 1.0, 21)
+    g, partition = generate_planted_partition(cfg)
+    nodes = sample_boundary_aware(g, partition, 100)
+    assert_same_solve(monkeypatch, g, noisy_observations(g, partition, nodes, 21), 0.05)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_ncc_matches_reference_kernel_on_preset(monkeypatch, seed):
+    g, partition, nodes = preset(seed)
+    for K in (1.0, 5.0, 9.0, 10.0, 20.0):
+        query = NccQuery(g, partition, nodes, K=K, L=1.0)
+        cert = check_ncc(query)
+        reference = with_reference_kernel(monkeypatch, check_ncc, query)
+        assert (cert.verdict, cert.failed_bits) == (reference.verdict, reference.failed_bits)
+        if cert.verdict == "holds":
+            assert verify_ncc_witnesses(query, cert)  # its flows may differ from the reference's
+        else:
+            assert cert.cut.nodes == reference.cut.nodes
+            assert verify_ncc_cut(query, cert)

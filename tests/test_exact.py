@@ -102,7 +102,7 @@ def test_two_cluster_fixture_recovered_exactly(two_cluster_fixture):
     assert result.objective == 0.25 and result.tv_term == 1.0 and result.empirical_error == 0.0
     assert result.to_json_dict() == {
         "objective": 0.25, "empirical_error": 0.0, "tv_term": 1.0, "lam": 0.25,
-        "cuts": 1, "levels": 2,
+        "cuts": 1, "levels": 2, "phases": 1,
     }
 
 

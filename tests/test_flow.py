@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
-from conftest import random_connected_graph
+from conftest import brute_force_min_cut, random_connected_graph
 from netlasso.errors import InvalidConfigError, InvalidDemandSpecError, NodeOutOfRangeError
 from netlasso.flow import (
     CutCertificate,
@@ -24,24 +24,6 @@ from netlasso.flow import (
     verify_max_flow_assignment,
 )
 from netlasso.graphs import validate_graph
-
-
-def brute_force_min_cut(net: FlowNetwork, s: int, t: int, scale: int) -> int:
-    """Minimum s-t cut by enumerating every side assignment of the other nodes."""
-    others = [v for v in range(net.node_count) if v not in (s, t)]
-    best = None
-    for mask in range(1 << len(others)):
-        side = {s}
-        for pos, v in enumerate(others):
-            if mask >> pos & 1:
-                side.add(v)
-        cap = sum(
-            int(round(c * scale))
-            for u, v, c in net.arcs
-            if u in side and v not in side
-        )
-        best = cap if best is None else min(best, cap)
-    return best
 
 
 def scipy_max_flow_value(net: FlowNetwork, s: int, t: int, scale: int) -> int:
@@ -193,6 +175,29 @@ class TestMaxFlow:
         assert asg.scale == 2**1074
         assert asg.value_scaled == 1 and value == 5e-324
         assert verify_max_flow_assignment(net, 0, 2, asg)
+
+    def test_big_int_capacities_keep_their_value(self):
+        # float(2**60 + 1) is 2**60
+        net = FlowNetwork(3, ((0, 1, 2**60 + 1), (1, 2, 2**60 + 1)))
+        value, asg = max_flow(net, 0, 2)
+        assert asg.scale == 1 and asg.value_scaled == 2**60 + 1
+        assert asg.scaled_flows == (2**60 + 1, 2**60 + 1)
+        assert verify_max_flow_assignment(net, 0, 2, asg)
+
+    def test_rational_capacities_exact(self):
+        net = FlowNetwork(3, ((0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, 0.25)))
+        value, asg = max_flow(net, 0, 2)
+        assert asg.scale == 12 and asg.value_scaled == 4 + 3
+        assert value == 7 / 12
+        assert verify_max_flow_assignment(net, 0, 2, asg)
+
+    @pytest.mark.parametrize("capacity", [
+        -1, -0.5, Fraction(-1, 3), float("nan"), float("inf"), np.float64("nan"),
+        pytest.param(-(10**400), id="-10**400"), "3", None,
+    ])
+    def test_invalid_capacity_rejected(self, capacity):
+        with pytest.raises(InvalidConfigError, match="invalid capacity"):
+            FlowNetwork(2, ((0, 1, capacity),))
 
     def test_coarse_scale_assignment_rejected(self):
         # On a 1e-6 grid both capacities of 1.5e-6 round to 2, so a flow of
