@@ -348,9 +348,7 @@ def _scaled_injections(g: Graph, spec: DemandSpec, scale: int) -> list[int]:
 
 
 def _kept_edges(g: Graph, excluded: Iterable[Edge]) -> list[int]:
-    excluded_ids = set()
-    for e in excluded:
-        excluded_ids.add(g.edge_id(*e))
+    excluded_ids = {g.edge_id(*e) for e in excluded}
     return [k for k in range(g.edge_count) if k not in excluded_ids]
 
 
@@ -369,6 +367,7 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     """
     spec.validate_nodes(g.node_count)
     kept = _kept_edges(g, excluded)
+    edges = [g.edges[k] for k in kept]
     weights = g.weights[kept].tolist()
     scale = exact_scale(_instance_values(weights, spec))
     b = _scaled_injections(g, spec, scale)
@@ -382,10 +381,8 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
 
     # Kept edge number pos becomes arcs 2*pos (i -> j) and 2*pos + 1 (j -> i).
     arcs: list[tuple[int, int, int]] = []
-    for pos, k in enumerate(kept):
-        i, j = g.edges[k]
-        arcs.append((i, j, caps[pos]))
-        arcs.append((j, i, caps[pos]))
+    for (i, j), c in zip(edges, caps):
+        arcs += [(i, j, c), (j, i, c)]
     for i in sorted(spec.slack_nodes):
         arcs.append((i, reservoir, k_scaled))
         arcs.append((reservoir, i, k_scaled))
@@ -405,7 +402,7 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     if value == required:
         witness = DemandWitness.from_edge_flows(
             n,
-            tuple(g.edges[k] for k in kept),
+            tuple(edges),
             tuple(flows[2 * pos] - flows[2 * pos + 1] for pos in range(len(kept))),
             scale,
         )
@@ -422,11 +419,7 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
         demand = sum(b[i] for i in nodes)
         kind = "supply-excess"
     inside = set(nodes)
-    capacity = sum(
-        caps[pos]
-        for pos, k in enumerate(kept)
-        if (g.edges[k][0] in inside) != (g.edges[k][1] in inside)
-    )
+    capacity = sum(c for (i, j), c in zip(edges, caps) if (i in inside) != (j in inside))
     capacity += k_scaled * sum(1 for i in spec.slack_nodes if i in inside)
     cut = CutCertificate(
         kind=kind,
@@ -482,11 +475,8 @@ def verify_cut_certificate(
     k_scaled = scaled(spec.slack_bound, scale)
     sign = 1 if cut.kind == "supply-excess" else -1
     demand = sum(sign * b[i] for i in inside)
-    capacity = sum(
-        scaled(w, scale)
-        for k, w in zip(kept, weights)
-        if (g.edges[k][0] in inside) != (g.edges[k][1] in inside)
-    )
+    crossing = ((i in inside) != (j in inside) for i, j in map(g.edges.__getitem__, kept))
+    capacity = sum(scaled(w, scale) for w, cross in zip(weights, crossing) if cross)
     capacity += k_scaled * sum(1 for i in spec.slack_nodes if i in inside)
     if demand != cut.demand_scaled or capacity != cut.capacity_scaled:
         return False

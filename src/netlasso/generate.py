@@ -21,13 +21,7 @@ from .errors import (
     InvalidConfigError,
     NodeOutOfRangeError,
 )
-from .graphs import (
-    Graph,
-    Observations,
-    Partition,
-    is_connected,
-    subgraph_is_connected,
-)
+from .graphs import Graph, Observations, Partition, component_roots, is_connected
 
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one
@@ -117,9 +111,10 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
             hit_rows, hit_cols = np.nonzero(u < probs)
             edges.extend(zip(rows[hit_rows].tolist(), cols[hit_cols].tolist()))
         g = Graph(n, tuple(edges), np.full(len(edges), cfg.weight))
-        if is_connected(g) and all(
-            subgraph_is_connected(g, set(c)) for c in partition.clusters
-        ):
+        ii, jj = g.endpoint_arrays()
+        same = labels[ii] == labels[jj]  # as many components as clusters iff each is connected
+        roots = component_roots(n, ii[same], jj[same])
+        if is_connected(g) and np.unique(roots).size == len(cfg.sizes):
             return g, partition
     raise DisconnectedAfterRetriesError(
         f"no connected instance in {MAX_CONNECTIVITY_RETRIES} attempts "

@@ -8,8 +8,9 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,23 +38,39 @@ def canonical_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _ByValue:
+    """Equality and hash over the dataclass fields, with arrays as their bytes."""
+
+    def _key(self):
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Graph(_ByValue):
     """Simple undirected graph with strictly positive edge weights.
 
     Nodes are the dense integers 0..node_count-1. Edges are stored
-    canonically (smaller endpoint first) in sorted order; ``weights[k]`` is
-    the weight of ``edges[k]``. Adjacency lists are precomputed for O(deg)
-    neighbor iteration.
+    canonically (smaller endpoint first; ``validate_graph`` sorts them) and
+    as one read-only ``(2, m)`` int array, from which the checks,
+    connectivity and neighbor lists (built on first use) derive;
+    ``weights[k]`` is the weight of ``edges[k]``. Equal graphs have equal
+    node counts, edges and weights.
     """
 
     node_count: int
     edges: tuple[Edge, ...]
     weights: np.ndarray
-    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _edge_index: dict[Edge, int] = field(init=False, repr=False, compare=False)
+    _ends: np.ndarray = field(init=False, repr=False)
+    # built on first use, in place, so instances keep one attribute layout
+    _adjacency: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _edge_index: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
@@ -71,34 +88,34 @@ class Graph:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        index: dict[Edge, int] = {}
-        for k, (i, j) in enumerate(self.edges):
-            if not 0 <= i < j < n:
-                if i == j:
-                    raise SelfLoopError(f"self loop at node {i}", k)
-                if not (0 <= i < n and 0 <= j < n):
-                    raise NodeOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}", k)
-                raise GraphError(f"edge ({i}, {j}) not in canonical order", k)
-            e = (i, j)
-            if e in index:
-                raise DuplicateEdgeError(f"duplicate edge {e}", k)
-            index[e] = k
-            adj[i].append((j, k))
-            adj[j].append((i, k))
-        object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_edge_index", index)
+        ii, jj = ends = _node_ids(self.edges)
+        bad = (ii < 0) | (ii >= jj) | (jj >= n)
+        order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
+        bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
+        _raise_first(self.edges, bad, n)
+        ends.flags.writeable = False
+        object.__setattr__(self, "_ends", ends)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (neighbor, edge_index) incident to node i."""
+        """Pairs (neighbor, edge_index) incident to node i, in edge order."""
+        if self._adjacency is None:  # CSR: a stable argsort of the interleaved ends
+            flat = self._ends.T.ravel()
+            order = np.argsort(flat, kind="stable")
+            pairs = list(zip(flat[order ^ 1].tolist(), (order >> 1).tolist()))
+            ends = np.bincount(flat, minlength=self.node_count).cumsum().tolist()
+            lists = tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
+            object.__setattr__(self, "_adjacency", lists)
         return self._adjacency[i]
 
     def edge_id(self, i: int, j: int) -> int:
         e = canonical_edge(i, j)
+        if self._edge_index is None:
+            index = dict(zip(zip(*self._ends.tolist()), range(self.edge_count)))
+            object.__setattr__(self, "_edge_index", index)
         try:
             return self._edge_index[e]
         except KeyError:
@@ -108,18 +125,52 @@ class Graph:
         return float(self.weights[self.edge_id(i, j)])
 
     def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
+        return len(self.neighbors(i))
 
     def weighted_degrees(self) -> np.ndarray:
         return endpoint_sums(self.node_count, *self.endpoint_arrays(), self.weights)
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int arrays (canonical i < j)."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty.copy()
-        arr = np.asarray(self.edges, dtype=np.intp)
-        return arr[:, 0], arr[:, 1]
+        """Edge endpoints as two read-only int arrays (canonical i < j)."""
+        return self._ends[0], self._ends[1]
+
+
+_NOT_AN_ID = np.iinfo(np.int64).min  # below every node id, so every check rejects it
+
+
+def _node_id(v) -> int:
+    v = operator.index(v) if hasattr(v, "__index__") else _NOT_AN_ID
+    return v if _NOT_AN_ID < v < -_NOT_AN_ID else _NOT_AN_ID
+
+
+def _node_ids(edges) -> np.ndarray:
+    """Endpoints of ``edges`` as a ``(2, m)`` int64 array, with _NOT_AN_ID
+    for an id that ``operator.index`` rejects or int64 cannot hold."""
+    try:
+        if set(map(len, edges)) <= {2}:
+            ids = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
+            return ids.reshape(-1, 2).T.copy()
+    except (TypeError, OverflowError):
+        pass
+    ids = [[_node_id(i), _node_id(j)] for i, j in edges]
+    return np.array(ids, np.int64).reshape(-1, 2).T.copy()
+
+
+def _raise_first(edges, bad: np.ndarray, n: int) -> None:
+    """Raise the error of the first edge that ``bad`` marks, if any."""
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    i, j = edge = edges[k]
+    if not (hasattr(i, "__index__") and hasattr(j, "__index__")):
+        raise GraphError(f"edge {edge} has a node id that is not an integer", k)
+    if i == j:
+        raise SelfLoopError(f"self loop at node {i}", k)
+    if not (0 <= i < n and 0 <= j < n):
+        raise NodeOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}", k)
+    if i > j:
+        raise GraphError(f"edge ({i}, {j}) not in canonical order", k)
+    raise DuplicateEdgeError(f"duplicate edge {(i, j)}", k)
 
 
 def endpoint_sums(n: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -139,20 +190,23 @@ def validate_graph(
     the Graph checks them. Raises SelfLoopError, DuplicateEdgeError (also for
     a pair given in both orders), NonPositiveWeightError or
     NodeOutOfRangeError, whose ``index`` is the position in ``raw_edges`` of
-    the offending edge (for a repeated pair, of the later copy).
+    the offending edge (for a repeated pair, of the later copy). Ids that are
+    not integers (GraphError) or exceed int64 (NodeOutOfRangeError) come first.
     """
     raw_edges = list(raw_edges)
     raw_weights = list(raw_weights)
     if len(raw_edges) != len(raw_weights):
         raise GraphError("edge and weight counts differ")
-    pairs = [(i, j) if i <= j else (j, i) for i, j in ((int(a), int(b)) for a, b in raw_edges)]
-    order = sorted(range(len(pairs)), key=pairs.__getitem__)
-    weights = np.array([raw_weights[k] for k in order], dtype=np.float64)
+    ends = _node_ids(raw_edges)
+    _raise_first(raw_edges, (ends == _NOT_AN_ID).any(axis=0), node_count)
+    ends.sort(axis=0)
+    order = np.lexsort(ends[::-1])
+    weights = np.array(raw_weights, dtype=np.float64)[order]
     try:
-        return Graph(node_count, tuple(pairs[k] for k in order), weights)
+        return Graph(node_count, tuple(zip(*ends[:, order].tolist())), weights)
     except GraphError as exc:
         if exc.index is not None:
-            exc.index = order[exc.index]
+            exc.index = int(order[exc.index])
         raise
 
 
@@ -171,8 +225,6 @@ def as_signal(g: Graph, values) -> np.ndarray:
 def tv(g: Graph, x) -> float:
     """Total variation: sum over edges {i,j} of W_ij * |x[j] - x[i]|."""
     x = as_signal(g, x)
-    if not g.edges:
-        return 0.0
     ii, jj = g.endpoint_arrays()
     return float(np.sum(g.weights * np.abs(x[jj] - x[ii])))
 
@@ -211,9 +263,7 @@ class Partition:
         if nodes != set(range(n)):
             raise InvalidPartitionError("clusters must cover exactly 0..N-1")
         labels = np.empty(n, dtype=np.intp)
-        for c_idx, c in enumerate(clusters):
-            for i in c:
-                labels[i] = c_idx
+        labels[list(chain(*clusters))] = np.repeat(np.arange(len(clusters)), [*map(len, clusters)])
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
@@ -252,8 +302,9 @@ class Partition:
 def boundary(g: Graph, partition: Partition) -> tuple[Edge, ...]:
     """Edges whose endpoints lie in different clusters, in canonical order."""
     partition.check_against(g)
-    lab = partition.labels
-    return tuple((i, j) for i, j in g.edges if lab[i] != lab[j])
+    ii, jj = g.endpoint_arrays()
+    cross = partition.labels[ii] != partition.labels[jj]
+    return tuple(zip(ii[cross].tolist(), jj[cross].tolist()))
 
 
 def clustered_signal(partition: Partition, coefficients: Sequence[float]) -> np.ndarray:
@@ -301,8 +352,8 @@ def orient_edges(g: Graph, edge_subset: Sequence[Edge], bits: int) -> tuple[Orie
     return tuple(oriented)
 
 
-@dataclass(frozen=True)
-class Observations:
+@dataclass(frozen=True, eq=False)
+class Observations(_ByValue):
     """Noisy labels y_i = x[i] + eps_i observed on a sampling set.
 
     ``nodes`` is sorted and duplicate-free; ``y`` and ``eps`` are aligned
@@ -343,42 +394,39 @@ class Observations:
         return float(np.sum(np.abs(self.eps)))
 
 
+def component_roots(node_count: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node of its component in the graph with edges
+    (ii, jj): hook every tree root under the smallest root it has an edge to,
+    point every node at its root by pointer jumping, and repeat until no edge
+    joins two trees (Shiloach & Vishkin 1982)."""
+    root = np.arange(node_count)
+    while True:
+        ri, rj = root[ii], root[jj]
+        cross = ri != rj
+        if not cross.any():
+            return root
+        np.minimum.at(root, np.maximum(ri, rj)[cross], np.minimum(ri, rj)[cross])
+        while not np.array_equal(up := root[root], root):
+            root = up
+
+
 def connected_components(g: Graph) -> list[set[int]]:
-    """Connected components via BFS, each returned as a set of nodes."""
-    seen = [False] * g.node_count
-    comps = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    """Connected components as sets of nodes, ordered by their smallest node."""
+    comps: dict[int, set[int]] = {}
+    for i, root in enumerate(component_roots(g.node_count, *g.endpoint_arrays()).tolist()):
+        comps.setdefault(root, set()).add(i)
+    return list(comps.values())
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return not component_roots(g.node_count, *g.endpoint_arrays()).any()
 
 
 def subgraph_is_connected(g: Graph, nodes: set[int]) -> bool:
     """Whether the induced subgraph on ``nodes`` is connected (True if empty)."""
-    if not nodes:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.neighbors(u):
-            if v in nodes and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen == nodes
+    if any(not 0 <= i < g.node_count for i in nodes):
+        raise NodeOutOfRangeError(f"subgraph node outside 0..{g.node_count - 1}")
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[list(nodes)] = True
+    both = inside[g._ends].all(axis=0)
+    return np.unique(component_roots(g.node_count, *g._ends[:, both])[inside]).size <= 1

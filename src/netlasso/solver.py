@@ -157,41 +157,43 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     label_rank = [-1] * n
     for i, v in zip(obs.nodes, obs.y.tolist()):
         label_rank[i] = rank[v]
-    pair_caps = [lam * w for w in g.weights.tolist()]
-    scale = exact_scale([1.0, *pair_caps])
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), c in zip(g.edges, pair_caps):
-        if c > 0.0:
-            c = scaled(c, scale)
-            neighbours[i].append((j, c))
-            neighbours[j].append((i, c))
+    pair_caps = lam * g.weights
+    values, inverse = np.unique(pair_caps, return_inverse=True)
+    scale = exact_scale([1.0, *values.tolist()])
+    caps = np.array([scaled(c, scale) for c in values.tolist()], dtype=object)[inverse]
+    ends = np.stack(g.endpoint_arrays())
+    # Edges' arc pairs come by smaller end, then edge, and terminal arcs last:
+    # every node lists its arcs in the order adding them node by node would.
+    by_tail = np.argsort(ends[0], kind="stable")
+    edges = by_tail[pair_caps[by_tail] > 0.0]
 
-    # Every node's x lies in levels[lo..hi] of its group; the groups' ranges
-    # partition the label ranks, so a group is known by its lo.
-    lowest = [0] * n
-    local = [0] * n
+    # A group holds the nodes whose x lies in levels[lo..hi] and the edges within
+    # them; a cut folds each edge it splits into its ends' terminal capacities.
+    lowest = np.zeros(n, dtype=np.intp)
+    pull = [0] * n
     cuts = phases = 0
-    stack = [(list(range(n)), 0, len(levels) - 1)]
+    stack = [(np.arange(n), edges, 0, len(levels) - 1)]
     while stack:
-        nodes, lo, hi = stack.pop()
-        if not nodes or lo == hi:
+        nodes, group_edges, lo, hi = stack.pop()
+        if not nodes.size or lo == hi:
             continue
         mid = (lo + hi) // 2
-        source, sink = len(nodes), len(nodes) + 1
-        net = _Dinic(len(nodes) + 2)
-        for k, i in enumerate(nodes):
-            local[i] = k
-        for k, i in enumerate(nodes):
+        size = nodes.size
+        source, sink = size, size + 1
+        pairs = np.searchsorted(nodes, ends[:, group_edges])  # arc 2p: pairs[:, p]; 2p + 1 back
+        tails = pairs.T.ravel()
+        c = caps[group_edges].tolist()
+        net = _Dinic(size + 2)
+        net.head = pairs[::-1].T.ravel().tolist()
+        net.cap = [0] * tails.size
+        net.cap[::2] = net.cap[1::2] = c
+        # each node's arcs in id order: sort the (tail, arc id) keys
+        arcs = (np.sort(tails * tails.size + np.arange(tails.size)) % tails.size).tolist()
+        bounds = np.bincount(tails, minlength=size + 2).cumsum().tolist()
+        net.adj = [arcs[s:e] for s, e in zip([0, *bounds], bounds)]
+        for k, i in enumerate(nodes.tolist()):
             r = label_rank[i]
-            excess = 0 if r < 0 else (scale if r > mid else -scale)  # source minus sink
-            for j, c in neighbours[i]:
-                if lowest[j] == lo:
-                    if i < j:
-                        net.add_arc(k, local[j], c, c)
-                elif lowest[j] > lo:
-                    excess += c
-                else:
-                    excess -= c
+            excess = pull[i] + (0 if r < 0 else (scale if r > mid else -scale))  # source - sink
             if excess > 0:
                 net.add_arc(source, k, excess)
             elif excess < 0:
@@ -199,12 +201,16 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
         net.max_flow(source, sink)
         cuts += 1
         phases += net.phases
-        above = net.residual_reachable(source)
-        upper = [i for k, i in enumerate(nodes) if k in above]
-        for i in upper:
-            lowest[i] = mid + 1
-        stack.append(([i for k, i in enumerate(nodes) if k not in above], lo, mid))
-        stack.append((upper, mid + 1, hi))
+        upper = np.bincount(list(net.residual_reachable(source)), minlength=size + 2)[:size] > 0
+        lowest[nodes[upper]] = mid + 1
+        up = upper[pairs]
+        split = group_edges[up[0] != up[1]]
+        below, above = np.where(up[0, up[0] != up[1]], ends[::-1, split], ends[:, split])
+        for i, j, x in zip(below.tolist(), above.tolist(), caps[split].tolist()):
+            pull[i] += x
+            pull[j] -= x
+        stack.append((nodes[~upper], group_edges[~(up[0] | up[1])], lo, mid))
+        stack.append((nodes[upper], group_edges[up[0] & up[1]], mid + 1, hi))
 
     x_hat = np.array(levels)[lowest]
     emp = empirical_error(x_hat, obs)

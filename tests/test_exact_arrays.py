@@ -1,0 +1,50 @@
+"""``solve_exact`` against the loop-built solver it replaced (``exact_reference``):
+the same x_hat bytes, cuts and phases."""
+
+import warnings
+
+import pytest
+from hypothesis import given, settings
+
+import exact_reference
+from test_dinic import noisy_observations, preset
+from test_exact import LAMS, instances
+from netlasso.generate import PlantedPartitionConfig, generate_planted_partition
+from netlasso.sampling import sample_boundary_aware
+from netlasso.solver import solve_exact
+
+
+def assert_same_solve(g, obs, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = solve_exact(g, obs, lam)
+        reference = exact_reference.solve_exact(g, obs, lam)
+    assert result.x_hat.tobytes() == reference.x_hat.tobytes()
+    assert (result.cuts, result.phases) == (reference.cuts, reference.phases)
+    assert result.to_json_dict() == reference.to_json_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_matches_reference_on_small_instances(inst):
+    assert_same_solve(*inst)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("lam", LAMS)
+def test_matches_reference_on_preset(seed, lam):
+    g, partition, nodes = preset(seed)
+    assert_same_solve(g, noisy_observations(g, partition, nodes, seed), lam)
+
+
+@pytest.mark.parametrize(
+    "clusters,p_out,seed",
+    [(10, 5e-4, 21), (10, 5e-4, 22), (10, 5e-4, 23), (10, 5e-4, 24), (100, 2e-5, 21)],
+)
+def test_matches_reference_at_scale(clusters, p_out, seed):
+    # the N=1e3 rung of cli-1e3 and the N=1e4 rung of the CI's LP check
+    g, partition = generate_planted_partition(
+        PlantedPartitionConfig((100,) * clusters, 0.1, p_out, 1.0, seed)
+    )
+    nodes = sample_boundary_aware(g, partition, clusters * 10)
+    assert_same_solve(g, noisy_observations(g, partition, nodes, seed), 0.05)
