@@ -23,9 +23,7 @@ from .flow import (
     CutCertificate,
     DemandSpec,
     DemandWitness,
-    FlowNetwork,
     feasible_flow,
-    max_flow,
     verify_cut_certificate,
     verify_demand_witness,
 )
@@ -46,7 +44,6 @@ from .graphs import (
     boundary,
     clustered_signal,
     tv,
-    tv_restricted,
     validate_graph,
 )
 from .sampling import sample_boundary_aware, sample_uniform
@@ -67,7 +64,6 @@ __all__ = [
     "CutCertificate",
     "DemandSpec",
     "DemandWitness",
-    "FlowNetwork",
     "Graph",
     "SupportConditionResult",
     "NccCertificate",
@@ -90,7 +86,6 @@ __all__ = [
     "empirical_error",
     "feasible_flow",
     "generate_planted_partition",
-    "max_flow",
     "noise_field",
     "objective",
     "observe",
@@ -102,7 +97,6 @@ __all__ = [
     "solve_oracle",
     "recovery_error_bound",
     "tv",
-    "tv_restricted",
     "validate_graph",
     "verify_cut_certificate",
     "verify_demand_witness",

@@ -75,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfigError("trial count must be at least 1")
+        if self.master_seed < 0:
+            raise InvalidConfigError(f"master seed must be >= 0, got {self.master_seed}")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise InvalidConfigError(f"lam must be a number or 'auto', got {self.lam!r}")
 

@@ -27,14 +27,11 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import (
-    InvalidConfigError,
-    InvalidDemandSpecError,
-    NodeOutOfRangeError,
-)
+import numpy as np
+
+from .errors import InvalidConfigError, InvalidDemandSpecError
 from .graphs import Edge, Graph
 
 
@@ -68,73 +65,27 @@ def scaled(value: float, scale: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Directed arcs (u, v, capacity >= 0); parallel arcs permitted.
-
-    A capacity is a finite float, an int or a rational such as
-    ``fractions.Fraction``, and keeps its exact value.
-    """
-
-    node_count: int
-    arcs: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        if self.node_count <= 0:
-            raise InvalidConfigError("node_count must be positive")
-        cleaned = []
-        for u, v, c in self.arcs:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise NodeOutOfRangeError(f"arc ({u}, {v}) outside 0..{self.node_count - 1}")
-            if u == v:
-                raise InvalidConfigError(f"self arc at node {u}")
-            try:
-                p, q = _ratio(c)
-            except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
-                p = -1
-            if p < 0:
-                raise InvalidConfigError(f"arc ({u}, {v}) has invalid capacity {c!r}")
-            exact = float(c) if isinstance(c, float) else Fraction(p, q) if q > 1 else p
-            cleaned.append((u, v, exact))
-        object.__setattr__(self, "arcs", tuple(cleaned))
-
-
-@dataclass(frozen=True)
-class FlowAssignment:
-    """Per-arc flows of a max-flow solution, aligned with the network's arcs."""
-
-    flows: tuple[float, ...]
-    scaled_flows: tuple[int, ...]
-    scale: int
-    value: float
-    value_scaled: int
-
-
 class _Dinic:
     """Dinic max flow on integer capacities (Python ints, no overflow).
 
-    ``phases`` counts the blocking flows that ``max_flow`` has run.
+    Arc 2k runs tails[k] -> heads[k] with capacity caps[k], and arc 2k + 1
+    runs back with capacity back[k] (an undirected edge when both are equal).
+    Each node lists its arcs in id order. ``phases`` counts the blocking
+    flows that ``max_flow`` has run.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tails, heads, caps: list[int], back: list[int]):
+        pairs = np.array([tails, heads], dtype=np.intp)
+        ends = pairs.T.ravel()  # the tail of arc e is ends[e]
         self.n = n
         self.phases = 0
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int, capacity: int, reverse: int = 0) -> int:
-        """Arc u -> v paired with v -> u of capacity ``reverse`` (an undirected
-        edge when both are equal); returns the forward arc's id."""
-        arc_id = len(self.head)
-        self.head.append(v)
-        self.cap.append(capacity)
-        self.head.append(u)
-        self.cap.append(reverse)
-        self.adj[u].append(arc_id)
-        self.adj[v].append(arc_id + 1)
-        return arc_id
+        self.head = pairs[::-1].T.ravel().tolist()
+        self.cap = [0] * ends.size
+        self.cap[::2] = caps
+        self.cap[1::2] = back
+        arcs = np.argsort(ends, kind="stable").tolist()
+        bounds = np.bincount(ends, minlength=n).cumsum().tolist()
+        self.adj = [arcs[a:b] for a, b in zip([0, *bounds], bounds)]
 
     def max_flow(self, s: int, t: int) -> int:
         """Value of a maximum s-t flow, left pushed in the residual capacities."""
@@ -194,69 +145,20 @@ class _Dinic:
                     path.pop()
                     u = head[path[-1]] if path else s
 
-    def residual_reachable(self, s: int) -> set[int]:
-        """Nodes reachable from s through positive residual capacity."""
-        seen = {s}
+    def residual_reachable(self, s: int) -> list[bool]:
+        """Per node, whether s reaches it through positive residual capacity."""
+        seen = [False] * self.n
+        seen[s] = True
         queue = deque([s])
         head, cap, adj = self.head, self.cap, self.adj
         while queue:
             u = queue.popleft()
             for e in adj[u]:
                 v = head[e]
-                if cap[e] > 0 and v not in seen:
-                    seen.add(v)
+                if cap[e] > 0 and not seen[v]:
+                    seen[v] = True
                     queue.append(v)
         return seen
-
-
-def _solve_int_max_flow(
-    n: int, arcs: Sequence[tuple[int, int, int]], s: int, t: int
-) -> tuple[int, list[int], _Dinic]:
-    """Exact integer max flow; returns (value, per-arc flows, solved residual)."""
-    solver = _Dinic(n)
-    ids = [solver.add_arc(u, v, c) for u, v, c in arcs]
-    value = solver.max_flow(s, t)
-    flows = [c - solver.cap[a] for a, (_, _, c) in zip(ids, arcs)]
-    return value, flows, solver
-
-
-def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[float, FlowAssignment]:
-    """Exact maximum s-t flow, at the scale derived from the capacities."""
-    if not (0 <= s < net.node_count and 0 <= t < net.node_count):
-        raise NodeOutOfRangeError(f"source/sink outside 0..{net.node_count - 1}")
-    if s == t:
-        raise InvalidConfigError("source equals sink")
-    scale = exact_scale(c for _, _, c in net.arcs)
-    int_arcs = [(u, v, scaled(c, scale)) for u, v, c in net.arcs]
-    value, flows, _ = _solve_int_max_flow(net.node_count, int_arcs, s, t)
-    assignment = FlowAssignment(
-        flows=tuple(f / scale for f in flows),
-        scaled_flows=tuple(flows),
-        scale=scale,
-        value=value / scale,
-        value_scaled=value,
-    )
-    return assignment.value, assignment
-
-
-def verify_max_flow_assignment(
-    net: FlowNetwork, s: int, t: int, assignment: FlowAssignment
-) -> bool:
-    """Independent check: exact scale, capacity bounds and conservation away from s, t."""
-    if not exact_at(assignment.scale, (c for _, _, c in net.arcs)):
-        return False
-    balance = [0] * net.node_count
-    for (u, v, c), f in zip(net.arcs, assignment.scaled_flows):
-        if f < 0 or f > scaled(c, assignment.scale):
-            return False
-        balance[u] -= f
-        balance[v] += f
-    for i in range(net.node_count):
-        if i in (s, t):
-            continue
-        if balance[i] != 0:
-            return False
-    return balance[t] == assignment.value_scaled and balance[s] == -assignment.value_scaled
 
 
 @dataclass(frozen=True)
@@ -379,43 +281,49 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     supply_total = sum(v for v in b if v > 0)
     demand_total = sum(-v for v in b if v < 0)
 
-    # Kept edge number pos becomes arcs 2*pos (i -> j) and 2*pos + 1 (j -> i).
-    arcs: list[tuple[int, int, int]] = []
-    for (i, j), c in zip(edges, caps):
-        arcs += [(i, j, c), (j, i, c)]
+    # Kept edge number pos becomes arc pairs 2*pos (i -> j) and 2*pos + 1
+    # (j -> i), each with no capacity back; slack, terminal and reservoir arcs follow.
+    ii, jj = (ends[kept] for ends in g.endpoint_arrays())
+    tails = np.stack([ii, jj], 1).ravel().tolist()
+    heads = np.stack([jj, ii], 1).ravel().tolist()
+    arc_caps = [c for c in caps for _ in range(2)]
+
+    def arc(u: int, v: int, c: int) -> None:
+        tails.append(u)
+        heads.append(v)
+        arc_caps.append(c)
+
     for i in sorted(spec.slack_nodes):
-        arcs.append((i, reservoir, k_scaled))
-        arcs.append((reservoir, i, k_scaled))
+        arc(i, reservoir, k_scaled)
+        arc(reservoir, i, k_scaled)
     for i in range(n):
         if b[i] > 0:
-            arcs.append((source, i, b[i]))
+            arc(source, i, b[i])
         elif b[i] < 0:
-            arcs.append((i, sink, -b[i]))
+            arc(i, sink, -b[i])
     if demand_total > 0:
-        arcs.append((source, reservoir, demand_total))
+        arc(source, reservoir, demand_total)
     if supply_total > 0:
-        arcs.append((reservoir, sink, supply_total))
+        arc(reservoir, sink, supply_total)
 
-    value, flows, solver = _solve_int_max_flow(n + 3, arcs, source, sink)
+    solver = _Dinic(n + 3, tails, heads, arc_caps, [0] * len(tails))
+    value = solver.max_flow(source, sink)
     required = supply_total + demand_total
 
     if value == required:
-        witness = DemandWitness.from_edge_flows(
-            n,
-            tuple(edges),
-            tuple(flows[2 * pos] - flows[2 * pos + 1] for pos in range(len(kept))),
-            scale,
-        )
+        cap = solver.cap  # edge pos: i -> j is arc 4*pos, j -> i is arc 4*pos + 2
+        flows = tuple(cap[a + 2] - cap[a] for a in range(0, 4 * len(kept), 4))
+        witness = DemandWitness.from_edge_flows(n, tuple(edges), flows, scale)
         return FeasibilityResult(True, witness, None, scale)
 
     reachable = solver.residual_reachable(source)
-    if reservoir in reachable:
+    if reachable[reservoir]:
         # Complement side: the unreached nodes must absorb more than can reach them.
-        nodes = tuple(sorted(i for i in range(n) if i not in reachable))
+        nodes = tuple(i for i in range(n) if not reachable[i])
         demand = sum(-b[i] for i in nodes)
         kind = "demand-excess"
     else:
-        nodes = tuple(sorted(i for i in range(n) if i in reachable))
+        nodes = tuple(i for i in range(n) if reachable[i])
         demand = sum(b[i] for i in nodes)
         kind = "supply-excess"
     inside = set(nodes)

@@ -52,6 +52,8 @@ class PlantedPartitionConfig:
                 raise InvalidConfigError(f"{name}={p} outside [0, 1]")
         if not self.weight > 0.0:
             raise InvalidConfigError("edge weight must be positive")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def node_count(self) -> int:
@@ -122,14 +124,6 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
     )
 
 
-def expected_edge_count(cfg: PlantedPartitionConfig) -> float:
-    """Mean edge count of the model (before connectivity conditioning)."""
-    intra = sum(s * (s - 1) // 2 for s in cfg.sizes)
-    n = cfg.node_count
-    inter = n * (n - 1) // 2 - intra
-    return cfg.p_in * intra + cfg.p_out * inter
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Additive observation noise: none, gaussian or laplace with scale sigma."""
@@ -143,6 +137,8 @@ class NoiseConfig:
             raise InvalidConfigError(f"unknown noise distribution {self.distribution!r}")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise InvalidConfigError("sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def noise_field(node_count: int, noise: NoiseConfig) -> np.ndarray:

@@ -229,17 +229,6 @@ def tv(g: Graph, x) -> float:
     return float(np.sum(g.weights * np.abs(x[jj] - x[ii])))
 
 
-def tv_restricted(g: Graph, x, edge_subset: Iterable[Edge]) -> float:
-    """Total variation restricted to a subset of the graph's edges."""
-    x = as_signal(g, x)
-    total = 0.0
-    for e in edge_subset:
-        k = g.edge_id(*e)
-        i, j = g.edges[k]
-        total += g.weights[k] * abs(x[j] - x[i])
-    return float(total)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint cover of the nodes 0..N-1 by non-empty clusters."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceedsNodesError
+from .errors import BudgetExceedsNodesError, InvalidConfigError
 from .graphs import Graph, Partition, endpoint_sums
 
 
@@ -69,6 +69,8 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
 def sample_uniform(g: Graph, budget: int, seed: int) -> tuple[int, ...]:
     """Budget-many distinct nodes drawn uniformly without replacement."""
     budget = _check_budget(g, budget)
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     nodes = rng.choice(g.node_count, size=budget, replace=False)
     return tuple(sorted(int(i) for i in nodes))

@@ -144,6 +144,11 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidConfigError("lam must be finite and >= 0")
+    with np.errstate(over="ignore"):
+        pair_caps = lam * g.weights
+    if not np.isfinite(pair_caps).all():
+        k = int(np.argmin(np.isfinite(pair_caps)))
+        raise InvalidConfigError(f"lam * W is not finite on edge {g.edges[k]}")
     if obs.nodes[-1] >= g.node_count:
         raise DimensionMismatchError("observed node outside the graph")
     if not is_connected(g):
@@ -157,7 +162,6 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     label_rank = [-1] * n
     for i, v in zip(obs.nodes, obs.y.tolist()):
         label_rank[i] = rank[v]
-    pair_caps = lam * g.weights
     values, inverse = np.unique(pair_caps, return_inverse=True)
     scale = exact_scale([1.0, *values.tolist()])
     caps = np.array([scaled(c, scale) for c in values.tolist()], dtype=object)[inverse]
@@ -180,28 +184,23 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
         mid = (lo + hi) // 2
         size = nodes.size
         source, sink = size, size + 1
-        pairs = np.searchsorted(nodes, ends[:, group_edges])  # arc 2p: pairs[:, p]; 2p + 1 back
-        tails = pairs.T.ravel()
+        pairs = np.searchsorted(nodes, ends[:, group_edges])  # arc pair p: pairs[:, p]
+        tails, heads = pairs.tolist()
         c = caps[group_edges].tolist()
-        net = _Dinic(size + 2)
-        net.head = pairs[::-1].T.ravel().tolist()
-        net.cap = [0] * tails.size
-        net.cap[::2] = net.cap[1::2] = c
-        # each node's arcs in id order: sort the (tail, arc id) keys
-        arcs = (np.sort(tails * tails.size + np.arange(tails.size)) % tails.size).tolist()
-        bounds = np.bincount(tails, minlength=size + 2).cumsum().tolist()
-        net.adj = [arcs[s:e] for s, e in zip([0, *bounds], bounds)]
-        for k, i in enumerate(nodes.tolist()):
+        back = c.copy()
+        for k, i in enumerate(nodes.tolist()):  # terminal arcs last
             r = label_rank[i]
             excess = pull[i] + (0 if r < 0 else (scale if r > mid else -scale))  # source - sink
-            if excess > 0:
-                net.add_arc(source, k, excess)
-            elif excess < 0:
-                net.add_arc(k, sink, -excess)
+            if excess:
+                tails.append(source if excess > 0 else k)
+                heads.append(k if excess > 0 else sink)
+                c.append(abs(excess))
+                back.append(0)
+        net = _Dinic(size + 2, tails, heads, c, back)
         net.max_flow(source, sink)
         cuts += 1
         phases += net.phases
-        upper = np.bincount(list(net.residual_reachable(source)), minlength=size + 2)[:size] > 0
+        upper = np.array(net.residual_reachable(source)[:size])
         lowest[nodes[upper]] = mid + 1
         up = upper[pairs]
         split = group_edges[up[0] != up[1]]

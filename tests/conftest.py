@@ -1,10 +1,11 @@
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netlasso.flow import FlowNetwork
+from netlasso.flow import _Dinic
 from netlasso.graphs import Graph, Observations, Partition, validate_graph
 
 # The benchmark's HiGHS LP for the l1/TV optimum; it imports nothing from netlasso.
@@ -66,7 +67,39 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: fl
     return validate_graph(keys, [edges[e] for e in keys], n)
 
 
-def brute_force_min_cut(net: FlowNetwork, s: int, t: int, scale: int) -> int:
+@dataclass(frozen=True)
+class Network:
+    """Directed arcs (u, v, capacity) on nodes 0..node_count-1; parallel arcs permitted."""
+
+    node_count: int
+    arcs: tuple[tuple[int, int, float], ...]
+
+
+class AddArcDinic(_Dinic):
+    """The max-flow kernel, built one ``add_arc`` call at a time (the method
+    its array constructor replaced, verbatim), with ``residual_reachable``
+    as the set of reached nodes."""
+
+    def __init__(self, n: int):
+        super().__init__(n, [], [], [], [])
+
+    def add_arc(self, u: int, v: int, capacity: int, reverse: int = 0) -> int:
+        """Arc u -> v paired with v -> u of capacity ``reverse`` (an undirected
+        edge when both are equal); returns the forward arc's id."""
+        arc_id = len(self.head)
+        self.head.append(v)
+        self.cap.append(capacity)
+        self.head.append(u)
+        self.cap.append(reverse)
+        self.adj[u].append(arc_id)
+        self.adj[v].append(arc_id + 1)
+        return arc_id
+
+    def residual_reachable(self, s: int) -> set[int]:
+        return {v for v, reached in enumerate(super().residual_reachable(s)) if reached}
+
+
+def brute_force_min_cut(net: Network, s: int, t: int, scale: int) -> int:
     """Minimum s-t cut by enumerating every side assignment of the other nodes."""
     others = [v for v in range(net.node_count) if v not in (s, t)]
     best = None

@@ -5,7 +5,8 @@ Verbatim from that version: it scales every edge's capacity with its own
 ``scaled`` call, rescans every node's neighbour list at every level to sum
 its terminal capacity, and adds the arcs one ``add_arc`` call at a time.
 Tests require the array-built solver to give the same x_hat bytes, cuts and
-phases.
+phases. Its max flows run on the live kernel, through the test-side
+``add_arc``.
 """
 
 import warnings
@@ -13,7 +14,8 @@ import warnings
 import numpy as np
 
 from netlasso.errors import DimensionMismatchError, InvalidConfigError
-from netlasso.flow import _Dinic, exact_scale, scaled
+from conftest import AddArcDinic as _Dinic
+from netlasso.flow import exact_scale, scaled
 from netlasso.graphs import Graph, Observations, is_connected, tv
 from netlasso.solver import ExactResult, empirical_error
 

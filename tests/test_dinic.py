@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dinic_reference
-from conftest import brute_force_min_cut
+from conftest import AddArcDinic, Network, brute_force_min_cut
 from netlasso import flow, solver
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut, verify_ncc_witnesses
-from netlasso.flow import FlowNetwork, _Dinic
+from netlasso.flow import _Dinic
 from netlasso.generate import (
     NoiseConfig,
     PlantedPartitionConfig,
@@ -62,10 +62,28 @@ def within(seconds, fn, *args):
     raise AssertionError(f"{fn.__qualname__} ran for more than {seconds} s")
 
 
+class _Reference(dinic_reference._Dinic):
+    """The reference kernel behind the live kernel's constructor and reached-node mask."""
+
+    phases = 0  # the reference kernel does not count its phases
+
+    def __init__(self, n, tails, heads, caps, back):
+        super().__init__(n)
+        for arc in zip(tails, heads, caps, back):
+            self.add_arc(*arc)
+
+    def residual_reachable(self, s):
+        reached = super().residual_reachable(s)
+        return [v in reached for v in range(self.n)]
+
+
+def columns(arcs):
+    """Tails, heads, capacities and reverse capacities of (u, v, c, r) arcs."""
+    return [[arc[k] for arc in arcs] for k in range(4)]
+
+
 def solved(kernel, n, arcs, s, t):
-    net = kernel(n)
-    for u, v, c, r in arcs:
-        net.add_arc(u, v, c, r)
+    net = kernel(n, *columns(arcs))
     return net, within(0.5, net.max_flow, s, t)  # about a millisecond at most on 10 nodes
 
 
@@ -74,11 +92,11 @@ def solved(kernel, n, arcs, s, t):
 def test_kernel_matches_reference_and_brute_force(instance):
     n, arcs, s, t = instance
     net, value = solved(_Dinic, n, arcs, s, t)
-    ref, ref_value = solved(dinic_reference._Dinic, n, arcs, s, t)
+    ref, ref_value = solved(_Reference, n, arcs, s, t)
     assert value == ref_value
     assert net.residual_reachable(s) == ref.residual_reachable(s)
     both_ways = [(u, v, c) for u, v, c, _ in arcs] + [(v, u, r) for u, v, _, r in arcs]
-    assert value == brute_force_min_cut(FlowNetwork(n, tuple(both_ways)), s, t, scale=1)
+    assert value == brute_force_min_cut(Network(n, tuple(both_ways)), s, t, scale=1)
     # the residual capacities hold a flow of that value
     balance = [0] * n
     for k, (u, v, c, r) in enumerate(arcs):
@@ -91,17 +109,22 @@ def test_kernel_matches_reference_and_brute_force(instance):
     assert (net.phases > 0) == (value > 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances())
+def test_constructor_matches_sequential_add_arc(instance):
+    n, arcs, _, _ = instance
+    net = _Dinic(n, *columns(arcs))
+    sequential = AddArcDinic(n)
+    for arc in arcs:
+        sequential.add_arc(*arc)
+    assert (net.head, net.cap, net.adj) == (sequential.head, sequential.cap, sequential.adj)
+
+
 def test_phases_count_blocking_flows():
     # s=0, t=3: the direct arc 0 -> 3 is one phase, the path over 1 and 2 another
-    net = _Dinic(4)
-    for u, v in ((0, 1), (1, 2), (2, 3), (0, 3)):
-        net.add_arc(u, v, 1)
+    net = _Dinic(4, [0, 1, 2, 0], [1, 2, 3, 3], [1] * 4, [0] * 4)
     assert net.max_flow(0, 3) == 2 and net.phases == 2
     assert net.max_flow(0, 3) == 0 and net.phases == 2
-
-
-class _Reference(dinic_reference._Dinic):
-    phases = 0  # the reference kernel does not count its phases
 
 
 def with_reference_kernel(monkeypatch, fn, *args):

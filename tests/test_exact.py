@@ -2,14 +2,16 @@
 tie-breaking (the componentwise smallest minimizer) and input checks."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import lp_optimum
 from netlasso import cli, experiments
 from netlasso.errors import DimensionMismatchError, InvalidConfigError, NodeOutOfRangeError
+from netlasso.flow import DemandSpec, feasible_flow, verify_demand_witness
 from netlasso.graphs import Observations, connected_components, validate_graph
 from netlasso.solver import solve_exact, solve_oracle
 
@@ -58,14 +60,90 @@ def check_minimizer(g, obs, lam, result):
             assert np.all(x[free] == obs.y.min())
 
 
+def certified_optimum(g, obs, lam, x) -> Fraction | None:
+    """The exact objective at x if a flow proves x optimal, else None.
+
+    By LP duality (the KKT conditions of l1/TV), x is optimal if and only if
+    some flow, in units of lam, carries at most W_e on every edge inside a
+    level set of x and exactly W_e from the higher end to the lower on every
+    other edge, and leaves each sample with net outflow -sign(x_i - y_i) / lam,
+    or anything in [-1/lam, 1/lam] where x_i = y_i. The edges across levels
+    are fixed, so one ``feasible_flow`` on the rest decides it, exactly.
+    """
+    x = [Fraction(v) for v in x.tolist()]
+    y = {i: Fraction(v) for i, v in zip(obs.nodes, obs.y.tolist())}
+    weights = [Fraction(w) for w in g.weights.tolist()]
+    tv_x = sum(w * abs(x[i] - x[j]) for (i, j), w in zip(g.edges, weights))
+    objective = sum(abs(x[i] - v) for i, v in y.items()) + Fraction(lam) * tv_x
+    if lam == 0.0:
+        return objective if all(x[i] == v for i, v in y.items()) else None
+    b = [Fraction(0)] * g.node_count  # required net outflow on the edges within levels
+    across = []
+    for (i, j), w in zip(g.edges, weights):
+        if x[i] != x[j]:
+            across.append((i, j))
+            high, low = (i, j) if x[i] > x[j] else (j, i)
+            b[high] -= w
+            b[low] += w
+    for i, v in y.items():
+        if x[i] != v:
+            b[i] -= (1 if x[i] > v else -1) / Fraction(lam)
+    on_label = {i for i, v in y.items() if x[i] == v}
+    spec = DemandSpec(dict(enumerate(b)), frozenset(on_label), 1 / Fraction(lam))
+    res = feasible_flow(g, across, spec)
+    if not (res.feasible and verify_demand_witness(g, across, spec, res.witness)):
+        return None
+    return objective
+
+
+# HiGHS reports 0.0 for this instance, whose optimum is 1.4278769e-08.
+BELOW_HIGHS_TOLERANCE = (
+    validate_graph([(0, 1)], [1.0], 3), obs_of((0, 1), [0.0, 1.4278769e-08]), 1.0
+)
+
+
+@example(BELOW_HIGHS_TOLERANCE)
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_matches_lp_optimum(inst):
     g, obs, lam = inst
     result = quiet_solve(g, obs, lam)
     opt = lp_optimum(g, obs, lam)
+    if abs(result.objective - opt) > 1e-9 * (1.0 + opt):
+        # HiGHS's 1e-7 feasibility tolerance can hide an optimum near zero; the
+        # optimum that x_hat's certificate proves decides such instances exactly.
+        exact = certified_optimum(g, obs, lam, result.x_hat)
+        assert exact is not None, f"x_hat is not optimal; HiGHS reports {opt!r}"
+        opt = float(exact)
     assert abs(result.objective - opt) <= 1e-9 * (1.0 + opt)
     check_minimizer(g, obs, lam, result)
+
+
+def test_certificate_decides_an_optimum_below_highs_tolerance():
+    g, obs, lam = BELOW_HIGHS_TOLERANCE
+    result = quiet_solve(g, obs, lam)
+    assert certified_optimum(g, obs, lam, result.x_hat) == Fraction(1.4278769e-08)
+    assert result.objective == 1.4278769e-08
+    # At lam 0.05 the optimum is 0.05 * 1.4e-8 (x_1 on its label); the fused
+    # signal costs 1.4e-8 and no flow certifies it.
+    assert certified_optimum(g, obs, 0.05, np.zeros(3)) is None
+    assert certified_optimum(g, obs, 0.05, quiet_solve(g, obs, 0.05).x_hat) == (
+        Fraction(0.05) * Fraction(1.4278769e-08)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_certificate_holds_for_every_exact_solve(inst):
+    g, obs, lam = inst
+    result = quiet_solve(g, obs, lam)
+    exact = certified_optimum(g, obs, lam, result.x_hat)
+    assert exact is not None
+    assert abs(result.objective - exact) <= 1e-9 * (1 + exact)
+    # a certified signal is a minimizer, so a shifted one certifies only at a tie
+    shifted = result.x_hat.copy()
+    shifted[0] += 1.0
+    assert certified_optimum(g, obs, lam, shifted) in (None, exact)
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,6 +224,13 @@ def test_rejects_bad_lam(path2, lam):
         solve_exact(path2, obs_of((0,), [1.0]), lam)
 
 
+def test_rejects_lam_times_weight_beyond_float(path4):
+    g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 2.0], 4)
+    with pytest.raises(InvalidConfigError, match=r"not finite on edge \(1, 2\)"):
+        solve_exact(g, obs_of((0, 3), [0.0, 1.0]), 1e308)
+    assert solve_exact(path4, obs_of((0, 3), [0.0, 1.0]), 1e308).x_hat.tolist() == [0.0] * 4
+
+
 def test_rejects_observed_node_outside_graph(path2):
     with pytest.raises(DimensionMismatchError):
         solve_exact(path2, obs_of((0, 2), [1.0, 0.0]), 0.5)
@@ -156,9 +241,10 @@ def test_rejects_observed_node_outside_graph(path2):
 @pytest.mark.parametrize("lam, obs, message", [
     ("-1", "0 1.0\n", "lam"), ("nan", "0 1.0\n", "lam"), ("inf", "0 1.0\n", "lam"),
     ("1", "0 1.0\n2 0.0\n", "outside the graph"),
+    ("1e308", "0 1.0\n", "not finite on edge (0, 1)"),
 ])
 def test_cli_solve_rejects_bad_input(tmp_path, capsys, lam, obs, message):
-    (tmp_path / "g.txt").write_text("N 2\n0 1 1.0\n")
+    (tmp_path / "g.txt").write_text("N 2\n0 1 2.0\n")
     (tmp_path / "obs.txt").write_text(obs)
     code = cli.main(["solve", "--graph", str(tmp_path / "g.txt"),
                      "--observations", str(tmp_path / "obs.txt"), "--lam", lam,

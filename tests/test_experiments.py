@@ -72,6 +72,10 @@ class TestHarness:
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(lam="automatic")
 
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(InvalidConfigError, match="master seed must be >= 0"):
+            ExperimentConfig(master_seed=-1)
+
     def test_summary_fields(self):
         cfg = ExperimentConfig(generator=SMALL_GEN, lam=0.2, trials=2, master_seed=1)
         s = summarize(run_experiment(cfg))
@@ -312,6 +316,23 @@ class TestCli:
         assert r.returncode == 0
         for name in ("results.csv", "signals.csv", "recovery.svg"):
             assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--seed", "-1"],
+        ["sample", "--strategy", "uniform", "--budget", "2", "--seed", "-1"],
+        ["experiment", "--master-seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, fixture_files, command):
+        d = fixture_files
+        paths = {"generate": ["--out-dir", str(d / "gen")],
+                 "sample": ["--graph", str(d / "g.txt"), "--out", str(d / "mu.txt")],
+                 "experiment": ["--out-dir", str(d / "exp")]}
+        r = run_cli(*command, *paths[command[0]])
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "seed must be >= 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not any(d.glob("gen/*")) and not (d / "mu.txt").exists()
+        assert not any(d.glob("exp/*"))
 
     def test_missing_subcommand_usage_exit(self):
         assert run_cli().returncode == 1

@@ -1,5 +1,5 @@
-"""Max flow against a brute-force min-cut oracle and scipy's max flow;
-demand feasibility against Hoffman's cut condition."""
+"""The max-flow kernel against a brute-force min-cut oracle and scipy's max
+flow; demand feasibility against Hoffman's cut condition."""
 
 from fractions import Fraction
 
@@ -9,24 +9,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
-from conftest import brute_force_min_cut, random_connected_graph
-from netlasso.errors import InvalidConfigError, InvalidDemandSpecError, NodeOutOfRangeError
+from conftest import Network, brute_force_min_cut, random_connected_graph
+from netlasso.errors import InvalidDemandSpecError
 from netlasso.flow import (
     CutCertificate,
     DemandSpec,
-    FlowAssignment,
-    FlowNetwork,
+    DemandWitness,
+    _Dinic,
     feasible_flow,
-    max_flow,
     scaled,
     verify_cut_certificate,
     verify_demand_witness,
-    verify_max_flow_assignment,
 )
 from netlasso.graphs import validate_graph
 
 
-def scipy_max_flow_value(net: FlowNetwork, s: int, t: int, scale: int) -> int:
+def scipy_max_flow_value(net: Network, s: int, t: int, scale: int) -> int:
     """Reference max-flow value from scipy, which sums parallel arcs and needs int32."""
     rows, cols, data = [], [], []
     for u, v, c in net.arcs:
@@ -41,6 +39,28 @@ def scipy_max_flow_value(net: FlowNetwork, s: int, t: int, scale: int) -> int:
         (np.asarray(data, dtype=np.int32), (rows, cols)), shape=(net.node_count,) * 2
     )
     return int(scipy_maximum_flow(matrix, s, t).flow_value)
+
+
+def kernel_max_flow(net: Network, s: int, t: int) -> tuple[int, list[int]]:
+    """The kernel's max-flow value on a network of integer capacities, and
+    the flow it leaves on each arc."""
+    caps = [scaled(c, 1) for _, _, c in net.arcs]
+    tails, heads = [u for u, _, _ in net.arcs], [v for _, v, _ in net.arcs]
+    kernel = _Dinic(net.node_count, tails, heads, caps, [0] * len(caps))
+    value = kernel.max_flow(s, t)
+    return value, [c - kernel.cap[2 * a] for a, c in enumerate(caps)]
+
+
+def is_flow(net: Network, s: int, t: int, flows: list[int], value: int) -> bool:
+    """Independent check: capacity bounds, and conservation away from s and t."""
+    balance = [0] * net.node_count
+    for (u, v, c), f in zip(net.arcs, flows):
+        if not 0 <= f <= c:
+            return False
+        balance[u] -= f
+        balance[v] += f
+    others = (b for i, b in enumerate(balance) if i not in (s, t))
+    return not any(others) and balance[t] == value == -balance[s]
 
 
 def hoffman_feasible(g, excluded, spec: DemandSpec, scale: int) -> bool:
@@ -69,7 +89,7 @@ def networks(draw, max_nodes: int = 7):
     n = draw(st.integers(2, max_nodes))
     node = st.integers(0, n - 1)
     arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 1000)), max_size=3 * n))
-    return FlowNetwork(n, tuple((u, v, float(c)) for u, v, c in arcs if u != v))
+    return Network(n, tuple((u, v, float(c)) for u, v, c in arcs if u != v))
 
 
 @st.composite
@@ -91,7 +111,7 @@ def demand_instances(draw, max_nodes: int = 6):
     return g, spec
 
 
-def random_network(rng: np.random.Generator, max_nodes: int = 8) -> FlowNetwork:
+def random_network(rng: np.random.Generator, max_nodes: int = 8) -> Network:
     n = int(rng.integers(2, max_nodes + 1))
     arcs = []
     for u in range(n):
@@ -102,122 +122,116 @@ def random_network(rng: np.random.Generator, max_nodes: int = 8) -> FlowNetwork:
     if arcs and rng.random() < 0.5:
         u, v, _ = arcs[int(rng.integers(0, len(arcs)))]
         arcs.append((u, v, float(rng.integers(1, 5))))
-    return FlowNetwork(n, tuple(arcs))
+    return Network(n, tuple(arcs))
 
 
 class TestMaxFlow:
     def test_single_arc(self):
-        net = FlowNetwork(2, ((0, 1, 5.0),))
-        value, asg = max_flow(net, 0, 1)
-        assert value == 5.0
-        assert asg.flows == (5.0,)
+        value, flows = kernel_max_flow(Network(2, ((0, 1, 5.0),)), 0, 1)
+        assert value == 5
+        assert flows == [5]
 
     def test_two_path_with_cross_arc(self):
         # min cut {s, a} has capacity 2 + 1 + 1 = 4
-        net = FlowNetwork(4, ((0, 1, 3.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 3.0), (1, 2, 1.0)))
-        value, asg = max_flow(net, 0, 3)
-        assert value == 4.0
-        assert verify_max_flow_assignment(net, 0, 3, asg)
+        net = Network(4, ((0, 1, 3.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 3.0), (1, 2, 1.0)))
+        value, flows = kernel_max_flow(net, 0, 3)
+        assert value == 4
+        assert is_flow(net, 0, 3, flows, value)
 
     def test_zero_capacity_network(self):
-        net = FlowNetwork(3, ((0, 1, 0.0), (1, 2, 0.0)))
-        value, _ = max_flow(net, 0, 2)
-        assert value == 0.0
-
-    def test_node_out_of_range(self):
-        net = FlowNetwork(2, ((0, 1, 1.0),))
-        with pytest.raises(NodeOutOfRangeError):
-            max_flow(net, 0, 5)
-
-    def test_source_equals_sink(self):
-        net = FlowNetwork(2, ((0, 1, 1.0),))
-        with pytest.raises(InvalidConfigError):
-            max_flow(net, 1, 1)
+        value, _ = kernel_max_flow(Network(3, ((0, 1, 0.0), (1, 2, 0.0))), 0, 2)
+        assert value == 0
 
     def test_matches_brute_force_min_cut(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             net = random_network(rng)
             s, t = 0, net.node_count - 1
-            value, asg = max_flow(net, s, t)
-            assert asg.value_scaled == brute_force_min_cut(net, s, t, scale=1)
-            assert verify_max_flow_assignment(net, s, t, asg)
+            value, flows = kernel_max_flow(net, s, t)
+            assert value == brute_force_min_cut(net, s, t, scale=1)
+            assert is_flow(net, s, t, flows, value)
 
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             net = random_network(rng)
             t = net.node_count - 1
-            _, asg = max_flow(net, 0, t)
-            assert asg.value_scaled == scipy_max_flow_value(net, 0, t, asg.scale)
+            value, _ = kernel_max_flow(net, 0, t)
+            assert value == scipy_max_flow_value(net, 0, t, scale=1)
 
     @settings(max_examples=200, deadline=None)
     @given(networks(), st.data())
     def test_matches_scipy_reference_on_random_networks(self, net, data):
         s = data.draw(st.integers(0, net.node_count - 1))
         t = data.draw(st.integers(0, net.node_count - 1).filter(lambda v: v != s))
-        _, asg = max_flow(net, s, t)
-        assert asg.value_scaled == scipy_max_flow_value(net, s, t, scale=1)
-        assert verify_max_flow_assignment(net, s, t, asg)
+        value, flows = kernel_max_flow(net, s, t)
+        assert value == scipy_max_flow_value(net, s, t, scale=1)
+        assert is_flow(net, s, t, flows, value)
+
+    # Exactness through feasible_flow on a path 0-1-2: a demand from 0 to 2 is
+    # feasible exactly up to the max flow, and the witness carries it exactly.
 
     def test_capacities_beyond_int32_exact(self):
-        net = FlowNetwork(3, ((0, 1, 3e10), (1, 2, 5e9)))
-        value, asg = max_flow(net, 0, 2)
-        assert asg.scale == 1
-        assert asg.value_scaled == 5 * 10**9
-        assert asg.scaled_flows == (5 * 10**9, 5 * 10**9)
-        assert value == 5e9
-        assert verify_max_flow_assignment(net, 0, 2, asg)
+        g = validate_graph([(0, 1), (1, 2)], [3e10, 5e9], 3)
+        spec = DemandSpec(injections={0: 5e9, 2: -5e9})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible and res.scale == 1
+        assert res.witness.edge_flows == (5 * 10**9, 5 * 10**9)
+        assert verify_demand_witness(g, [], spec, res.witness)
+        more = DemandSpec(injections={0: 5e9 + 1, 2: -5e9 - 1})
+        cut = feasible_flow(g, [], more).cut
+        assert (cut.demand_scaled, cut.capacity_scaled) == (5 * 10**9 + 1, 5 * 10**9)
+        assert verify_cut_certificate(g, [], more, cut)
 
     def test_extreme_capacities_exact(self):
-        net = FlowNetwork(3, ((0, 1, 1e300), (1, 2, 5e-324)))
-        value, asg = max_flow(net, 0, 2)
-        assert asg.scale == 2**1074
-        assert asg.value_scaled == 1 and value == 5e-324
-        assert verify_max_flow_assignment(net, 0, 2, asg)
+        g = validate_graph([(0, 1), (1, 2)], [1e300, 5e-324], 3)
+        spec = DemandSpec(injections={0: 5e-324, 2: -5e-324})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible and res.scale == 2**1074
+        assert res.witness.edge_flows == (1, 1)
+        assert verify_demand_witness(g, [], spec, res.witness)
+        more = DemandSpec(injections={0: 1e-323, 2: -1e-323})
+        cut = feasible_flow(g, [], more).cut
+        assert (cut.demand_scaled, cut.capacity_scaled) == (2, 1)
+        assert verify_cut_certificate(g, [], more, cut)
 
     def test_big_int_capacities_keep_their_value(self):
         # float(2**60 + 1) is 2**60
-        net = FlowNetwork(3, ((0, 1, 2**60 + 1), (1, 2, 2**60 + 1)))
-        value, asg = max_flow(net, 0, 2)
-        assert asg.scale == 1 and asg.value_scaled == 2**60 + 1
-        assert asg.scaled_flows == (2**60 + 1, 2**60 + 1)
-        assert verify_max_flow_assignment(net, 0, 2, asg)
+        g = validate_graph([(0, 1), (1, 2)], [2.0**61, 2.0**61], 3)
+        spec = DemandSpec(injections={0: 2**60 + 1, 2: -(2**60 + 1)})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible and res.scale == 1
+        assert res.witness.edge_flows == (2**60 + 1, 2**60 + 1)
+        assert verify_demand_witness(g, [], spec, res.witness)
 
     def test_rational_capacities_exact(self):
-        net = FlowNetwork(3, ((0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, 0.25)))
-        value, asg = max_flow(net, 0, 2)
-        assert asg.scale == 12 and asg.value_scaled == 4 + 3
-        assert value == 7 / 12
-        assert verify_max_flow_assignment(net, 0, 2, asg)
-
-    @pytest.mark.parametrize("capacity", [
-        -1, -0.5, Fraction(-1, 3), float("nan"), float("inf"), np.float64("nan"),
-        pytest.param(-(10**400), id="-10**400"), "3", None,
-    ])
-    def test_invalid_capacity_rejected(self, capacity):
-        with pytest.raises(InvalidConfigError, match="invalid capacity"):
-            FlowNetwork(2, ((0, 1, capacity),))
+        g = validate_graph([(0, 1), (1, 2)], [1.0, 0.25], 3)
+        spec = DemandSpec(injections={0: Fraction(1, 3), 1: Fraction(-1, 12), 2: -0.25})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible and res.scale == 12
+        assert res.witness.edge_flows == (4, 3)
+        assert verify_demand_witness(g, [], spec, res.witness)
 
     def test_coarse_scale_assignment_rejected(self):
         # On a 1e-6 grid both capacities of 1.5e-6 round to 2, so a flow of
         # 2e-6 would pass as feasible there.
-        net = FlowNetwork(3, ((0, 1, 1.5e-6), (1, 2, 1.5e-6)))
-        value, asg = max_flow(net, 0, 2)
-        assert value == 1.5e-6
-        assert verify_max_flow_assignment(net, 0, 2, asg)
-        coarse = FlowAssignment(
-            flows=(2e-6, 2e-6), scaled_flows=(2, 2), scale=10**6, value=2e-6, value_scaled=2
-        )
-        assert not verify_max_flow_assignment(net, 0, 2, coarse)
+        g = validate_graph([(0, 1), (1, 2)], [1.5e-6, 1.5e-6], 3)
+        spec = DemandSpec(injections={0: 1.5e-6, 2: -1.5e-6})
+        res = feasible_flow(g, [], spec)
+        assert res.feasible
+        assert verify_demand_witness(g, [], spec, res.witness)
+        more = DemandSpec(injections={0: 2e-6, 2: -2e-6})
+        assert not feasible_flow(g, [], more).feasible
+        coarse = DemandWitness(g.edges, (2, 2), (2, 0, -2), scale=10**6)
+        assert not verify_demand_witness(g, [], more, coarse)
 
     def test_integrality_with_integer_capacities(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             net = random_network(rng)
-            _, asg = max_flow(net, 0, net.node_count - 1)
-            assert all(isinstance(f, int) for f in asg.scaled_flows)
-            assert isinstance(asg.value_scaled, int)
+            value, flows = kernel_max_flow(net, 0, net.node_count - 1)
+            assert all(isinstance(f, int) for f in flows)
+            assert isinstance(value, int)
 
 
 class TestFeasibleFlow:

@@ -13,7 +13,6 @@ from netlasso.errors import (
 from netlasso.generate import (
     NoiseConfig,
     PlantedPartitionConfig,
-    expected_edge_count,
     generate_planted_partition,
     noise_field,
     observe,
@@ -30,6 +29,12 @@ class TestConfigValidation:
     def test_sizes_positive(self):
         with pytest.raises(InvalidConfigError):
             PlantedPartitionConfig(sizes=(3, 0), p_in=0.5, p_out=0.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+            PlantedPartitionConfig(sizes=(3, 3), p_in=0.5, p_out=0.5, seed=-1)
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+            NoiseConfig(distribution="gaussian", sigma=0.1, seed=-1)
 
     def test_noise_distribution_names(self):
         with pytest.raises(InvalidConfigError):
@@ -77,8 +82,7 @@ class TestGeneratePlantedPartition:
 
     def test_empirical_edge_count_matches_expectation(self):
         # Connectivity conditioning is negligible at these densities.
-        cfg0 = PlantedPartitionConfig(sizes=(4, 5), p_in=0.7, p_out=0.2, seed=0)
-        expected = expected_edge_count(cfg0)
+        expected = 0.7 * (6 + 10) + 0.2 * 4 * 5  # intra-cluster pairs p_in, the rest p_out
         counts = []
         for seed in range(1000):
             cfg = PlantedPartitionConfig(sizes=(4, 5), p_in=0.7, p_out=0.2, seed=seed)
@@ -88,7 +92,9 @@ class TestGeneratePlantedPartition:
 
     def test_paper_like_preset_shape(self):
         cfg = paper_like_config(seed=1)
-        assert expected_edge_count(cfg) == pytest.approx(156.0)
+        intra = sum(s * (s - 1) // 2 for s in cfg.sizes)
+        inter = 30 * 29 // 2 - intra
+        assert cfg.p_in * intra + cfg.p_out * inter == pytest.approx(156.0)
         g, p = generate_planted_partition(cfg)
         assert g.node_count == 30
         assert sorted(len(c) for c in p.clusters) == [7, 7, 8, 8]

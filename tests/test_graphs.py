@@ -8,7 +8,6 @@ from netlasso.errors import (
     CoefficientCountMismatchError,
     DimensionMismatchError,
     DuplicateEdgeError,
-    EdgeNotInGraphError,
     GraphError,
     InvalidPartitionError,
     NodeOutOfRangeError,
@@ -24,7 +23,6 @@ from netlasso.graphs import (
     connected_components,
     orient_edges,
     tv,
-    tv_restricted,
     validate_graph,
 )
 
@@ -105,22 +103,6 @@ class TestTv:
             tv(path2, [0.0, np.inf])
 
 
-class TestTvRestricted:
-    def test_empty_subset(self, triangle):
-        assert tv_restricted(triangle, [0, 0, 5], []) == 0.0
-
-    def test_full_subset_equals_tv(self, triangle):
-        x = [0.3, -1.2, 5.0]
-        assert tv_restricted(triangle, x, triangle.edges) == pytest.approx(tv(triangle, x))
-
-    def test_single_edge(self, triangle):
-        assert tv_restricted(triangle, [0, 0, 5], [(0, 2)]) == 5.0
-
-    def test_edge_not_in_graph(self, path4):
-        with pytest.raises(EdgeNotInGraphError):
-            tv_restricted(path4, [0, 0, 0, 0], [(0, 3)])
-
-
 class TestTvProperties:
     def test_homogeneity_and_triangle_inequality(self):
         rng = np.random.default_rng(2)
@@ -132,19 +114,6 @@ class TestTvProperties:
             c = float(rng.normal())
             assert tv(g, c * x) == pytest.approx(abs(c) * tv(g, x), rel=1e-12)
             assert tv(g, x + y) <= tv(g, x) + tv(g, y) + 1e-12
-
-    def test_restricted_additive_over_disjoint_subsets(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(3, 9))
-            g = random_connected_graph(rng, n)
-            x = rng.normal(size=n)
-            edges = list(g.edges)
-            half = len(edges) // 2
-            s1, s2 = edges[:half], edges[half:]
-            assert tv_restricted(g, x, s1) + tv_restricted(g, x, s2) == pytest.approx(
-                tv_restricted(g, x, edges), rel=1e-12
-            )
 
     def test_zero_iff_constant_per_component(self):
         rng = np.random.default_rng(4)
@@ -249,9 +218,8 @@ class TestClusteredSignal:
             labels[0], labels[1] = 0, 1
             p = Partition.from_labels(labels)
             x = clustered_signal(p, rng.normal(size=p.cluster_count))
-            assert tv(g, x) == pytest.approx(
-                tv_restricted(g, x, boundary(g, p)), abs=1e-12
-            )
+            bnd_tv = sum(g.weight(i, j) * abs(x[j] - x[i]) for i, j in boundary(g, p))
+            assert tv(g, x) == pytest.approx(bnd_tv, abs=1e-12)
 
 
 class TestOrientEdges:

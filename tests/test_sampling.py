@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netlasso.certify import check_support_condition
-from netlasso.errors import BudgetExceedsNodesError
+from netlasso.errors import BudgetExceedsNodesError, InvalidConfigError
 from netlasso.generate import paper_like_config, generate_planted_partition
 from netlasso.graphs import Partition, validate_graph
 from netlasso.sampling import sample_boundary_aware, sample_uniform
@@ -73,6 +73,10 @@ class TestUniform:
 
     def test_deterministic_given_seed(self, path4):
         assert sample_uniform(path4, 2, seed=9) == sample_uniform(path4, 2, seed=9)
+
+    def test_negative_seed_rejected(self, path4):
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+            sample_uniform(path4, 2, seed=-1)
 
     def test_no_duplicates(self):
         g, _ = generate_planted_partition(paper_like_config(seed=0))
