@@ -161,6 +161,15 @@ class _Dinic:
         return seen
 
 
+def _finite(value) -> bool:
+    """Whether value is a finite number; strings, None and ints beyond the
+    float range are not."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class DemandSpec:
     """Required net outflows plus a set of slack nodes.
@@ -178,11 +187,11 @@ class DemandSpec:
     def __post_init__(self):
         object.__setattr__(self, "injections", dict(self.injections))
         object.__setattr__(self, "slack_nodes", frozenset(int(i) for i in self.slack_nodes))
-        if not math.isfinite(self.slack_bound) or self.slack_bound < 0.0:
-            raise InvalidDemandSpecError("slack_bound must be finite and >= 0")
+        if not _finite(self.slack_bound) or self.slack_bound < 0.0:
+            raise InvalidDemandSpecError("slack_bound must be a finite number >= 0")
         for i, b in self.injections.items():
-            if not math.isfinite(b):
-                raise InvalidDemandSpecError(f"injection at node {i} is not finite")
+            if not _finite(b):
+                raise InvalidDemandSpecError(f"injection at node {i} is not a finite number")
 
     def validate_nodes(self, node_count: int) -> None:
         for i in self.injections:
@@ -270,11 +279,11 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     spec.validate_nodes(g.node_count)
     kept = _kept_edges(g, excluded)
     edges = [g.edges[k] for k in kept]
-    weights = g.weights[kept].tolist()
-    scale = exact_scale(_instance_values(weights, spec))
+    values, inverse = np.unique(g.weights[kept], return_inverse=True)  # scale each weight once
+    scale = exact_scale(_instance_values(values.tolist(), spec))
     b = _scaled_injections(g, spec, scale)
     k_scaled = scaled(spec.slack_bound, scale)
-    caps = [scaled(w, scale) for w in weights]
+    caps = np.array([scaled(w, scale) for w in values.tolist()], dtype=object)[inverse].tolist()
 
     n = g.node_count
     reservoir, source, sink = n, n + 1, n + 2

@@ -3,9 +3,13 @@
 Randomness is drawn from numpy's PCG64 generator seeded explicitly, and the
 draw order is fixed: for each attempt, one uniform variate per unordered node
 pair in lexicographic order. Outputs are therefore reproducible from the
-config alone. They are drawn a few rows of the pair triangle at a time; as
-``random()`` takes one 64-bit output per double, the row draws together equal
-one draw per attempt, and a retry continues the same stream.
+config alone. They are drawn a few rows of the pair triangle at a time, as
+one flat vector of the cells (i, j > i) in row-major order; as ``random()``
+takes one 64-bit output per double, the row draws together equal one draw per
+attempt, and a retry continues the same stream. Clusters are contiguous runs
+of node ids, so the in-cluster cells of row i are its first ones, up to the
+end of i's cluster: each cell is tested against p_out, then that prefix of
+each row against p_in.
 """
 
 from __future__ import annotations
@@ -100,18 +104,22 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
     n = cfg.node_count
     labels = partition.labels
     step = max(1, _PAIRS_PER_DRAW // n)
+    run = np.repeat(np.cumsum(cfg.sizes), cfg.sizes) - 1 - np.arange(n)  # in-cluster cells of row i
     rng = np.random.default_rng(cfg.seed)
     for _ in range(MAX_CONNECTIVITY_RETRIES):
         edges = []
-        for start in range(0, n - 1, step):  # draw cells j > i of these rows, row-major
+        for start in range(0, n - 1, step):
             rows = np.arange(start, min(start + step, n - 1))
-            cols = np.arange(start + 1, n)
-            upper = cols > rows[:, None]
-            u = np.ones(upper.shape)  # 1.0 never falls below a probability
-            u[upper] = rng.random(np.count_nonzero(upper))
-            probs = np.where(labels[rows, None] == labels[cols], cfg.p_in, cfg.p_out)
-            hit_rows, hit_cols = np.nonzero(u < probs)
-            edges.extend(zip(rows[hit_rows].tolist(), cols[hit_cols].tolist()))
+            ends = np.cumsum(n - 1 - rows)  # cell c < ends[r] of row rows[r] is j = c - ends[r] + n
+            u = rng.random(ends[-1])
+            hit = u < cfg.p_out
+            k = run[rows]  # the in-cluster cells of row rows[r] are its first k[r]
+            kc = np.cumsum(k)
+            inside = np.arange(kc[-1]) + np.repeat(ends - (n - 1 - rows) - kc + k, k)
+            hit[inside] = u[inside] < cfg.p_in
+            cells = np.flatnonzero(hit)
+            r = np.searchsorted(ends, cells, side="right")
+            edges.extend(zip(rows[r].tolist(), (cells - ends[r] + n).tolist()))
         g = Graph(n, tuple(edges), np.full(len(edges), cfg.weight))
         ii, jj = g.endpoint_arrays()
         same = labels[ii] == labels[jj]  # as many components as clusters iff each is connected

@@ -8,6 +8,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -76,7 +77,7 @@ class Graph(_ByValue):
         n = self.node_count
         if n <= 0:
             raise GraphError("node_count must be positive")
-        weights = np.array(self.weights, dtype=np.float64)  # own copy, frozen below
+        weights = _float_weights(self.weights)  # own copy, frozen below
         if weights.shape != (len(self.edges),):
             raise GraphError("one weight per edge required")
         bad = ~((weights > 0.0) & (weights < np.inf))
@@ -133,6 +134,25 @@ class Graph(_ByValue):
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two read-only int arrays (canonical i < j)."""
         return self._ends[0], self._ends[1]
+
+
+def _float_weights(raw) -> np.ndarray:
+    """A new float64 array of raw. An entry that is not a number (a string)
+    becomes nan, and an int beyond the float range becomes +-inf, so the
+    weight check rejects them at their position."""
+    values = np.asarray(raw)
+    if values.dtype.kind in "biuf":
+        return np.array(values, np.float64)
+    return np.array([_float(v) for v in np.asarray(raw, dtype=object).flat], np.float64)
+
+
+def _float(v) -> float:
+    try:
+        return math.nan if isinstance(v, (str, bytes)) else float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
 
 
 _NOT_AN_ID = np.iinfo(np.int64).min  # below every node id, so every check rejects it
@@ -201,7 +221,7 @@ def validate_graph(
     _raise_first(raw_edges, (ends == _NOT_AN_ID).any(axis=0), node_count)
     ends.sort(axis=0)
     order = np.lexsort(ends[::-1])
-    weights = np.array(raw_weights, dtype=np.float64)[order]
+    weights = _float_weights(raw_weights)[order]
     try:
         return Graph(node_count, tuple(zip(*ends[:, order].tolist())), weights)
     except GraphError as exc:

@@ -1,6 +1,7 @@
 """Compatibility condition, sufficient condition, and the error bound."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -298,6 +299,47 @@ class TestCheckNccMatchesEnumeration:
         else:
             assert verify_ncc_cut(query, cert)
             assert not orientation_feasible(query, cert.failed_bits)
+
+
+def pinned_queries(family: str):
+    """check_ncc queries on the preset and on (8,8,8,8) planted partitions at
+    weights 1 and 4096, the latter also with several distinct weights."""
+    if family == "preset":
+        for seed in range(4):
+            g, p = generate_planted_partition(paper_like_config(seed=seed))
+            nodes = sample_boundary_aware(g, p, 15)
+            for K in (1.0, 5.0, 10.0, 20.0):
+                yield NccQuery(g, p, nodes, K=K, L=1.0)
+        return
+    rng = np.random.default_rng(12)
+    for seed in range(6):
+        for w in (1.0, 4096.0):
+            cfg = PlantedPartitionConfig((8, 8, 8, 8), 1.0, 0.03, weight=w, seed=seed)
+            g, p = generate_planted_partition(cfg)
+            if family == "mixed-weights":
+                weights = rng.choice([w, 0.5 * w, 3.0, 2.0**-20], size=g.edge_count)
+                g = validate_graph(g.edges, weights, g.node_count)
+            nodes = sample_boundary_aware(g, p, 12)
+            for factor in (2, 4, 8):
+                yield NccQuery(g, p, nodes, K=factor * w, L=2.0)
+
+
+@pytest.mark.parametrize(
+    "family, count, expected",
+    [
+        ("preset", 16, "087b91d5a5a45eb562d2d642dcbe3593ca069710bf9177a0e37c0e9aec5a1360"),
+        ("8x4", 36, "3e868388a77cf9f0868b7390a8c0976719f7c25e0f0ca0eb220ea63202cd305f"),
+        ("mixed-weights", 36, "79f539462be2caf0add068cb593e8319c254c0430788c92ef92b90235e62eff7"),
+    ],
+)
+def test_certificates_are_pinned(family, count, expected):
+    """Byte-identical certificates (flows, cuts, scales) to those recorded
+    before feasible_flow scaled each distinct weight once."""
+    certs = [check_ncc(q) for q in pinned_queries(family)]
+    assert len(certs) == count
+    assert {c.verdict for c in certs} == {"holds", "fails"}
+    data = "".join(repr(c) for c in certs).encode()
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 class TestVerifyNccCut:

@@ -326,6 +326,22 @@ class TestFeasibleFlow:
         with pytest.raises(InvalidDemandSpecError):
             feasible_flow(path2, [], DemandSpec(injections={9: 1.0}))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slack_bound": -(10**400)},
+            {"slack_bound": "3"},
+            {"slack_bound": None},
+            {"injections": {0: "1"}},
+            {"injections": {0: 10**400}},
+        ],
+        ids=["huge-negative-bound", "string-bound", "none-bound", "string-injection",
+             "huge-injection"],
+    )
+    def test_demand_spec_rejects_no_finite_number(self, kwargs):
+        with pytest.raises(InvalidDemandSpecError):
+            DemandSpec(**kwargs)
+
     def test_integrality_and_witness_reverification_random(self):
         rng = np.random.default_rng(10)
         feasible_seen = infeasible_seen = 0

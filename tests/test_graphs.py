@@ -44,6 +44,21 @@ class TestValidateGraph:
         with pytest.raises(NonPositiveWeightError):
             validate_graph([(0, 1)], [0.0], 2)
 
+    @pytest.mark.parametrize(
+        "weight", ["3", b"3", -(10**400), 10**400], ids=["str", "bytes", "-10**400", "10**400"]
+    )
+    def test_weight_that_is_no_finite_float_rejected_with_index(self, weight):
+        # a string is not parsed as a number; an int beyond the float range is not finite
+        with pytest.raises(NonPositiveWeightError) as err:
+            validate_graph([(0, 1)], [weight], 2)
+        assert err.value.index == 0
+        with pytest.raises(NonPositiveWeightError) as err:
+            validate_graph([(2, 3), (0, 1)], [1.0, weight], 4)
+        assert err.value.index == 1
+        with pytest.raises(NonPositiveWeightError) as err:
+            Graph(4, ((0, 1), (2, 3)), [1.0, weight])
+        assert err.value.index == 1
+
     def test_duplicate_edge_rejected_either_order(self):
         with pytest.raises(DuplicateEdgeError):
             validate_graph([(0, 1), (1, 0)], [1.0, 2.0], 2)

@@ -127,26 +127,63 @@ FIXED_CONFIGS = [
     PlantedPartitionConfig(sizes=(1, 4), p_in=1.0, p_out=0.5, seed=2),  # 1-node cluster
     PlantedPartitionConfig(sizes=(4, 1, 3), p_in=0.6, p_out=0.15, weight=0.75, seed=5),
     PlantedPartitionConfig(sizes=(3, 3), p_in=1.0, p_out=0.0, seed=0),  # never connected
-    PlantedPartitionConfig(sizes=(60, 70), p_in=0.2, p_out=0.01, seed=9),  # several draw groups
+    PlantedPartitionConfig(sizes=(60, 70), p_in=0.2, p_out=0.01, seed=9),  # one draw group
     paper_like_config(seed=3),
 ]
+
+
+def draw_groups(cfg: PlantedPartitionConfig) -> int:
+    """Number of row groups the generator draws one attempt in."""
+    n = cfg.node_count
+    return -(-(n - 1) // max(1, generate._PAIRS_PER_DRAW // n))
+
+
+# (config, draw groups, attempts or None if it never connects)
+MULTI_GROUP_CONFIGS = [
+    (PlantedPartitionConfig(sizes=(150, 170), p_in=0.2, p_out=0.01, seed=1), 2, 1),
+    (  # 1-node clusters on both sides of every group boundary (rows 108 | 109, 217 | 218, ...)
+        PlantedPartitionConfig(
+            sizes=(108, *(1, 1, 107) * 4, 1, 1, 54), p_in=0.3, p_out=0.01, seed=6
+        ),
+        6, 1,
+    ),
+    # p_in < p_out
+    (PlantedPartitionConfig(sizes=(90, 100, 110), p_in=0.1, p_out=0.3, seed=4), 2, 1),
+    # p_in = 0: no in-cluster cell, then a 2-node cluster that never connects
+    (PlantedPartitionConfig(sizes=(1,) * 300, p_in=0.0, p_out=0.05, seed=8), 2, 1),
+    (PlantedPartitionConfig(sizes=(2,) + (1,) * 258, p_in=0.0, p_out=0.5, seed=0), 2, None),
+    # p_out = 1
+    (PlantedPartitionConfig(sizes=(150, 170), p_in=0.05, p_out=1.0, weight=0.5, seed=3), 2, 1),
+    # retries: the first two attempts fail a connectivity test
+    (PlantedPartitionConfig(sizes=(150, 168, 2), p_in=0.2, p_out=0.01, seed=2), 2, 3),
+]
+
+
+def assert_same_graph_or_same_failure(cfg: PlantedPartitionConfig, attempts: list):
+    try:
+        ref_g, ref_p, ref_attempts = reference_generate(cfg)
+    except DisconnectedAfterRetriesError:
+        with pytest.raises(DisconnectedAfterRetriesError):
+            generate_planted_partition(cfg)
+        assert len(attempts) == MAX_CONNECTIVITY_RETRIES
+        return None
+    g, p = generate_planted_partition(cfg)
+    assert g.edges == ref_g.edges
+    assert g.weights.tobytes() == ref_g.weights.tobytes()
+    assert p == ref_p
+    assert len(attempts) == ref_attempts
+    return ref_attempts
 
 
 class TestGeneratorMatchesReference:
     @pytest.mark.parametrize("cfg", [*FIXED_CONFIGS, *random_configs(120, seed=2024)])
     def test_same_graph_or_same_failure(self, cfg, attempts):
-        try:
-            ref_g, ref_p, ref_attempts = reference_generate(cfg)
-        except DisconnectedAfterRetriesError:
-            with pytest.raises(DisconnectedAfterRetriesError):
-                generate_planted_partition(cfg)
-            assert len(attempts) == MAX_CONNECTIVITY_RETRIES
-            return
-        g, p = generate_planted_partition(cfg)
-        assert g.edges == ref_g.edges
-        assert g.weights.tobytes() == ref_g.weights.tobytes()
-        assert p == ref_p
-        assert len(attempts) == ref_attempts
+        assert_same_graph_or_same_failure(cfg, attempts)
+
+    @pytest.mark.parametrize("cfg, groups, expected_attempts", MULTI_GROUP_CONFIGS)
+    def test_across_draw_groups(self, cfg, groups, expected_attempts, attempts):
+        assert draw_groups(cfg) == groups
+        assert assert_same_graph_or_same_failure(cfg, attempts) == expected_attempts
 
     def test_retries_continue_the_stream(self, attempts):
         cfg = PlantedPartitionConfig(sizes=(4, 1, 3), p_in=0.6, p_out=0.15, weight=0.75, seed=5)
