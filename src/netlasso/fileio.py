@@ -5,7 +5,22 @@ per edge (0-based endpoints, decimal weight). Signals and observation label
 files: ``i v`` per line. Partitions: ``i c`` per line mapping node to cluster
 index. Node sets: one integer per line. Blank lines and ``#`` comments are
 ignored everywhere. Parsers raise FileFormatError with the offending line
-number on any invariant violation.
+number on any invariant violation; errors about the file as a whole (a
+signal or partition that does not cover exactly its nodes, an empty cluster,
+a partition or graph of another size) carry no line.
+
+Every reader first tries the array path, which reads the file in one pass:
+when the file is plain (printable ASCII, tabs and ``\n`` line ends, no ``#``)
+and a graph's header is its first line, numpy's C parser reads all rows at
+once into int64 ids and float64 values, and the checks run as array masks.
+The array path declines any other file (comments, CRLF line ends, non-ASCII
+text) and any file that the C parser rejects or that fails a check. The line
+parser then reads it again line by line, as Python's ``int`` and ``float``
+do (so ``1_000``, ``+5`` and non-ASCII digits still read), and raises the
+error of the first bad line. The two paths agree on every file, because the
+array path only takes what it reads exactly as the line parser would. Errors
+found after parsing (a fractional or negative cluster index, an observed node
+outside the true signal) recover their line by scanning the file again.
 """
 
 from __future__ import annotations
@@ -18,6 +33,36 @@ import numpy as np
 from .errors import FileFormatError, GraphError, NetlassoError
 from .graphs import Graph, Observations, Partition, as_signal, validate_graph
 
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+_VALUE_ROW = np.dtype([("i", np.int64), ("v", np.float64)])
+_NODE_ROW = np.dtype([("i", np.int64)])
+# The bytes of plain text: tab, newline and printable ASCII other than '#'.
+# In plain text, numpy and the line parser break lines at the same places and
+# split them into the same tokens.
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b"#", b"") + b"\t\n"
+
+
+def _table(path, row: np.dtype, header: bool = False):
+    """``(first line or None, rows)`` of a plain file as a structured array of
+    ``row``, or None where the line parser must read the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _PLAIN):  # a byte that is not plain is left
+        return None
+    text = data.decode("ascii")
+    head = None
+    if header:
+        head, _, text = text.partition("\n")
+        if not head.strip():
+            return None  # a blank first line: the header comes later, if at all
+    lines = text.split("\n")
+    if not any(line.strip() for line in lines):  # loadtxt warns on a file without rows
+        return head, np.empty(0, row)
+    try:
+        return head, np.loadtxt(lines, dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
 
 def _content_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -28,23 +73,46 @@ def _content_lines(path):
             yield lineno, line
 
 
+def _line_of(path, node: int) -> int:
+    """The line of ``node``'s entry in a file that read_value_map accepted."""
+    return next(lineno for lineno, line in _content_lines(path) if int(line.split()[0]) == node)
+
+
+def _node_count(line: str, path, lineno: int) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "N":
+        raise FileFormatError("expected header 'N <node_count>'", path, lineno)
+    try:
+        node_count = int(parts[1])
+    except ValueError:
+        raise FileFormatError(f"bad node count {parts[1]!r}", path, lineno) from None
+    if node_count <= 0:
+        raise FileFormatError("node count must be positive", path, lineno)
+    return node_count
+
+
 def read_graph(path: str | os.PathLike) -> Graph:
+    table = _table(path, _EDGE_ROW, header=True)
+    if table is not None:
+        head, rows = table
+        node_count = _node_count(head, path, 1)  # the first line the line parser reads
+        try:
+            return validate_graph(np.stack([rows["i"], rows["j"]]), rows["w"], node_count)
+        except GraphError:
+            pass
+    return _read_graph_lines(path)
+
+
+def _read_graph_lines(path) -> Graph:
     node_count = None
     edges = []
     weights = []
     linenos = []
     for lineno, line in _content_lines(path):
-        parts = line.split()
         if node_count is None:
-            if len(parts) != 2 or parts[0] != "N":
-                raise FileFormatError("expected header 'N <node_count>'", path, lineno)
-            try:
-                node_count = int(parts[1])
-            except ValueError:
-                raise FileFormatError(f"bad node count {parts[1]!r}", path, lineno) from None
-            if node_count <= 0:
-                raise FileFormatError("node count must be positive", path, lineno)
+            node_count = _node_count(line, path, lineno)
             continue
+        parts = line.split()
         if len(parts) != 3:
             raise FileFormatError("expected edge line 'i j w'", path, lineno)
         try:
@@ -71,7 +139,18 @@ def write_graph(path: str | os.PathLike, g: Graph) -> None:
 
 
 def read_value_map(path: str | os.PathLike) -> dict[int, float]:
-    """Parse ``i v`` lines into a node -> value mapping."""
+    """Parse ``i v`` lines into a node -> value mapping, in file order."""
+    table = _table(path, _VALUE_ROW)
+    if table is not None:
+        ids, values = table[1]["i"], table[1]["v"]
+        if not ids.size or (ids.min() >= 0 and np.isfinite(values).all()):
+            result = dict(zip(ids.tolist(), values.tolist()))
+            if len(result) == ids.size:  # no node twice
+                return result
+    return _read_value_map_lines(path)
+
+
+def _read_value_map_lines(path) -> dict[int, float]:
     values: dict[int, float] = {}
     for lineno, line in _content_lines(path):
         parts = line.split()
@@ -123,7 +202,11 @@ def read_partition(path: str | os.PathLike, g: Graph | None = None) -> Partition
     labels: dict[int, int] = {}
     for i, c in assignment.items():
         if c != int(c):
-            raise FileFormatError(f"cluster index for node {i} must be an integer", path)
+            raise FileFormatError(
+                f"cluster index for node {i} must be an integer", path, _line_of(path, i)
+            )
+        if c < 0:
+            raise FileFormatError(f"negative cluster index for node {i}", path, _line_of(path, i))
         labels[i] = int(c)
     n = len(labels)
     # node ids are distinct and nonnegative, so they are 0..n-1 iff the largest is n-1
@@ -145,6 +228,15 @@ def write_partition(path: str | os.PathLike, partition: Partition) -> None:
 
 
 def read_node_set(path: str | os.PathLike) -> tuple[int, ...]:
+    table = _table(path, _NODE_ROW)
+    if table is not None:
+        ids = np.sort(table[1]["i"])
+        if not ids.size or (ids[0] >= 0 and np.diff(ids).all()):
+            return tuple(ids.tolist())
+    return _read_node_set_lines(path)
+
+
+def _read_node_set_lines(path) -> tuple[int, ...]:
     nodes = []
     seen = set()
     for lineno, line in _content_lines(path):
@@ -179,7 +271,9 @@ def read_observations(path: str | os.PathLike, x_true: np.ndarray | None = None)
     if x_true is not None:
         if nodes and nodes[-1] >= len(x_true):
             raise FileFormatError(
-                f"observed node {nodes[-1]} outside the true signal's graph", path
+                f"observed node {nodes[-1]} outside the true signal's graph",
+                path,
+                _line_of(path, nodes[-1]),
             )
         eps = y - np.asarray(x_true, dtype=np.float64)[list(nodes)]
     else:

@@ -107,7 +107,7 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
     run = np.repeat(np.cumsum(cfg.sizes), cfg.sizes) - 1 - np.arange(n)  # in-cluster cells of row i
     rng = np.random.default_rng(cfg.seed)
     for _ in range(MAX_CONNECTIVITY_RETRIES):
-        edges = []
+        parts = [np.empty((2, 0), np.int64)]  # no rows to draw when n == 1
         for start in range(0, n - 1, step):
             rows = np.arange(start, min(start + step, n - 1))
             ends = np.cumsum(n - 1 - rows)  # cell c < ends[r] of row rows[r] is j = c - ends[r] + n
@@ -119,8 +119,9 @@ def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Part
             hit[inside] = u[inside] < cfg.p_in
             cells = np.flatnonzero(hit)
             r = np.searchsorted(ends, cells, side="right")
-            edges.extend(zip(rows[r].tolist(), (cells - ends[r] + n).tolist()))
-        g = Graph(n, tuple(edges), np.full(len(edges), cfg.weight))
+            parts.append(np.stack([rows[r], cells - ends[r] + n]))
+        edges = np.concatenate(parts, axis=1)
+        g = Graph(n, edges, np.full(edges.shape[1], cfg.weight))
         ii, jj = g.endpoint_arrays()
         same = labels[ii] == labels[jj]  # as many components as clusters iff each is connected
         roots = component_roots(n, ii[same], jj[same])

@@ -61,8 +61,9 @@ class Graph(_ByValue):
     canonically (smaller endpoint first; ``validate_graph`` sorts them) and
     as one read-only ``(2, m)`` int array, from which the checks,
     connectivity and neighbor lists (built on first use) derive;
-    ``weights[k]`` is the weight of ``edges[k]``. Equal graphs have equal
-    node counts, edges and weights.
+    ``weights[k]`` is the weight of ``edges[k]``. ``edges`` may be given as
+    pairs or as that ``(2, m)`` integer array; either way it is stored as a
+    tuple of pairs. Equal graphs have equal node counts, edges and weights.
     """
 
     node_count: int
@@ -77,6 +78,10 @@ class Graph(_ByValue):
         n = self.node_count
         if n <= 0:
             raise GraphError("node_count must be positive")
+        edges = self.edges
+        if isinstance(edges, np.ndarray):
+            ends = _edge_array(edges)
+            object.__setattr__(self, "edges", tuple(zip(*ends.tolist())))
         weights = _float_weights(self.weights)  # own copy, frozen below
         if weights.shape != (len(self.edges),):
             raise GraphError("one weight per edge required")
@@ -89,7 +94,9 @@ class Graph(_ByValue):
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
-        ii, jj = ends = _node_ids(self.edges)
+        if not isinstance(edges, np.ndarray):
+            ends = _node_ids(edges)
+        ii, jj = ends
         bad = (ii < 0) | (ii >= jj) | (jj >= n)
         order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
         bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
@@ -176,6 +183,15 @@ def _node_ids(edges) -> np.ndarray:
     return np.array(ids, np.int64).reshape(-1, 2).T.copy()
 
 
+def _edge_array(edges: np.ndarray) -> np.ndarray:
+    """A new int64 copy of a ``(2, m)`` array of integer node ids."""
+    if edges.ndim != 2 or edges.shape[0] != 2 or not np.can_cast(edges.dtype, np.int64):
+        raise GraphError(
+            f"an edge array must be (2, m) with integer ids, got {edges.shape} {edges.dtype}"
+        )
+    return edges.astype(np.int64)
+
+
 def _raise_first(edges, bad: np.ndarray, n: int) -> None:
     """Raise the error of the first edge that ``bad`` marks, if any."""
     if not bad.any():
@@ -206,24 +222,32 @@ def validate_graph(
 ) -> Graph:
     """Build a Graph from raw edge/weight lists, in any order and orientation.
 
-    Each pair is put smaller endpoint first and the edges are stably sorted;
-    the Graph checks them. Raises SelfLoopError, DuplicateEdgeError (also for
-    a pair given in both orders), NonPositiveWeightError or
+    The edges are pairs or, as ``Graph`` takes them, a ``(2, m)`` integer
+    array. Each pair is put smaller endpoint first and the edges are stably
+    sorted; the Graph checks them. Raises SelfLoopError, DuplicateEdgeError
+    (also for a pair given in both orders), NonPositiveWeightError or
     NodeOutOfRangeError, whose ``index`` is the position in ``raw_edges`` of
     the offending edge (for a repeated pair, of the later copy). Ids that are
     not integers (GraphError) or exceed int64 (NodeOutOfRangeError) come first.
     """
-    raw_edges = list(raw_edges)
-    raw_weights = list(raw_weights)
-    if len(raw_edges) != len(raw_weights):
+    if isinstance(raw_edges, np.ndarray):
+        ends = _edge_array(raw_edges)
+        edge_count = ends.shape[1]
+    else:
+        raw_edges = list(raw_edges)
+        edge_count = len(raw_edges)
+    if not isinstance(raw_weights, np.ndarray):
+        raw_weights = list(raw_weights)
+    if edge_count != len(raw_weights):
         raise GraphError("edge and weight counts differ")
-    ends = _node_ids(raw_edges)
-    _raise_first(raw_edges, (ends == _NOT_AN_ID).any(axis=0), node_count)
+    if isinstance(raw_edges, list):
+        ends = _node_ids(raw_edges)
+        _raise_first(raw_edges, (ends == _NOT_AN_ID).any(axis=0), node_count)
     ends.sort(axis=0)
     order = np.lexsort(ends[::-1])
     weights = _float_weights(raw_weights)[order]
     try:
-        return Graph(node_count, tuple(zip(*ends[:, order].tolist())), weights)
+        return Graph(node_count, ends[:, order], weights)
     except GraphError as exc:
         if exc.index is not None:
             exc.index = int(order[exc.index])

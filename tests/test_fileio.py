@@ -101,8 +101,24 @@ def test_partition_roundtrip(tmp_path, g):
 def test_partition_rejects_fractional_cluster(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("0 0.5\n1 1\n")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError) as err:
         fileio.read_partition(path)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "content,bad_line",
+    [
+        ("0 0\n# c\n\n1 1.5\n", 4),  # the line parser's path
+        ("1 0\n0 -1\n", 2),  # negative cluster index
+    ],
+)
+def test_partition_cluster_errors_carry_line_numbers(tmp_path, content, bad_line):
+    path = tmp_path / "p.txt"
+    path.write_text(content)
+    with pytest.raises(FileFormatError) as err:
+        fileio.read_partition(path)
+    assert err.value.line == bad_line
 
 
 @pytest.mark.parametrize(
@@ -150,3 +166,12 @@ def test_observations_reject_negative_node(tmp_path):
     with pytest.raises(FileFormatError) as err:
         fileio.read_observations(path, np.array([1.0, 2.0]))
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("content,bad_line", [("0 1.0\n5 2.0\n", 2), ("# c\n3 1.0\n\n0 2.0\n", 2)])
+def test_observations_reject_node_outside_true_signal(tmp_path, content, bad_line):
+    path = tmp_path / "obs.txt"
+    path.write_text(content)
+    with pytest.raises(FileFormatError) as err:
+        fileio.read_observations(path, np.array([1.0, 2.0]))
+    assert err.value.line == bad_line and "outside the true signal" in str(err.value)

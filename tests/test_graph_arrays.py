@@ -113,6 +113,53 @@ def test_validate_graph_matches_sorted_reference(case):
         assert_same_graph(g, r)
 
 
+def edge_array(edges):
+    """The ``(2, m)`` int64 form of a list of pairs."""
+    return np.array(edges, np.int64).reshape(-1, 2).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_edge_array_builds_the_same_graph(case):
+    # ids beyond int64 have no array form; every other list must give the
+    # graph of its pairs, or the same error at the same index
+    n, edges, weights = case
+    if any(BIG in e for e in edges):
+        return
+    w = np.array(weights)
+    for build in (lambda e: Graph(n, e, w), lambda e: validate_graph(e, w, n)):
+        g, error = built(lambda: build(tuple(edges)))
+        a, array_error = built(lambda: build(edge_array(edges)))
+        assert array_error == error
+        if g is not None:
+            assert a == g and hash(a) == hash(g)
+            assert type(a.edges) is tuple and a.edges == g.edges
+            assert all(type(i) is int for e in a.edges for i in e)
+
+
+def test_edge_array_is_copied():
+    ends = np.array([[0, 1], [1, 2]], np.int32)
+    g = Graph(3, ends, np.ones(2))
+    ends[1, 0] = 2
+    assert g.edges == ((0, 1), (1, 2)) and g.endpoint_arrays()[0].dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [
+        np.array([[0, 1, 2], [1, 2, 3]]).T,  # pairs as rows: (3, 2)
+        np.array([0, 1]),
+        np.array([[0.0, 1.0], [1.0, 2.0]]),
+        np.array([[0, 1], [1, 2]], np.uint64),  # may not fit int64
+    ],
+)
+def test_edge_array_must_be_two_rows_of_integers(ends):
+    for build in (lambda: Graph(4, ends, np.ones(2)), lambda: validate_graph(ends, [1.0] * 2, 4)):
+        with pytest.raises(GraphError) as err:
+            build()
+        assert type(err.value) is GraphError and "(2, m)" in str(err.value)
+
+
 def random_graph(rng, n, m, components=1):
     """Random edges inside ``components`` blocks of nodes, in shuffled order."""
     block = rng.integers(0, components, n)
