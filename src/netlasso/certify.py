@@ -27,6 +27,7 @@ every weight, every boundary flow L*W_e and K an exact integer.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -57,6 +58,17 @@ from .graphs import (
 )
 
 
+def _sample_set(nodes, node_count: int) -> set[int]:
+    """The sampled node ids, each an integer in 0..node_count-1."""
+    try:
+        sampled = set(map(operator.index, nodes))
+    except TypeError:
+        raise InvalidQueryError("sampling set has a node id that is not an integer") from None
+    if sampled and (min(sampled) < 0 or max(sampled) >= node_count):
+        raise InvalidQueryError("sampling set not within the graph's nodes")
+    return sampled
+
+
 @dataclass(frozen=True)
 class NccQuery:
     """Inputs of a compatibility check: graph, partition, samples, K, L."""
@@ -68,14 +80,11 @@ class NccQuery:
     L: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sample_nodes", tuple(sorted(set(int(i) for i in self.sample_nodes)))
-        )
         self.partition.check_against(self.graph)
-        if not self.sample_nodes:
+        nodes = _sample_set(self.sample_nodes, self.graph.node_count)
+        if not nodes:
             raise InvalidQueryError("sampling set is empty")
-        if self.sample_nodes[0] < 0 or self.sample_nodes[-1] >= self.graph.node_count:
-            raise InvalidQueryError("sampling set not within the graph's nodes")
+        object.__setattr__(self, "sample_nodes", tuple(sorted(nodes)))
         if not (self.K > 0.0 and np.isfinite(self.K)):
             raise InvalidQueryError("K must be strictly positive")
         if not (self.L > 0.0 and np.isfinite(self.L)):
@@ -174,9 +183,10 @@ def _orientation_spec(
 
 
 def _query_values(query: NccQuery, bnd: tuple[Edge, ...]) -> list[float]:
-    """Every number a query scales: all weights, L*W of each boundary edge, and K."""
+    """Every number a query scales: each distinct weight, L*W of each boundary
+    edge, and K."""
     g = query.graph
-    return [*g.weights.tolist(), *(query.L * g.weight(*e) for e in bnd), query.K]
+    return [*set(g.weights.tolist()), *(query.L * g.weight(*e) for e in bnd), query.K]
 
 
 def _cluster_cut(
@@ -315,9 +325,7 @@ def check_support_condition(
     if not (L > 0.0 and np.isfinite(L)):
         raise InvalidQueryError("L must be strictly positive")
     partition.check_against(g)
-    sampled = set(int(i) for i in sample_nodes)
-    if sampled and (min(sampled) < 0 or max(sampled) >= g.node_count):
-        raise InvalidQueryError("sampling set not within the graph's nodes")
+    sampled = _sample_set(sample_nodes, g.node_count)
     lab = partition.labels
     bnd = boundary(g, partition)
     if not bnd:

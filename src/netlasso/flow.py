@@ -185,21 +185,18 @@ class DemandSpec:
     slack_bound: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "injections", dict(self.injections))
-        object.__setattr__(self, "slack_nodes", frozenset(int(i) for i in self.slack_nodes))
+        try:
+            injections = {operator.index(i): b for i, b in self.injections.items()}
+            slack_nodes = frozenset(map(operator.index, self.slack_nodes))
+        except TypeError:
+            raise InvalidDemandSpecError("a node id of the demand is not an integer") from None
+        object.__setattr__(self, "injections", injections)
+        object.__setattr__(self, "slack_nodes", slack_nodes)
         if not _finite(self.slack_bound) or self.slack_bound < 0.0:
             raise InvalidDemandSpecError("slack_bound must be a finite number >= 0")
         for i, b in self.injections.items():
             if not _finite(b):
                 raise InvalidDemandSpecError(f"injection at node {i} is not a finite number")
-
-    def validate_nodes(self, node_count: int) -> None:
-        for i in self.injections:
-            if not 0 <= int(i) < node_count:
-                raise InvalidDemandSpecError(f"injection node {i} outside 0..{node_count - 1}")
-        for i in self.slack_nodes:
-            if not 0 <= i < node_count:
-                raise InvalidDemandSpecError(f"slack node {i} outside 0..{node_count - 1}")
 
 
 @dataclass(frozen=True)
@@ -251,21 +248,51 @@ class FeasibilityResult:
     scale: int
 
 
-def _scaled_injections(g: Graph, spec: DemandSpec, scale: int) -> list[int]:
-    b = [0] * g.node_count
-    for i, v in spec.injections.items():
-        b[int(i)] = scaled(v, scale)
-    return b
+def _scaled_distinct(values: np.ndarray, others: Iterable, scale: int | None = None):
+    """``values * scale`` as an object array of exact ints, and the scale.
+
+    Scales each distinct value once. Without a scale, takes the smallest that
+    makes every value and every one of ``others`` an integer; returns None
+    when a given scale does not.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = distinct.tolist()
+    numbers = [*distinct, *others]
+    if scale is None:
+        scale = exact_scale(numbers)
+    elif not exact_at(scale, numbers):
+        return None
+    return np.array([scaled(v, scale) for v in distinct], dtype=object)[inverse], scale
 
 
-def _kept_edges(g: Graph, excluded: Iterable[Edge]) -> list[int]:
+def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int | None = None):
+    """The flow question (g minus ``excluded``, ``spec``) in exact integers:
+    kept edge ids, their capacities, every node's injection, the slack bound
+    and the scale (as in ``_scaled_distinct``). Raises for a spec node outside
+    0..N-1."""
+    n = g.node_count
+    for what, nodes in (("injection", spec.injections), ("slack", spec.slack_nodes)):
+        for i in nodes:
+            if not 0 <= i < n:
+                raise InvalidDemandSpecError(f"{what} node {i} outside 0..{n - 1}")
     excluded_ids = {g.edge_id(*e) for e in excluded}
-    return [k for k in range(g.edge_count) if k not in excluded_ids]
+    kept = [k for k in range(g.edge_count) if k not in excluded_ids]
+    instance = _scaled_distinct(
+        g.weights[kept], [*spec.injections.values(), spec.slack_bound], scale
+    )
+    if instance is None:
+        return None
+    caps, scale = instance
+    b = [0] * n
+    for i, v in spec.injections.items():
+        b[i] = scaled(v, scale)
+    return kept, caps.tolist(), b, scaled(spec.slack_bound, scale), scale
 
 
-def _instance_values(weights: list[float], spec: DemandSpec) -> list:
-    """Every number a demand instance scales: kept weights, injections, slack bound."""
-    return [*weights, *spec.injections.values(), spec.slack_bound]
+def _cut_capacity(g: Graph, kept, caps, inside: set, spec: DemandSpec, k: int) -> int:
+    """Kept capacity leaving ``inside`` plus slack bound ``k`` per slack node in it."""
+    crossing = ((i in inside) != (j in inside) for i, j in map(g.edges.__getitem__, kept))
+    return sum(c for c, cross in zip(caps, crossing) if cross) + k * len(spec.slack_nodes & inside)
 
 
 def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
@@ -276,15 +303,7 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     certificate proving infeasibility, both at the scale derived from the
     kept weights, the injections and the slack bound.
     """
-    spec.validate_nodes(g.node_count)
-    kept = _kept_edges(g, excluded)
-    edges = [g.edges[k] for k in kept]
-    values, inverse = np.unique(g.weights[kept], return_inverse=True)  # scale each weight once
-    scale = exact_scale(_instance_values(values.tolist(), spec))
-    b = _scaled_injections(g, spec, scale)
-    k_scaled = scaled(spec.slack_bound, scale)
-    caps = np.array([scaled(w, scale) for w in values.tolist()], dtype=object)[inverse].tolist()
-
+    kept, caps, b, k_scaled, scale = _instance(g, excluded, spec)
     n = g.node_count
     reservoir, source, sink = n, n + 1, n + 2
     supply_total = sum(v for v in b if v > 0)
@@ -322,7 +341,8 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     if value == required:
         cap = solver.cap  # edge pos: i -> j is arc 4*pos, j -> i is arc 4*pos + 2
         flows = tuple(cap[a + 2] - cap[a] for a in range(0, 4 * len(kept), 4))
-        witness = DemandWitness.from_edge_flows(n, tuple(edges), flows, scale)
+        edges = tuple(map(g.edges.__getitem__, kept))
+        witness = DemandWitness.from_edge_flows(n, edges, flows, scale)
         return FeasibilityResult(True, witness, None, scale)
 
     reachable = solver.residual_reachable(source)
@@ -335,16 +355,8 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
         nodes = tuple(i for i in range(n) if reachable[i])
         demand = sum(b[i] for i in nodes)
         kind = "supply-excess"
-    inside = set(nodes)
-    capacity = sum(c for (i, j), c in zip(edges, caps) if (i in inside) != (j in inside))
-    capacity += k_scaled * sum(1 for i in spec.slack_nodes if i in inside)
-    cut = CutCertificate(
-        kind=kind,
-        nodes=nodes,
-        demand_scaled=demand,
-        capacity_scaled=capacity,
-        scale=scale,
-    )
+    capacity = _cut_capacity(g, kept, caps, set(nodes), spec, k_scaled)
+    cut = CutCertificate(kind, nodes, demand, capacity, scale)
     return FeasibilityResult(False, None, cut, scale)
 
 
@@ -352,49 +364,35 @@ def verify_demand_witness(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, witness: DemandWitness
 ) -> bool:
     """Re-verify a witness against the raw instance with integer arithmetic."""
-    scale = witness.scale
-    kept = _kept_edges(g, excluded)
-    if tuple(g.edges[k] for k in kept) != witness.edges or len(witness.edge_flows) != len(kept):
+    instance = _instance(g, excluded, spec, witness.scale)
+    if instance is None:
         return False
-    weights = g.weights[kept].tolist()
-    if not exact_at(scale, _instance_values(weights, spec)):
+    kept, caps, b, k_scaled, scale = instance
+    flows = witness.edge_flows
+    if len(flows) != len(kept) or any(abs(f) > c for f, c in zip(flows, caps)):
         return False
-    b = _scaled_injections(g, spec, scale)
-    k_scaled = scaled(spec.slack_bound, scale)
-    net = [0] * g.node_count
-    for (i, j), f, w in zip(witness.edges, witness.edge_flows, weights):
-        if abs(f) > scaled(w, scale):
-            return False
-        net[i] += f
-        net[j] -= f
-    if tuple(net) != witness.node_net_outflow:
+    edges = tuple(map(g.edges.__getitem__, kept))
+    if DemandWitness.from_edge_flows(g.node_count, edges, flows, scale) != witness:
         return False
-    for i in range(g.node_count):
-        if i in spec.slack_nodes:
-            if abs(net[i] - b[i]) > k_scaled:
-                return False
-        elif net[i] != b[i]:
-            return False
-    return True
+    return all(
+        abs(net - v) <= (k_scaled if i in spec.slack_nodes else 0)
+        for i, (net, v) in enumerate(zip(witness.node_net_outflow, b))
+    )
 
 
 def verify_cut_certificate(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, cut: CutCertificate
 ) -> bool:
-    """Re-verify that a cut certificate proves infeasibility."""
-    scale = cut.scale
-    kept = _kept_edges(g, excluded)
-    weights = g.weights[kept].tolist()
-    if not exact_at(scale, _instance_values(weights, spec)):
-        return False
+    """Re-verify that a cut certificate proves infeasibility; a cut node
+    outside 0..N-1 fails it."""
+    instance = _instance(g, excluded, spec, cut.scale)
     inside = set(cut.nodes)
-    b = _scaled_injections(g, spec, scale)
-    k_scaled = scaled(spec.slack_bound, scale)
+    if instance is None or not inside.issubset(range(g.node_count)):
+        return False
+    kept, caps, b, k_scaled, _ = instance
     sign = 1 if cut.kind == "supply-excess" else -1
-    demand = sum(sign * b[i] for i in inside)
-    crossing = ((i in inside) != (j in inside) for i, j in map(g.edges.__getitem__, kept))
-    capacity = sum(scaled(w, scale) for w, cross in zip(weights, crossing) if cross)
-    capacity += k_scaled * sum(1 for i in spec.slack_nodes if i in inside)
+    demand = sum(sign * b[i] for i in range(g.node_count) if i in inside)
+    capacity = _cut_capacity(g, kept, caps, inside, spec, k_scaled)
     if demand != cut.demand_scaled or capacity != cut.capacity_scaled:
         return False
     return demand > capacity

@@ -399,7 +399,10 @@ class Observations(_ByValue):
     eps: np.ndarray
 
     def __post_init__(self):
-        nodes = tuple(int(i) for i in self.nodes)
+        try:
+            nodes = tuple(map(operator.index, self.nodes))
+        except TypeError:
+            raise NodeOutOfRangeError("a sampling node id is not an integer") from None
         if not nodes:
             raise EmptySamplingSetError("sampling set is empty")
         if len(set(nodes)) != len(nodes) or list(nodes) != sorted(nodes):

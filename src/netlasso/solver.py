@@ -32,7 +32,7 @@ from .errors import (
     InstanceTooLargeError,
     InvalidConfigError,
 )
-from .flow import _Dinic, exact_scale, scaled
+from .flow import _Dinic, _scaled_distinct
 from .graphs import Graph, Observations, as_signal, is_connected, tv
 
 ORACLE_MAX_NODES = 8
@@ -87,25 +87,6 @@ class SolverResult:
     dual_residual: float
     config: SolverConfig
     trace: tuple[dict, ...] = field(default=(), repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "empirical_error": self.empirical_error,
-            "tv_term": self.tv_term,
-            "lam": self.lam,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "config": {
-                "lam": self.config.lam,
-                "rho": self.config.rho,
-                "eps_abs": self.config.eps_abs,
-                "eps_rel": self.config.eps_rel,
-                "max_iters": self.config.max_iters,
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -162,9 +143,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     label_rank = [-1] * n
     for i, v in zip(obs.nodes, obs.y.tolist()):
         label_rank[i] = rank[v]
-    values, inverse = np.unique(pair_caps, return_inverse=True)
-    scale = exact_scale([1.0, *values.tolist()])
-    caps = np.array([scaled(c, scale) for c in values.tolist()], dtype=object)[inverse]
+    caps, scale = _scaled_distinct(pair_caps, [1.0])
     ends = np.stack(g.endpoint_arrays())
     # Edges' arc pairs come by smaller end, then edge, and terminal arcs last:
     # every node lists its arcs in the order adding them node by node would.

@@ -22,7 +22,7 @@ from netlasso.certify import (
     verify_error_bound,
 )
 from netlasso.errors import InvalidQueryError, LNotGreaterThanOneError
-from netlasso.flow import feasible_flow, verify_cut_certificate
+from netlasso.flow import CutCertificate, feasible_flow, verify_cut_certificate
 from netlasso.generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -99,6 +99,18 @@ class TestNccQueryValidation:
         g, p, _ = two_cluster_fixture
         with pytest.raises(InvalidQueryError):
             NccQuery(g, p, (), K=1.0, L=1.0)
+
+    @pytest.mark.parametrize("m", [(0.5, 3), ("1", 3), (None,)])
+    def test_rejects_non_integer_sample_node(self, two_cluster_fixture, m):
+        g, p, _ = two_cluster_fixture
+        with pytest.raises(InvalidQueryError):
+            NccQuery(g, p, m, K=1.0, L=1.0)
+
+    def test_takes_index_like_sample_nodes(self, two_cluster_fixture):
+        g, p, m = two_cluster_fixture
+        query = NccQuery(g, p, np.array(m), K=1.0, L=1.0)
+        assert query.sample_nodes == tuple(sorted(m))
+        assert all(type(i) is int for i in query.sample_nodes)
 
     def test_nonpositive_parameters(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
@@ -302,14 +314,21 @@ class TestCheckNccMatchesEnumeration:
 
 
 def pinned_queries(family: str):
-    """check_ncc queries on the preset and on (8,8,8,8) planted partitions at
-    weights 1 and 4096, the latter also with several distinct weights."""
+    """check_ncc queries on the preset, on (8,8,8,8) planted partitions at
+    weights 1 and 4096, the latter also with several distinct weights, and on
+    the N=1e3 rung (10 clusters of 100, seed 21, boundary budget 100)."""
     if family == "preset":
         for seed in range(4):
             g, p = generate_planted_partition(paper_like_config(seed=seed))
             nodes = sample_boundary_aware(g, p, 15)
             for K in (1.0, 5.0, 10.0, 20.0):
                 yield NccQuery(g, p, nodes, K=K, L=1.0)
+        return
+    if family == "n1e3":
+        g, p = generate_planted_partition(PlantedPartitionConfig((100,) * 10, 0.1, 5e-4, seed=21))
+        nodes = sample_boundary_aware(g, p, 100)
+        for K in (1.0, 10.0):
+            yield NccQuery(g, p, nodes, K=K, L=1.0)
         return
     rng = np.random.default_rng(12)
     for seed in range(6):
@@ -330,6 +349,7 @@ def pinned_queries(family: str):
         ("preset", 16, "087b91d5a5a45eb562d2d642dcbe3593ca069710bf9177a0e37c0e9aec5a1360"),
         ("8x4", 36, "3e868388a77cf9f0868b7390a8c0976719f7c25e0f0ca0eb220ea63202cd305f"),
         ("mixed-weights", 36, "79f539462be2caf0add068cb593e8319c254c0430788c92ef92b90235e62eff7"),
+        ("n1e3", 2, "edae78db9f7dd6a7ec7a5382df4a75d1166d1d2dc632aa1ba3b5c31cfebd0915"),
     ],
 )
 def test_certificates_are_pinned(family, count, expected):
@@ -403,6 +423,24 @@ class TestVerifyNccCut:
         g, p, m = two_cluster_fixture
         holds_query = NccQuery(g, p, m, K=4.0, L=4.0)
         assert not verify_ncc_cut(holds_query, check_ncc(holds_query))
+
+
+    def test_rejects_cut_with_out_of_range_node(self):
+        # Preset seed 3 holds at K = 20. With no boundary edge flipped node 29
+        # absorbs three boundary flows; read as node 29, node -1 would be a
+        # violated cut with no edge leaving it.
+        g, p = generate_planted_partition(paper_like_config(seed=3))
+        query = NccQuery(g, p, sample_boundary_aware(g, p, 15), K=20.0, L=1.0)
+        cert = check_ncc(query)
+        assert cert.verdict == "holds" and g.node_count == 30
+        demand = sum(cert.scale for e in cert.boundary_edges if e[1] == 29)
+        assert demand == 3 * cert.scale
+        for nodes in ((-1,), (30,)):
+            forged = dataclasses.replace(
+                cert, verdict="fails", interior_flows=None, failed_bits=0,
+                cut=CutCertificate("supply-excess", nodes, demand, 0, cert.scale),
+            )
+            assert not verify_ncc_cut(query, forged)
 
 
 class TestVerifyNccWitnesses:
@@ -497,6 +535,12 @@ class TestCheckSupportCondition:
 
     @pytest.mark.parametrize("m", [(10**6, -5), (0, 4), (-1, 3)])
     def test_rejects_nodes_outside_graph(self, two_cluster_fixture, m):
+        g, p, _ = two_cluster_fixture
+        with pytest.raises(InvalidQueryError):
+            check_support_condition(g, p, m, 1.0)
+
+    @pytest.mark.parametrize("m", [(0.5, 3), ("1", 3)])
+    def test_rejects_non_integer_nodes(self, two_cluster_fixture, m):
         g, p, _ = two_cluster_fixture
         with pytest.raises(InvalidQueryError):
             check_support_condition(g, p, m, 1.0)

@@ -1,6 +1,7 @@
 """The max-flow kernel against a brute-force min-cut oracle and scipy's max
 flow; demand feasibility against Hoffman's cut condition."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,56 @@ class TestFeasibleFlow:
             DemandSpec(slack_bound=-1.0)
         with pytest.raises(InvalidDemandSpecError):
             feasible_flow(path2, [], DemandSpec(injections={9: 1.0}))
+
+    def test_out_of_range_spec_node_raises_in_every_function(self, path2):
+        # Node -1 must not alias node 1, or the witness for {0: 1, 1: -1}
+        # would pass for the first spec.
+        witness = feasible_flow(path2, [], DemandSpec(injections={0: 1.0, 1: -1.0})).witness
+        cut = CutCertificate("supply-excess", (0,), 1, 0, 1)
+        for spec in (
+            DemandSpec(injections={0: 1.0, -1: -1.0}),
+            DemandSpec(injections={0: 1.0, 2: -1.0}),
+            DemandSpec(slack_nodes=frozenset({-1}), slack_bound=1.0),
+        ):
+            with pytest.raises(InvalidDemandSpecError):
+                feasible_flow(path2, [], spec)
+            with pytest.raises(InvalidDemandSpecError):
+                verify_demand_witness(path2, [], spec, witness)
+            with pytest.raises(InvalidDemandSpecError):
+                verify_cut_certificate(path2, [], spec, cut)
+
+    def test_cut_with_out_of_range_node_rejected(self):
+        # Feasible on the path 0-1-2; read as node 2, node -1 would supply 1
+        # with no edge leaving it.
+        path = validate_graph([(0, 1), (1, 2)], [1.0, 1.0], 3)
+        spec = DemandSpec(injections={2: 1, 0: -1})
+        assert feasible_flow(path, [], spec).feasible
+        for nodes in ((-1,), (3,), (0, 1, 3)):
+            cut = CutCertificate("supply-excess", nodes, 1, 0, 1)
+            assert not verify_cut_certificate(path, [], spec, cut)
+        # A true cut with one more node outside the graph proves nothing.
+        spec = DemandSpec(injections={0: 2, 2: -2})
+        cut = feasible_flow(path, [], spec).cut
+        assert verify_cut_certificate(path, [], spec, cut)
+        for extra in (-1, 3):
+            padded = replace(cut, nodes=(*cut.nodes, extra))
+            assert not verify_cut_certificate(path, [], spec, padded)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"injections": {1.5: 1.0}}, {"injections": {"1": 1.0}}, {"slack_nodes": {2.7}},
+         {"slack_nodes": {"2"}}, {"injections": {None: 1.0}}],
+        ids=["float-injection-node", "string-injection-node", "float-slack-node",
+             "string-slack-node", "none-injection-node"],
+    )
+    def test_demand_spec_rejects_non_integer_node(self, kwargs):
+        with pytest.raises(InvalidDemandSpecError):
+            DemandSpec(**kwargs)
+
+    def test_demand_spec_takes_index_like_nodes(self):
+        spec = DemandSpec(injections={np.int64(1): 1.0}, slack_nodes={np.int32(2)})
+        assert spec.injections == {1: 1.0} and spec.slack_nodes == {2}
+        assert all(type(i) is int for i in (*spec.injections, *spec.slack_nodes))
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -252,3 +252,12 @@ class TestObservations:
         # A negative id would index from the end of a signal: node N-1.
         with pytest.raises(NodeOutOfRangeError):
             Observations(nodes=(-1, 0), y=np.array([1.0, 0.0]), eps=np.zeros(2))
+
+    @pytest.mark.parametrize("nodes", [(0.5, 3), ("2", 3), (None, 3)])
+    def test_rejects_non_integer_node(self, nodes):
+        with pytest.raises(NodeOutOfRangeError):
+            Observations(nodes=nodes, y=np.array([1.0, 0.0]), eps=np.zeros(2))
+
+    def test_takes_index_like_nodes(self):
+        obs = Observations(nodes=np.array([0, 3]), y=np.array([1.0, 0.0]), eps=np.zeros(2))
+        assert obs.nodes == (0, 3) and all(type(i) is int for i in obs.nodes)
