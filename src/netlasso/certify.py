@@ -39,8 +39,8 @@ from .flow import (
     CutCertificate,
     DemandSpec,
     DemandWitness,
-    exact_at,
-    exact_scale,
+    _finite,
+    _scaled_distinct,
     feasible_flow,
     scaled,
     verify_cut_certificate,
@@ -52,10 +52,15 @@ from .graphs import (
     Observations,
     OrientedEdge,
     Partition,
-    boundary,
+    boundary_mask,
     orient_edges,
     tv,
 )
+
+
+def _check_positive(value, name: str) -> None:
+    if not (_finite(value) and value > 0):
+        raise InvalidQueryError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _sample_set(nodes, node_count: int) -> set[int]:
@@ -85,10 +90,8 @@ class NccQuery:
         if not nodes:
             raise InvalidQueryError("sampling set is empty")
         object.__setattr__(self, "sample_nodes", tuple(sorted(nodes)))
-        if not (self.K > 0.0 and np.isfinite(self.K)):
-            raise InvalidQueryError("K must be strictly positive")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
-            raise InvalidQueryError("L must be strictly positive")
+        _check_positive(self.K, "K")
+        _check_positive(self.L, "L")
 
 
 @dataclass(frozen=True)
@@ -155,11 +158,21 @@ def _boundary_injections(
     return b
 
 
-def _boundary_supplies(query: NccQuery, bnd: tuple[Edge, ...], scale: int) -> list[int]:
-    """Per node, sum of L*W over its boundary edges, as exact scaled integers."""
+def _boundary_flows(query: NccQuery, scale: int | None = None):
+    """The boundary edges as a mask and as pairs, and ``_scaled_distinct`` of their
+    flows L*W at the smallest scale that makes every weight, every L*W and K an
+    integer (None where a given scale does not)."""
+    g = query.graph
+    cross = boundary_mask(g, query.partition)
+    others = [*set(g.weights.tolist()), query.K]
+    return cross, g.pairs(cross), _scaled_distinct(query.L * g.weights[cross], others, scale)
+
+
+def _boundary_supplies(query: NccQuery, cross: np.ndarray, flows) -> list[int]:
+    """Per node, the sum of the scaled flows L*W over its boundary edges."""
     s = [0] * query.graph.node_count
-    for i, j in bnd:
-        h = scaled(query.L * query.graph.weight(i, j), scale)
+    ii, jj = (ends[cross].tolist() for ends in query.graph.endpoint_arrays())
+    for i, j, h in zip(ii, jj, flows):
         s[i] += h
         s[j] += h
     return s
@@ -182,15 +195,8 @@ def _orientation_spec(
     return _demand_spec(query, b, scale)
 
 
-def _query_values(query: NccQuery, bnd: tuple[Edge, ...]) -> list[float]:
-    """Every number a query scales: each distinct weight, L*W of each boundary
-    edge, and K."""
-    g = query.graph
-    return [*set(g.weights.tolist()), *(query.L * g.weight(*e) for e in bnd), query.K]
-
-
 def _cluster_cut(
-    query: NccQuery, supplies: list[int], nodes: tuple[int, ...], scale: int
+    query: NccQuery, interior: np.ndarray, supplies: list[int], nodes: tuple[int, ...], scale: int
 ) -> CutCertificate:
     """Restrict a violated supply cut to its first violated single-cluster part.
 
@@ -198,17 +204,22 @@ def _cluster_cut(
     minus interior capacity leaving it minus K per sampled node) is the sum
     of its cluster parts' excesses, and one of them is positive.
     """
-    g, lab = query.graph, query.partition.labels.tolist()
-    inside, sampled = set(nodes), set(query.sample_nodes)
+    g, lab = query.graph, query.partition.labels
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[list(nodes)] = True
+    ii, jj = g.endpoint_arrays()
+    leaving = interior & (inside[ii] != inside[jj])
+    caps = _scaled_distinct(g.weights[leaving], (), scale)[0]
+    sampled = set(query.sample_nodes)
     k = scaled(query.K, scale)
+    labels = lab.tolist()
     excess: Counter = Counter()
     for i in nodes:
-        excess[lab[i]] += supplies[i] - (k if i in sampled else 0)
-    for (i, j), w in zip(g.edges, g.weights.tolist()):
-        if lab[i] == lab[j] and (i in inside) != (j in inside):
-            excess[lab[i]] -= scaled(w, scale)
+        excess[labels[i]] += supplies[i] - (k if i in sampled else 0)
+    for c, cap in zip(lab[ii[leaving]].tolist(), caps):
+        excess[c] -= cap
     c = min(c for c, e in excess.items() if e > 0)
-    part = tuple(i for i in nodes if lab[i] == c)
+    part = tuple(i for i in nodes if labels[i] == c)
     demand = sum(supplies[i] for i in part)
     return CutCertificate("supply-excess", part, demand, demand - excess[c], scale)
 
@@ -223,24 +234,23 @@ def check_ncc(query: NccQuery) -> NccCertificate:
     boundary edges into U. Flows and cut are at the query's scale.
     """
     g = query.graph
-    bnd = boundary(g, query.partition)
-    scale = exact_scale(_query_values(query, bnd))
-    supplies = _boundary_supplies(query, bnd, scale)
-    lab = query.partition.labels.tolist()
+    cross, bnd, (flows, scale) = _boundary_flows(query)
+    supplies = _boundary_supplies(query, cross, flows)
+    result = feasible_flow(g, bnd, _demand_spec(query, supplies, scale))
     fields = dict(
         K=query.K,
         L=query.L,
         scale=scale,
         boundary_edges=bnd,
-        interior_edges=tuple((i, j) for i, j in g.edges if lab[i] == lab[j]),
+        # the kept edges are the interior ones, and a witness lists them
+        interior_edges=result.witness.edges if result.feasible else g.pairs(~cross),
         orientations_total=1 << len(bnd),
     )
-    result = feasible_flow(g, bnd, _demand_spec(query, supplies, scale))
     if result.feasible:
         factor = scale // result.scale  # the flow's scale divides the query's
-        flows = tuple(factor * f for f in result.witness.edge_flows)
-        return NccCertificate(verdict="holds", interior_flows=flows, **fields)
-    cut = _cluster_cut(query, supplies, result.cut.nodes, scale)
+        interior_flows = tuple(factor * f for f in result.witness.edge_flows)
+        return NccCertificate(verdict="holds", interior_flows=interior_flows, **fields)
+    cut = _cluster_cut(query, ~cross, supplies, result.cut.nodes, scale)
     inside = set(cut.nodes)
     # Bit k set orients (i, j) as j -> i: point every boundary edge at i in U into U.
     bits = sum(1 << k for k, (i, _) in enumerate(bnd) if i in inside)
@@ -264,13 +274,13 @@ def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     if cert.verdict != "holds" or cert.interior_flows is None:
         return False
     g = query.graph
-    bnd = boundary(g, query.partition)
-    if cert.boundary_edges != bnd or not exact_at(cert.scale, _query_values(query, bnd)):
+    cross, bnd, scaled_flows = _boundary_flows(query, cert.scale)
+    if cert.boundary_edges != bnd or scaled_flows is None:
         return False
     witness = DemandWitness.from_edge_flows(
         g.node_count, cert.interior_edges, cert.interior_flows, cert.scale
     )
-    spec = _demand_spec(query, _boundary_supplies(query, bnd, cert.scale), cert.scale)
+    spec = _demand_spec(query, _boundary_supplies(query, cross, scaled_flows[0]), cert.scale)
     return verify_demand_witness(g, bnd, spec, witness)
 
 
@@ -285,11 +295,11 @@ def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:
     if cert.verdict != "fails" or cert.cut is None or cert.failed_bits is None:
         return False
     g = query.graph
-    bnd = boundary(g, query.partition)
+    _, bnd, (_, scale) = _boundary_flows(query)
     if cert.boundary_edges != bnd or not 0 <= cert.failed_bits < 1 << len(bnd):
         return False
     oriented = orient_edges(g, bnd, cert.failed_bits)
-    spec = _orientation_spec(query, oriented, exact_scale(_query_values(query, bnd)))
+    spec = _orientation_spec(query, oriented, scale)
     return verify_cut_certificate(g, bnd, spec, cert.cut)
 
 
@@ -302,13 +312,7 @@ class SupportConditionResult:
     degenerate: bool = False  # empty boundary: vacuously satisfied, K = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "L": self.L,
-            "K": self.K,
-            "violations": [list(e) for e in self.violations],
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def check_support_condition(
@@ -322,32 +326,27 @@ def check_support_condition(
     edges are supported the certificate parameter is K = L * max boundary
     weight (over the boundary edge set).
     """
-    if not (L > 0.0 and np.isfinite(L)):
-        raise InvalidQueryError("L must be strictly positive")
-    partition.check_against(g)
+    _check_positive(L, "L")
+    cross = boundary_mask(g, partition)
     sampled = _sample_set(sample_nodes, g.node_count)
     lab = partition.labels
-    bnd = boundary(g, partition)
+    bnd = g.pairs(cross)
     if not bnd:
         return SupportConditionResult(satisfied=True, L=L, K=0.0, violations=(), degenerate=True)
-    violations = []
-    for i, j in bnd:
-        w_b = g.weight(i, j)
-        ok = True
-        for endpoint in (i, j):
-            cluster = lab[endpoint]
-            if not any(
-                v in sampled and lab[v] == cluster and g.weights[k] >= L * w_b
-                for v, k in g.neighbors(endpoint)
-            ):
-                ok = False
-                break
-        if not ok:
-            violations.append((i, j))
+    bnd_weights = g.weights[cross].tolist()
+
+    def supported(end: int, w: float) -> bool:  # by a sampled neighbour in end's cluster
+        return any(
+            v in sampled and lab[v] == lab[end] and g.weights[k] >= L * w
+            for v, k in g.neighbors(end)
+        )
+
+    violations = tuple(
+        (i, j) for (i, j), w in zip(bnd, bnd_weights) if not (supported(i, w) and supported(j, w))
+    )
     if violations:
-        return SupportConditionResult(satisfied=False, L=L, K=None, violations=tuple(violations))
-    k_value = L * max(g.weight(i, j) for i, j in bnd)
-    return SupportConditionResult(satisfied=True, L=L, K=k_value, violations=())
+        return SupportConditionResult(satisfied=False, L=L, K=None, violations=violations)
+    return SupportConditionResult(satisfied=True, L=L, K=L * max(bnd_weights), violations=())
 
 
 def recovery_error_bound(K: float, L: float, eps_l1: float) -> float:

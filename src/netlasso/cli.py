@@ -65,8 +65,7 @@ def _parse_lam(text: str):
 
 def _generator_config(args, seed: int) -> PlantedPartitionConfig:
     if args.preset == "paper-like" and args.sizes is None:
-        base = paper_like_config(seed=seed)
-        return base
+        return paper_like_config(seed=seed)
     if args.sizes is None:
         raise NetlassoError("custom generation requires --sizes")
     return PlantedPartitionConfig(
@@ -96,12 +95,7 @@ def _add_solver_args(sub):
 
 
 def _solver_overrides(args) -> dict:
-    return {
-        "rho": args.rho,
-        "eps_abs": args.eps_abs,
-        "eps_rel": args.eps_rel,
-        "max_iters": args.max_iters,
-    }
+    return {name: getattr(args, name) for name in ("rho", "eps_abs", "eps_rel", "max_iters")}
 
 
 def cmd_generate(args) -> int:
@@ -177,9 +171,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    generator = None
-    if args.preset == "custom" or args.sizes is not None:
-        generator = _generator_config(args, seed=0)
+    custom = args.preset == "custom" or args.sizes is not None
+    generator = _generator_config(args, seed=0) if custom else None
     cfg = ExperimentConfig(
         generator=generator,
         budget=args.budget,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,14 +135,7 @@ def resolve_lambda(
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     seed_graph, seed_noise, seed_uniform = trial_seeds(cfg.master_seed, trial)
-    gen_cfg = cfg.generator or paper_like_config()
-    gen_cfg = PlantedPartitionConfig(
-        sizes=gen_cfg.sizes,
-        p_in=gen_cfg.p_in,
-        p_out=gen_cfg.p_out,
-        weight=gen_cfg.weight,
-        seed=seed_graph,
-    )
+    gen_cfg = replace(cfg.generator or paper_like_config(), seed=seed_graph)
     g, partition = generate_planted_partition(gen_cfg)
     x_true = clustered_signal(partition, [float(c + 1) for c in range(partition.cluster_count)])
     budget = cfg.budget if cfg.budget is not None else g.node_count // 2
@@ -263,9 +256,9 @@ def write_recovery_svg(path, trial: TrialResult) -> None:
     attribute so the plot can be reconciled against the CSV.
     """
     series = {
-        "true": tr_values(trial.x_true),
-        "boundary": tr_values(trial.outcomes[0].result.x_hat),
-        "uniform": tr_values(trial.outcomes[1].result.x_hat),
+        "true": trial.x_true.tolist(),
+        "boundary": trial.outcomes[0].result.x_hat.tolist(),
+        "uniform": trial.outcomes[1].result.x_hat.tolist(),
     }
     n = trial.graph.node_count
     width, height, margin = 900, 420, 55
@@ -316,10 +309,6 @@ def write_recovery_svg(path, trial: TrialResult) -> None:
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def tr_values(x: np.ndarray) -> list[float]:
-    return [float(v) for v in x]
 
 
 def write_outputs(out_dir, trials: list[TrialResult], plot_trial: int = 0) -> dict[str, str]:

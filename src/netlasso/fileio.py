@@ -134,8 +134,9 @@ def _read_graph_lines(path) -> Graph:
 def write_graph(path: str | os.PathLike, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {g.node_count}\n")
-        for (i, j), w in zip(g.edges, g.weights):
-            fh.write(f"{i} {j} {float(w)!r}\n")
+        ii, jj = (ends.tolist() for ends in g.endpoint_arrays())
+        for i, j, w in zip(ii, jj, g.weights.tolist()):
+            fh.write(f"{i} {j} {w!r}\n")
 
 
 def read_value_map(path: str | os.PathLike) -> dict[int, float]:

@@ -51,11 +51,6 @@ def exact_scale(values: Iterable) -> int:
     return math.lcm(*{_ratio(v)[1] for v in values})
 
 
-def exact_at(scale: int, values: Iterable) -> bool:
-    """Whether ``scale`` makes every value an exact integer."""
-    return scale > 0 and scale % exact_scale(values) == 0
-
-
 def scaled(value: float, scale: int) -> int:
     """``value * scale`` as an exact integer; raises if it is not an integer."""
     p, q = _ratio(value)
@@ -255,44 +250,47 @@ def _scaled_distinct(values: np.ndarray, others: Iterable, scale: int | None = N
     makes every value and every one of ``others`` an integer; returns None
     when a given scale does not.
     """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    distinct = distinct.tolist()
-    numbers = [*distinct, *others]
+    distinct = np.unique(values)
+    needed = exact_scale([*distinct.tolist(), *others])
     if scale is None:
-        scale = exact_scale(numbers)
-    elif not exact_at(scale, numbers):
+        scale = needed
+    elif scale <= 0 or scale % needed:
         return None
-    return np.array([scaled(v, scale) for v in distinct], dtype=object)[inverse], scale
+    ints = np.array([scaled(v, scale) for v in distinct.tolist()], dtype=object)
+    return ints[np.searchsorted(distinct, values)], scale
 
 
 def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int | None = None):
     """The flow question (g minus ``excluded``, ``spec``) in exact integers:
-    kept edge ids, their capacities, every node's injection, the slack bound
-    and the scale (as in ``_scaled_distinct``). Raises for a spec node outside
-    0..N-1."""
+    the kept edge ids, their capacities, every node's injection (the ints in
+    object arrays), the slack bound and the scale (as in ``_scaled_distinct``).
+    Raises for a spec node outside 0..N-1."""
     n = g.node_count
     for what, nodes in (("injection", spec.injections), ("slack", spec.slack_nodes)):
         for i in nodes:
             if not 0 <= i < n:
                 raise InvalidDemandSpecError(f"{what} node {i} outside 0..{n - 1}")
-    excluded_ids = {g.edge_id(*e) for e in excluded}
-    kept = [k for k in range(g.edge_count) if k not in excluded_ids]
+    keep = np.ones(g.edge_count, dtype=bool)
+    keep[[g.edge_id(*e) for e in excluded]] = False
+    kept = np.flatnonzero(keep)
     instance = _scaled_distinct(
         g.weights[kept], [*spec.injections.values(), spec.slack_bound], scale
     )
     if instance is None:
         return None
     caps, scale = instance
-    b = [0] * n
+    b = np.zeros(n, dtype=object)
     for i, v in spec.injections.items():
         b[i] = scaled(v, scale)
-    return kept, caps.tolist(), b, scaled(spec.slack_bound, scale), scale
+    return kept, caps, b, scaled(spec.slack_bound, scale), scale
 
 
-def _cut_capacity(g: Graph, kept, caps, inside: set, spec: DemandSpec, k: int) -> int:
-    """Kept capacity leaving ``inside`` plus slack bound ``k`` per slack node in it."""
-    crossing = ((i in inside) != (j in inside) for i, j in map(g.edges.__getitem__, kept))
-    return sum(c for c, cross in zip(caps, crossing) if cross) + k * len(spec.slack_nodes & inside)
+def _cut_capacity(g: Graph, kept, caps, nodes, spec: DemandSpec, k: int) -> int:
+    """Kept capacity leaving ``nodes`` plus slack bound ``k`` per slack node in it."""
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[list(nodes)] = True
+    ii, jj = (ends[kept] for ends in g.endpoint_arrays())
+    return sum(caps[inside[ii] != inside[jj]]) + k * len(spec.slack_nodes.intersection(nodes))
 
 
 def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
@@ -309,53 +307,41 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     supply_total = sum(v for v in b if v > 0)
     demand_total = sum(-v for v in b if v < 0)
 
-    # Kept edge number pos becomes arc pairs 2*pos (i -> j) and 2*pos + 1
-    # (j -> i), each with no capacity back; slack, terminal and reservoir arcs follow.
+    # Kept edge number p, and after them the slack nodes paired with the
+    # reservoir, become arc pairs 2*p (u -> v) and 2*p + 1 (v -> u), each with
+    # no capacity back. One arc per nonzero injection follows, from the source
+    # or to the sink, the reservoir's two last.
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    tails = np.stack([ii, jj], 1).ravel().tolist()
-    heads = np.stack([jj, ii], 1).ravel().tolist()
-    arc_caps = [c for c in caps for _ in range(2)]
+    slack = np.array(sorted(spec.slack_nodes), dtype=np.int64)
+    u = np.concatenate([ii, slack])
+    v = np.concatenate([jj, np.full(slack.size, reservoir)])
+    injections = np.append(b, [demand_total, -supply_total])
+    at = np.flatnonzero(injections)
+    node = np.minimum(at, reservoir)  # injections n and n + 1 are the reservoir's
+    into = injections[at] > 0
+    tails = np.concatenate([np.stack([u, v], 1).ravel(), np.where(into, source, node)])
+    heads = np.concatenate([np.stack([v, u], 1).ravel(), np.where(into, node, sink)])
+    arc_caps = [*np.repeat(np.append(caps, [k_scaled] * slack.size), 2), *abs(injections[at])]
 
-    def arc(u: int, v: int, c: int) -> None:
-        tails.append(u)
-        heads.append(v)
-        arc_caps.append(c)
-
-    for i in sorted(spec.slack_nodes):
-        arc(i, reservoir, k_scaled)
-        arc(reservoir, i, k_scaled)
-    for i in range(n):
-        if b[i] > 0:
-            arc(source, i, b[i])
-        elif b[i] < 0:
-            arc(i, sink, -b[i])
-    if demand_total > 0:
-        arc(source, reservoir, demand_total)
-    if supply_total > 0:
-        arc(reservoir, sink, supply_total)
-
-    solver = _Dinic(n + 3, tails, heads, arc_caps, [0] * len(tails))
+    solver = _Dinic(n + 3, tails, heads, arc_caps, [0] * len(arc_caps))
     value = solver.max_flow(source, sink)
     required = supply_total + demand_total
 
     if value == required:
         cap = solver.cap  # edge pos: i -> j is arc 4*pos, j -> i is arc 4*pos + 2
-        flows = tuple(cap[a + 2] - cap[a] for a in range(0, 4 * len(kept), 4))
-        edges = tuple(map(g.edges.__getitem__, kept))
-        witness = DemandWitness.from_edge_flows(n, edges, flows, scale)
+        m = 4 * kept.size
+        flows = tuple(map(operator.sub, cap[2:m:4], cap[0:m:4]))
+        witness = DemandWitness.from_edge_flows(n, g.pairs(kept), flows, scale)
         return FeasibilityResult(True, witness, None, scale)
 
     reachable = solver.residual_reachable(source)
-    if reachable[reservoir]:
-        # Complement side: the unreached nodes must absorb more than can reach them.
-        nodes = tuple(i for i in range(n) if not reachable[i])
-        demand = sum(-b[i] for i in nodes)
-        kind = "demand-excess"
-    else:
-        nodes = tuple(i for i in range(n) if reachable[i])
-        demand = sum(b[i] for i in nodes)
-        kind = "supply-excess"
-    capacity = _cut_capacity(g, kept, caps, set(nodes), spec, k_scaled)
+    # With the reservoir reached, take the complement side: the unreached
+    # nodes must absorb more than can reach them.
+    supply_side = not reachable[reservoir]
+    nodes = tuple(i for i in range(n) if reachable[i] == supply_side)
+    demand = (1 if supply_side else -1) * sum(b[i] for i in nodes)
+    kind = "supply-excess" if supply_side else "demand-excess"
+    capacity = _cut_capacity(g, kept, caps, nodes, spec, k_scaled)
     cut = CutCertificate(kind, nodes, demand, capacity, scale)
     return FeasibilityResult(False, None, cut, scale)
 
@@ -371,8 +357,7 @@ def verify_demand_witness(
     flows = witness.edge_flows
     if len(flows) != len(kept) or any(abs(f) > c for f, c in zip(flows, caps)):
         return False
-    edges = tuple(map(g.edges.__getitem__, kept))
-    if DemandWitness.from_edge_flows(g.node_count, edges, flows, scale) != witness:
+    if DemandWitness.from_edge_flows(g.node_count, g.pairs(kept), flows, scale) != witness:
         return False
     return all(
         abs(net - v) <= (k_scaled if i in spec.slack_nodes else 0)
@@ -391,7 +376,7 @@ def verify_cut_certificate(
         return False
     kept, caps, b, k_scaled, _ = instance
     sign = 1 if cut.kind == "supply-excess" else -1
-    demand = sum(sign * b[i] for i in range(g.node_count) if i in inside)
+    demand = sign * sum(b[i] for i in inside)
     capacity = _cut_capacity(g, kept, caps, inside, spec, k_scaled)
     if demand != cut.demand_scaled or capacity != cut.capacity_scaled:
         return False

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -53,60 +54,69 @@ class _ByValue:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph(_ByValue):
     """Simple undirected graph with strictly positive edge weights.
 
-    Nodes are the dense integers 0..node_count-1. Edges are stored
-    canonically (smaller endpoint first; ``validate_graph`` sorts them) and
-    as one read-only ``(2, m)`` int array, from which the checks,
-    connectivity and neighbor lists (built on first use) derive;
-    ``weights[k]`` is the weight of ``edges[k]``. ``edges`` may be given as
-    pairs or as that ``(2, m)`` integer array; either way it is stored as a
-    tuple of pairs. Equal graphs have equal node counts, edges and weights.
+    Nodes are the dense integers 0..node_count-1. Edges, given as pairs or
+    as a ``(2, m)`` integer array, are stored canonically (smaller endpoint
+    first; ``validate_graph`` sorts them) as one read-only ``(2, m)`` int
+    array, from which the checks, connectivity and neighbor lists derive;
+    ``weights[k]`` is the weight of edge k. ``g.edges`` reads the edges as a
+    tuple of Python-int pairs. Equal graphs have equal node counts, edges
+    and weights.
     """
 
     node_count: int
-    edges: tuple[Edge, ...]
+    _ends: np.ndarray
     weights: np.ndarray
-    _ends: np.ndarray = field(init=False, repr=False)
-    # built on first use, in place, so instances keep one attribute layout
-    _adjacency: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _edge_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, node_count: int, edges, weights):
+        # as the generated __init__ would, with the edges as given in _ends
+        self.__dict__.update(node_count=node_count, _ends=edges, weights=weights)
+        # built on first use, in place, so instances keep one attribute layout
+        self.__dict__.update(_adjacency=None, _edge_index=None)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.node_count
         if n <= 0:
             raise GraphError("node_count must be positive")
-        edges = self.edges
-        if isinstance(edges, np.ndarray):
-            ends = _edge_array(edges)
-            object.__setattr__(self, "edges", tuple(zip(*ends.tolist())))
+        edges = self._ends
+        edges = _edge_array(edges) if isinstance(edges, np.ndarray) else tuple(edges)
+        m = edges.shape[1] if isinstance(edges, np.ndarray) else len(edges)
         weights = _float_weights(self.weights)  # own copy, frozen below
-        if weights.shape != (len(self.edges),):
+        if weights.shape != (m,):
             raise GraphError("one weight per edge required")
         bad = ~((weights > 0.0) & (weights < np.inf))
         if bad.any():
             k = int(np.argmax(bad))
             raise NonPositiveWeightError(
-                f"edge {self.edges[k]} needs a finite positive weight, got {weights[k]}", k
+                f"edge {_edge_at(edges, k)} needs a finite positive weight, got {weights[k]}", k
             )
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-        if not isinstance(edges, np.ndarray):
-            ends = _node_ids(edges)
+        ends = edges if isinstance(edges, np.ndarray) else _node_ids(edges)
         ii, jj = ends
         bad = (ii < 0) | (ii >= jj) | (jj >= n)
         order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
         bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
-        _raise_first(self.edges, bad, n)
+        _raise_first(edges, bad, n)
         ends.flags.writeable = False
-        object.__setattr__(self, "_ends", ends)
+        weights.flags.writeable = False
+        self.__dict__.update(_ends=ends, weights=weights)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges as a tuple of Python-int pairs, built on first read."""
+        return self.pairs(slice(None))
+
+    def pairs(self, which) -> tuple[Edge, ...]:
+        """The edges ``which`` selects (a mask, ids or a slice) as Python-int pairs."""
+        ii, jj = self._ends[:, which].tolist()
+        return tuple(zip(ii, jj))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._ends.shape[1]
 
     def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
         """Pairs (neighbor, edge_index) incident to node i, in edge order."""
@@ -170,17 +180,22 @@ def _node_id(v) -> int:
     return v if _NOT_AN_ID < v < -_NOT_AN_ID else _NOT_AN_ID
 
 
+def _index_array(values) -> np.ndarray | None:
+    """``values`` as an int64 array, or None where ``operator.index`` rejects
+    one or int64 cannot hold it."""
+    try:
+        return np.fromiter(map(operator.index, values), np.int64)
+    except (TypeError, OverflowError):
+        return None
+
+
 def _node_ids(edges) -> np.ndarray:
     """Endpoints of ``edges`` as a ``(2, m)`` int64 array, with _NOT_AN_ID
     for an id that ``operator.index`` rejects or int64 cannot hold."""
-    try:
-        if set(map(len, edges)) <= {2}:
-            ids = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
-            return ids.reshape(-1, 2).T.copy()
-    except (TypeError, OverflowError):
-        pass
-    ids = [[_node_id(i), _node_id(j)] for i, j in edges]
-    return np.array(ids, np.int64).reshape(-1, 2).T.copy()
+    ids = _index_array(chain.from_iterable(edges)) if set(map(len, edges)) <= {2} else None
+    if ids is None:
+        ids = [[_node_id(i), _node_id(j)] for i, j in edges]
+    return np.asarray(ids, np.int64).reshape(-1, 2).T.copy()
 
 
 def _edge_array(edges: np.ndarray) -> np.ndarray:
@@ -192,12 +207,17 @@ def _edge_array(edges: np.ndarray) -> np.ndarray:
     return edges.astype(np.int64)
 
 
+def _edge_at(edges, k: int):
+    """Edge k of pairs or of a ``(2, m)`` array, as given."""
+    return tuple(edges[:, k].tolist()) if isinstance(edges, np.ndarray) else edges[k]
+
+
 def _raise_first(edges, bad: np.ndarray, n: int) -> None:
     """Raise the error of the first edge that ``bad`` marks, if any."""
     if not bad.any():
         return
     k = int(np.argmax(bad))
-    i, j = edge = edges[k]
+    i, j = edge = _edge_at(edges, k)
     if not (hasattr(i, "__index__") and hasattr(j, "__index__")):
         raise GraphError(f"edge {edge} has a node id that is not an integer", k)
     if i == j:
@@ -285,18 +305,19 @@ class Partition:
         object.__setattr__(self, "clusters", clusters)
         if not clusters:
             raise InvalidPartitionError("partition has no clusters")
-        n = 0
-        for c in clusters:
-            if not c:
-                raise InvalidPartitionError("empty cluster")
-            n += len(c)
-        nodes = set().union(*clusters)
-        if len(nodes) != n:
+        sizes = [*map(len, clusters)]
+        if not all(sizes):
+            raise InvalidPartitionError("empty cluster")
+        nodes = _index_array(chain(*clusters))
+        if nodes is None:
+            raise InvalidPartitionError("cluster node ids must be int64 integers")
+        n = nodes.size
+        if np.unique(nodes).size != n:
             raise InvalidPartitionError("clusters are not disjoint")
-        if nodes != set(range(n)):
+        if nodes.min() < 0 or nodes.max() >= n:
             raise InvalidPartitionError("clusters must cover exactly 0..N-1")
         labels = np.empty(n, dtype=np.intp)
-        labels[list(chain(*clusters))] = np.repeat(np.arange(len(clusters)), [*map(len, clusters)])
+        labels[nodes] = np.repeat(np.arange(len(clusters)), sizes)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
@@ -310,20 +331,21 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        labels = list(int(c) for c in labels)
-        if not labels:
+        labels = _index_array(labels)
+        if labels is None:
+            raise InvalidPartitionError("cluster indices must be int64 integers")
+        if not labels.size:
             raise InvalidPartitionError("no nodes")
-        if min(labels) < 0:
+        if labels.min() < 0:
             raise InvalidPartitionError("negative cluster index")
-        k = max(labels) + 1
-        if k > len(labels):
+        k = int(labels.max()) + 1
+        if k > labels.size:
             raise InvalidPartitionError(
-                f"empty cluster: cluster index {k - 1} with only {len(labels)} nodes"
+                f"empty cluster: cluster index {k - 1} with only {labels.size} nodes"
             )
-        clusters: list[set[int]] = [set() for _ in range(k)]
-        for node, c in enumerate(labels):
-            clusters[c].add(node)
-        return cls(tuple(frozenset(c) for c in clusters))
+        nodes = np.argsort(labels, kind="stable").tolist()
+        ends = np.bincount(labels, minlength=k).cumsum().tolist()
+        return cls(tuple(frozenset(nodes[a:b]) for a, b in zip([0, *ends], ends)))
 
     def check_against(self, g: Graph) -> None:
         if self.node_count != g.node_count:
@@ -332,12 +354,16 @@ class Partition:
             )
 
 
-def boundary(g: Graph, partition: Partition) -> tuple[Edge, ...]:
-    """Edges whose endpoints lie in different clusters, in canonical order."""
+def boundary_mask(g: Graph, partition: Partition) -> np.ndarray:
+    """Per edge, whether its endpoints lie in different clusters."""
     partition.check_against(g)
     ii, jj = g.endpoint_arrays()
-    cross = partition.labels[ii] != partition.labels[jj]
-    return tuple(zip(ii[cross].tolist(), jj[cross].tolist()))
+    return partition.labels[ii] != partition.labels[jj]
+
+
+def boundary(g: Graph, partition: Partition) -> tuple[Edge, ...]:
+    """Edges whose endpoints lie in different clusters, in canonical order."""
+    return g.pairs(boundary_mask(g, partition))
 
 
 def clustered_signal(partition: Partition, coefficients: Sequence[float]) -> np.ndarray:
@@ -376,12 +402,9 @@ def orient_edges(g: Graph, edge_subset: Sequence[Edge], bits: int) -> tuple[Orie
     """
     oriented = []
     for k, e in enumerate(edge_subset):
-        w = g.weights[g.edge_id(*e)]
+        w = float(g.weights[g.edge_id(*e)])
         i, j = canonical_edge(*e)
-        if bits >> k & 1:
-            oriented.append(OrientedEdge(tail=j, head=i, weight=float(w)))
-        else:
-            oriented.append(OrientedEdge(tail=i, head=j, weight=float(w)))
+        oriented.append(OrientedEdge(j, i, w) if bits >> k & 1 else OrientedEdge(i, j, w))
     return tuple(oriented)
 
 

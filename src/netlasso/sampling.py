@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import BudgetExceedsNodesError, InvalidConfigError
-from .graphs import Graph, Partition, endpoint_sums
+from .graphs import Graph, Partition, boundary_mask, endpoint_sums
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_budget(g: Graph, budget: int) -> int:
-    budget = int(budget)
+    budget = _integer(budget, "budget")
     if not 1 <= budget <= g.node_count:
         raise BudgetExceedsNodesError(
             f"budget {budget} outside 1..{g.node_count}"
@@ -37,10 +46,9 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
     to a pure weighted-degree ranking.
     """
     budget = _check_budget(g, budget)
-    partition.check_against(g)
+    cross = boundary_mask(g, partition)
     lab = partition.labels
     ii, jj = g.endpoint_arrays()
-    cross = lab[ii] != lab[jj]
     cross_weight = endpoint_sums(g.node_count, ii[cross], jj[cross], g.weights[cross])
     support = np.zeros(g.node_count)  # strongest in-cluster edge to a boundary endpoint
     for near, far in ((ii, jj), (jj, ii)):
@@ -69,6 +77,7 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
 def sample_uniform(g: Graph, budget: int, seed: int) -> tuple[int, ...]:
     """Budget-many distinct nodes drawn uniformly without replacement."""
     budget = _check_budget(g, budget)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

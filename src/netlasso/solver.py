@@ -129,7 +129,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
         pair_caps = lam * g.weights
     if not np.isfinite(pair_caps).all():
         k = int(np.argmin(np.isfinite(pair_caps)))
-        raise InvalidConfigError(f"lam * W is not finite on edge {g.edges[k]}")
+        raise InvalidConfigError(f"lam * W is not finite on edge {g.pairs([k])[0]}")
     if obs.nodes[-1] >= g.node_count:
         raise DimensionMismatchError("observed node outside the graph")
     if not is_connected(g):
@@ -326,7 +326,7 @@ def solve_oracle(g: Graph, obs: Observations, lam: float) -> tuple[float, np.nda
     )
     sample_cols = combos[:, list(obs.nodes)]
     total = np.sum(np.abs(sample_cols - obs.y[np.newaxis, :]), axis=1)
-    for (i, j), w in zip(g.edges, g.weights):
+    for i, j, w in zip(*g.endpoint_arrays(), g.weights):
         total += lam * w * np.abs(combos[:, i] - combos[:, j])
     best = int(np.argmin(total))
     return float(total[best]), combos[best].copy()

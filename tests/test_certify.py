@@ -119,6 +119,20 @@ class TestNccQueryValidation:
         with pytest.raises(InvalidQueryError):
             NccQuery(g, p, m, K=1.0, L=-2.0)
 
+    @pytest.mark.parametrize(
+        "K,L",
+        [(None, 1.0), ("2", 1.0), (10**400, 1.0), (1.0, "2"), (1.0, None), (1.0, -(10**400))],
+        ids=["K=None", "K='2'", "K=10**400", "L='2'", "L=None", "L=-10**400"],
+    )
+    def test_parameters_that_are_no_finite_number(self, two_cluster_fixture, K, L):
+        g, p, m = two_cluster_fixture
+        with pytest.raises(InvalidQueryError):
+            NccQuery(g, p, m, K=K, L=L)
+
+    def test_takes_int_and_rational_parameters(self, two_cluster_fixture):
+        g, p, m = two_cluster_fixture
+        assert check_ncc(NccQuery(g, p, m, K=2, L=Fraction(1, 2))).verdict == "holds"
+
 
 class TestCheckNcc:
     def test_fixture_holds_at_k4_l4(self, two_cluster_fixture):
@@ -514,6 +528,14 @@ class TestVerifyNccWitnesses:
 
 
 class TestCheckSupportCondition:
+    @pytest.mark.parametrize(
+        "L", ["1", None, 10**400, float("nan"), 0.0], ids=["'1'", "None", "10**400", "nan", "0"]
+    )
+    def test_rejects_l_that_is_no_positive_number(self, two_cluster_fixture, L):
+        g, p, m = two_cluster_fixture
+        with pytest.raises(InvalidQueryError):
+            check_support_condition(g, p, m, L)
+
     def test_fixture_satisfied_at_l4(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         res = check_support_condition(g, p, m, 4.0)

@@ -9,6 +9,13 @@ from hypothesis import given, settings, strategies as st
 import graph_reference as ref
 from test_dinic import within
 from netlasso import fileio
+from netlasso.certify import (
+    NccQuery,
+    check_ncc,
+    check_support_condition,
+    verify_ncc_cut,
+    verify_ncc_witnesses,
+)
 from netlasso.errors import (
     DuplicateEdgeError,
     EdgeNotInGraphError,
@@ -17,6 +24,8 @@ from netlasso.errors import (
     NodeOutOfRangeError,
     SelfLoopError,
 )
+from netlasso.flow import DemandSpec, feasible_flow, verify_cut_certificate, verify_demand_witness
+from netlasso.generate import PlantedPartitionConfig, generate_planted_partition
 from netlasso.graphs import (
     Graph,
     Observations,
@@ -27,6 +36,8 @@ from netlasso.graphs import (
     subgraph_is_connected,
     validate_graph,
 )
+from netlasso.sampling import sample_boundary_aware, sample_uniform
+from netlasso.solver import SolverConfig, solve_admm, solve_exact
 
 BIG = 10**20  # beyond int64
 
@@ -135,6 +146,53 @@ def test_edge_array_builds_the_same_graph(case):
             assert a == g and hash(a) == hash(g)
             assert type(a.edges) is tuple and a.edges == g.edges
             assert all(type(i) is int for e in a.edges for i in e)
+            for h in (a, g):  # the pair tuple is read from the array, whichever form built it
+                assert h.edges == tuple(zip(*(ends.tolist() for ends in h.endpoint_arrays())))
+
+
+def test_no_layer_reads_the_pair_tuple(tmp_path, monkeypatch):
+    # every layer works from the edge array, so none builds the pairs of g.edges
+    def no_pairs(self):
+        raise AssertionError("Graph.edges was read")
+
+    monkeypatch.setattr(Graph, "edges", property(no_pairs))
+    g, p = generate_planted_partition(PlantedPartitionConfig((8, 8, 8, 8), 1.0, 0.05, 1.0, 2))
+    path = tmp_path / "g.txt"
+    fileio.write_graph(path, g)
+    assert fileio.read_graph(path) == g
+    path.write_text("# a comment sends the file to the line parser\n" + path.read_text())
+    assert fileio.read_graph(path) == g
+    ii, jj = g.endpoint_arrays()
+    assert validate_graph(np.stack([jj, ii]), g.weights, g.node_count) == g
+    assert validate_graph(list(zip(ii.tolist(), jj.tolist())), g.weights, g.node_count) == g
+
+    nodes = sample_boundary_aware(g, p, 12)
+    assert len(sample_uniform(g, 12, seed=1)) == 12
+    check_support_condition(g, p, nodes, 1.0)
+    verdicts = []
+    for K in (0.5, 8.0):
+        query = NccQuery(g, p, nodes, K=K, L=2.0)
+        cert = check_ncc(query)
+        verdicts.append(cert.verdict)
+        verify = verify_ncc_witnesses if cert.verdict == "holds" else verify_ncc_cut
+        assert verify(query, cert)
+    assert verdicts == ["fails", "holds"]
+
+    bnd = boundary(g, p)
+    results = []
+    for b in (1.0, 100.0):  # within one cluster, which its clique can carry or not
+        spec = DemandSpec({0: b, 5: -b}, frozenset({3}), 0.5)
+        result = feasible_flow(g, bnd, spec)
+        results.append(result.feasible)
+        if result.feasible:
+            assert verify_demand_witness(g, bnd, spec, result.witness)
+        else:
+            assert verify_cut_certificate(g, bnd, spec, result.cut)
+    assert results == [True, False]
+
+    obs = Observations(nodes, np.arange(12.0), np.zeros(12))
+    assert solve_exact(g, obs, 0.5).cuts > 0
+    assert solve_admm(g, obs, SolverConfig(lam=0.5, max_iters=20)).iterations == 20
 
 
 def test_edge_array_is_copied():

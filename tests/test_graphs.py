@@ -160,6 +160,28 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError):
             Partition.from_labels([0, 10**12])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 0.5, 1.9, 1], ["0", "1"], [0, 1.0], [None], [0, 10**20], np.array([0.0, 1.0])],
+        ids=["fractions", "strings", "float", "None", "beyond int64", "float array"],
+    )
+    def test_from_labels_rejects_labels_that_are_no_integers(self, labels):
+        # [0, 0.5, 1.9, 1] used to read as [0, 0, 1, 1] and ["0", "1"] as [0, 1]
+        with pytest.raises(InvalidPartitionError):
+            Partition.from_labels(labels)
+
+    def test_from_labels_takes_index_like_labels(self):
+        p = Partition.from_labels(np.array([1, 0, 1], np.uint8))
+        assert p.clusters == (frozenset({1}), frozenset({0, 2}))
+        assert p == Partition.from_labels([True, False, True])
+        assert p.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("clusters", [({0, 1.0},), ({0}, {1.5}), ({0}, {"1"}), ({0, 10**20},)])
+    def test_rejects_cluster_nodes_that_are_no_integers(self, clusters):
+        # frozenset({0, 1.0}) used to raise a bare IndexError
+        with pytest.raises(InvalidPartitionError):
+            Partition(tuple(map(frozenset, clusters)))
+
     def test_rejects_overlap(self):
         with pytest.raises(InvalidPartitionError):
             Partition((frozenset({0, 1}), frozenset({1, 2})))

@@ -78,6 +78,26 @@ class TestUniform:
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
             sample_uniform(path4, 2, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, 2.0])
+    def test_seed_that_is_no_integer_rejected(self, path4, seed):
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            sample_uniform(path4, 2, seed=seed)
+
+    def test_index_like_budget_and_seed(self, path4):
+        assert sample_uniform(path4, np.int64(2), seed=np.uint8(9)) == sample_uniform(
+            path4, 2, seed=9
+        )
+
+
+@pytest.mark.parametrize("budget", [2.7, 2.0, "3", None, np.float64(2.0)])
+def test_budget_that_is_no_integer_rejected(path4, budget):
+    # used to be truncated (2.7 drew 2 nodes) or parsed ("3" drew 3)
+    p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+    for sample in (lambda: sample_uniform(path4, budget, seed=1),
+                   lambda: sample_boundary_aware(path4, p, budget)):
+        with pytest.raises(InvalidConfigError, match="budget must be an integer"):
+            sample()
+
     def test_no_duplicates(self):
         g, _ = generate_planted_partition(paper_like_config(seed=0))
         for seed in range(20):
