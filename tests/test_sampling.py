@@ -88,16 +88,6 @@ class TestUniform:
             path4, 2, seed=9
         )
 
-
-@pytest.mark.parametrize("budget", [2.7, 2.0, "3", None, np.float64(2.0)])
-def test_budget_that_is_no_integer_rejected(path4, budget):
-    # used to be truncated (2.7 drew 2 nodes) or parsed ("3" drew 3)
-    p = Partition((frozenset({0, 1}), frozenset({2, 3})))
-    for sample in (lambda: sample_uniform(path4, budget, seed=1),
-                   lambda: sample_boundary_aware(path4, p, budget)):
-        with pytest.raises(InvalidConfigError, match="budget must be an integer"):
-            sample()
-
     def test_no_duplicates(self):
         g, _ = generate_planted_partition(paper_like_config(seed=0))
         for seed in range(20):
@@ -113,3 +103,13 @@ def test_budget_that_is_no_integer_rejected(path4, budget):
                 counts[v] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 0.5) <= 0.05)
+
+
+@pytest.mark.parametrize("budget", [2.7, 2.0, "3", None, np.float64(2.0)])
+def test_budget_that_is_no_integer_rejected(path4, budget):
+    # used to be truncated (2.7 drew 2 nodes) or parsed ("3" drew 3)
+    p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+    for sample in (lambda: sample_uniform(path4, budget, seed=1),
+                   lambda: sample_boundary_aware(path4, p, budget)):
+        with pytest.raises(InvalidConfigError, match="budget must be an integer"):
+            sample()
