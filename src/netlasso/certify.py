@@ -53,6 +53,7 @@ from .graphs import (
     OrientedEdge,
     Partition,
     boundary_mask,
+    heaviest_edges,
     orient_edges,
     tv,
 )
@@ -170,12 +171,10 @@ def _boundary_flows(query: NccQuery, scale: int | None = None):
 
 def _boundary_supplies(query: NccQuery, cross: np.ndarray, flows) -> list[int]:
     """Per node, the sum of the scaled flows L*W over its boundary edges."""
-    s = [0] * query.graph.node_count
-    ii, jj = (ends[cross].tolist() for ends in query.graph.endpoint_arrays())
-    for i, j, h in zip(ii, jj, flows):
-        s[i] += h
-        s[j] += h
-    return s
+    s = np.zeros(query.graph.node_count, dtype=object)  # Python ints, exact at any size
+    for ends in query.graph.endpoint_arrays():
+        np.add.at(s, ends[cross], flows)
+    return s.tolist()
 
 
 def _demand_spec(query: NccQuery, b: list[int], scale: int) -> DemandSpec:
@@ -328,25 +327,17 @@ def check_support_condition(
     """
     _check_positive(L, "L")
     cross = boundary_mask(g, partition)
-    sampled = _sample_set(sample_nodes, g.node_count)
-    lab = partition.labels
-    bnd = g.pairs(cross)
-    if not bnd:
+    sampled = np.isin(np.arange(g.node_count), list(_sample_set(sample_nodes, g.node_count)))
+    if not cross.any():
         return SupportConditionResult(satisfied=True, L=L, K=0.0, violations=(), degenerate=True)
-    bnd_weights = g.weights[cross].tolist()
-
-    def supported(end: int, w: float) -> bool:  # by a sampled neighbour in end's cluster
-        return any(
-            v in sampled and lab[v] == lab[end] and g.weights[k] >= L * w
-            for v, k in g.neighbors(end)
-        )
-
-    violations = tuple(
-        (i, j) for (i, j), w in zip(bnd, bnd_weights) if not (supported(i, w) and supported(j, w))
-    )
-    if violations:
-        return SupportConditionResult(satisfied=False, L=L, K=None, violations=violations)
-    return SupportConditionResult(satisfied=True, L=L, K=L * max(bnd_weights), violations=())
+    # Interior edges join nodes of one cluster: per node, its best sampled support.
+    support = heaviest_edges(g, ~cross, sampled)
+    ends = np.stack(g.endpoint_arrays())[:, cross]
+    bad = np.flatnonzero(cross)[(support[ends] < float(L) * g.weights[cross]).any(axis=0)]
+    if bad.size:
+        return SupportConditionResult(satisfied=False, L=L, K=None, violations=g.pairs(bad))
+    K = L * float(g.weights[cross].max())
+    return SupportConditionResult(satisfied=True, L=L, K=K, violations=())
 
 
 def recovery_error_bound(K: float, L: float, eps_l1: float) -> float:

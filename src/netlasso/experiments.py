@@ -31,7 +31,7 @@ from .generate import (
     paper_like_config,
 )
 from .graphs import Graph, Partition, boundary, clustered_signal, tv
-from .sampling import sample_boundary_aware, sample_uniform
+from .sampling import _integer, sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, SolverResult, solve_admm
 
 STRATEGY_BOUNDARY = "boundary"
@@ -73,9 +73,9 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)  # rho/eps_abs/eps_rel/max_iters overrides
 
     def __post_init__(self):
-        if self.trials < 1:
+        if _integer(self.trials, "trial count") < 1:
             raise InvalidConfigError("trial count must be at least 1")
-        if self.master_seed < 0:
+        if _integer(self.master_seed, "master seed") < 0:
             raise InvalidConfigError(f"master seed must be >= 0, got {self.master_seed}")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise InvalidConfigError(f"lam must be a number or 'auto', got {self.lam!r}")

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDemandSpecError
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _index_array
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -271,7 +271,7 @@ def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int |
             if not 0 <= i < n:
                 raise InvalidDemandSpecError(f"{what} node {i} outside 0..{n - 1}")
     keep = np.ones(g.edge_count, dtype=bool)
-    keep[[g.edge_id(*e) for e in excluded]] = False
+    keep[g.edge_ids(excluded)] = False
     kept = np.flatnonzero(keep)
     instance = _scaled_distinct(
         g.weights[kept], [*spec.injections.values(), spec.slack_bound], scale
@@ -368,12 +368,13 @@ def verify_demand_witness(
 def verify_cut_certificate(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, cut: CutCertificate
 ) -> bool:
-    """Re-verify that a cut certificate proves infeasibility; a cut node
-    outside 0..N-1 fails it."""
+    """Re-verify that a cut certificate proves infeasibility; a cut node that
+    is no integer in 0..N-1 fails it."""
     instance = _instance(g, excluded, spec, cut.scale)
-    inside = set(cut.nodes)
-    if instance is None or not inside.issubset(range(g.node_count)):
+    nodes = _index_array(cut.nodes)  # None where an id is no integer
+    if instance is None or nodes is None or ((nodes < 0) | (nodes >= g.node_count)).any():
         return False
+    inside = set(nodes.tolist())
     kept, caps, b, k_scaled, _ = instance
     sign = 1 if cut.kind == "supply-excess" else -1
     demand = sign * sum(b[i] for i in inside)

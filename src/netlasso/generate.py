@@ -26,6 +26,7 @@ from .errors import (
     NodeOutOfRangeError,
 )
 from .graphs import Graph, Observations, Partition, component_roots, is_connected
+from .sampling import _integer
 
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one
@@ -48,7 +49,7 @@ class PlantedPartitionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer(s, "cluster size") for s in self.sizes))
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise InvalidConfigError("need at least one cluster, all sizes >= 1")
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
@@ -56,7 +57,7 @@ class PlantedPartitionConfig:
                 raise InvalidConfigError(f"{name}={p} outside [0, 1]")
         if not self.weight > 0.0:
             raise InvalidConfigError("edge weight must be positive")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
@@ -146,7 +147,7 @@ class NoiseConfig:
             raise InvalidConfigError(f"unknown noise distribution {self.distribution!r}")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise InvalidConfigError("sigma must be finite and >= 0")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 

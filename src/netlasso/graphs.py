@@ -61,7 +61,7 @@ class Graph(_ByValue):
     Nodes are the dense integers 0..node_count-1. Edges, given as pairs or
     as a ``(2, m)`` integer array, are stored canonically (smaller endpoint
     first; ``validate_graph`` sorts them) as one read-only ``(2, m)`` int
-    array, from which the checks, connectivity and neighbor lists derive;
+    array, from which the checks, connectivity and edge lookups derive;
     ``weights[k]`` is the weight of edge k. ``g.edges`` reads the edges as a
     tuple of Python-int pairs. Equal graphs have equal node counts, edges
     and weights.
@@ -74,8 +74,6 @@ class Graph(_ByValue):
     def __init__(self, node_count: int, edges, weights):
         # as the generated __init__ would, with the edges as given in _ends
         self.__dict__.update(node_count=node_count, _ends=edges, weights=weights)
-        # built on first use, in place, so instances keep one attribute layout
-        self.__dict__.update(_adjacency=None, _edge_index=None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -97,12 +95,14 @@ class Graph(_ByValue):
         ends = edges if isinstance(edges, np.ndarray) else _node_ids(edges)
         ii, jj = ends
         bad = (ii < 0) | (ii >= jj) | (jj >= n)
-        order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
-        bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
+        order = None  # the edge ids in (i, j) order, where the edges are not in it
+        if not ((ii[1:] > ii[:-1]) | (ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])).all():
+            order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
+            bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
         _raise_first(edges, bad, n)
         ends.flags.writeable = False
         weights.flags.writeable = False
-        self.__dict__.update(_ends=ends, weights=weights)
+        self.__dict__.update(_ends=ends, weights=weights, _order=order)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -118,32 +118,30 @@ class Graph(_ByValue):
     def edge_count(self) -> int:
         return self._ends.shape[1]
 
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (neighbor, edge_index) incident to node i, in edge order."""
-        if self._adjacency is None:  # CSR: a stable argsort of the interleaved ends
-            flat = self._ends.T.ravel()
-            order = np.argsort(flat, kind="stable")
-            pairs = list(zip(flat[order ^ 1].tolist(), (order >> 1).tolist()))
-            ends = np.bincount(flat, minlength=self.node_count).cumsum().tolist()
-            lists = tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
-            object.__setattr__(self, "_adjacency", lists)
-        return self._adjacency[i]
+    def edge_ids(self, pairs) -> np.ndarray:
+        """Ids of the edges {i, j} that ``pairs`` lists, by one binary search over
+        the edges' (i, j) keys, exact for any int64 ids. Raises SelfLoopError or
+        EdgeNotInGraphError for the first pair that is a self loop or no edge."""
+        pairs = list(pairs)
+        order = self._order
+        ends = self._ends if order is None else self._ends[:, order]
+        # (i, j) as 16 big-endian bytes, which sort as pairs of ids >= 0 do
+        keys, wanted = (
+            np.ascontiguousarray(e.T, ">i8").view("S16").ravel()
+            for e in (ends, np.sort(_node_ids(pairs), axis=0))
+        )
+        at = np.searchsorted(keys, wanted)
+        found = np.take(keys, at, mode="clip") == wanted if keys.size else np.zeros(at.shape, bool)
+        if not found.all():
+            e = canonical_edge(*pairs[int(np.argmin(found))])
+            raise EdgeNotInGraphError(f"edge {e} not in graph")
+        return at if order is None else order[at]
 
     def edge_id(self, i: int, j: int) -> int:
-        e = canonical_edge(i, j)
-        if self._edge_index is None:
-            index = dict(zip(zip(*self._ends.tolist()), range(self.edge_count)))
-            object.__setattr__(self, "_edge_index", index)
-        try:
-            return self._edge_index[e]
-        except KeyError:
-            raise EdgeNotInGraphError(f"edge {e} not in graph") from None
+        return int(self.edge_ids([(i, j)])[0])
 
     def weight(self, i: int, j: int) -> float:
         return float(self.weights[self.edge_id(i, j)])
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
 
     def weighted_degrees(self) -> np.ndarray:
         return endpoint_sums(self.node_count, *self.endpoint_arrays(), self.weights)
@@ -233,6 +231,15 @@ def endpoint_sums(n: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray) -> np.n
     """Per node, the sum of w over the edges (ii, jj) it ends, added in edge
     order (interleaved endpoints), as a loop of ``d[i] += w; d[j] += w`` would."""
     return np.bincount(np.stack([ii, jj], 1).ravel(), np.repeat(w, 2), minlength=n)
+
+
+def heaviest_edges(g: Graph, among: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Per node, the weight of its heaviest edge in ``among`` to a node in ``marked``, or -inf."""
+    heaviest = np.full(g.node_count, -np.inf)
+    for near, far in (g._ends, g._ends[::-1]):
+        hit = among & marked[near]
+        np.maximum.at(heaviest, far[hit], g.weights[hit])
+    return heaviest
 
 
 def validate_graph(
@@ -400,12 +407,12 @@ def orient_edges(g: Graph, edge_subset: Sequence[Edge], bits: int) -> tuple[Orie
     Bit k clear: edge (i, j) with i < j runs i -> j; bit set: j -> i.
     Weights are carried over from the graph unchanged.
     """
-    oriented = []
-    for k, e in enumerate(edge_subset):
-        w = float(g.weights[g.edge_id(*e)])
-        i, j = canonical_edge(*e)
-        oriented.append(OrientedEdge(j, i, w) if bits >> k & 1 else OrientedEdge(i, j, w))
-    return tuple(oriented)
+    ids = g.edge_ids(edge_subset)
+    arcs = zip(*g._ends[:, ids].tolist(), g.weights[ids].tolist())
+    return tuple(
+        OrientedEdge(j, i, w) if bits >> k & 1 else OrientedEdge(i, j, w)
+        for k, (i, j, w) in enumerate(arcs)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import operator
 import numpy as np
 
 from .errors import BudgetExceedsNodesError, InvalidConfigError
-from .graphs import Graph, Partition, boundary_mask, endpoint_sums
+from .graphs import Graph, Partition, boundary_mask, endpoint_sums, heaviest_edges
 
 
 def _integer(value, name: str) -> int:
@@ -50,10 +50,8 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
     lab = partition.labels
     ii, jj = g.endpoint_arrays()
     cross_weight = endpoint_sums(g.node_count, ii[cross], jj[cross], g.weights[cross])
-    support = np.zeros(g.node_count)  # strongest in-cluster edge to a boundary endpoint
-    for near, far in ((ii, jj), (jj, ii)):
-        hit = ~cross & (cross_weight[near] > 0.0)  # weights > 0: endpoints only
-        np.maximum.at(support, far[hit], g.weights[hit])
+    # strongest in-cluster edge to a boundary endpoint (weights > 0: endpoints only)
+    support = heaviest_edges(g, ~cross, cross_weight > 0.0)
 
     # Key: (-cross_weight * cluster discount, -support, -weighted degree, id). Nodes are
     # ranked once by the last three; a pick is the first minimum of the first by rank.

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import graph_reference
 from conftest import random_connected_graph
 from ncc_reference import reference_verdict
 from netlasso.certify import NccQuery, check_support_condition, check_ncc, recovery_error_bound, verify_ncc_witnesses
@@ -92,6 +93,7 @@ def reweight_for_certificate(g, partition, samples, L=2.0, heavy_weight=20.0):
     bnd = boundary(g, partition)
     sampled = set(samples)
     new_w = {e: float(g.weights[k]) for k, e in enumerate(g.edges)}
+    adjacency = graph_reference.Graph(g.node_count, g.edges, g.weights)  # neighbor lists
     heavy_edge = next((e for e in bnd if e[0] in sampled or e[1] in sampled), bnd[0])
     new_w[heavy_edge] = heavy_weight
     for e in bnd:
@@ -99,7 +101,7 @@ def reweight_for_certificate(g, partition, samples, L=2.0, heavy_weight=20.0):
         for u in e:
             cands = [
                 (v, k)
-                for v, k in g.neighbors(u)
+                for v, k in adjacency.neighbors(u)
                 if v in sampled and lab[v] == lab[u]
             ]
             if not cands:

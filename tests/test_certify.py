@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncc_reference import orientation_feasible, reference_verdict
+from ncc_reference import orientation_feasible, reference_support_condition, reference_verdict
 from netlasso import certify
 from netlasso.certify import (
     NccQuery,
@@ -566,6 +566,22 @@ class TestCheckSupportCondition:
         g, p, _ = two_cluster_fixture
         with pytest.raises(InvalidQueryError):
             check_support_condition(g, p, m, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_loop_reference(self, data):
+        # few distinct weights, so equal weights and exact L*W >= W ties occur
+        n = data.draw(st.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+        weights = [data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])) for _ in edges]
+        g = validate_graph(edges, weights, n)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        p = Partition.from_labels(np.unique(labels, return_inverse=True)[1])
+        m = data.draw(st.sets(st.integers(0, n - 1)))
+        L = data.draw(st.sampled_from([0.5, 1, 1.5, 2.0]))
+        res = check_support_condition(g, p, m, L)
+        assert res == reference_support_condition(g, p, m, L)
 
     def test_endpoint_itself_not_a_support(self):
         # sampling only the boundary endpoints leaves no in-cluster neighbor support

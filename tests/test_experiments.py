@@ -76,6 +76,15 @@ class TestHarness:
         with pytest.raises(InvalidConfigError, match="master seed must be >= 0"):
             ExperimentConfig(master_seed=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [({"master_seed": 1.5}, "master seed"), ({"master_seed": "1"}, "master seed"),
+         ({"trials": 1.5}, "trial count"), ({"trials": "2"}, "trial count")],
+    )
+    def test_rejects_seed_or_trials_that_is_no_integer(self, kwargs, name):
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+            ExperimentConfig(**kwargs)
+
     def test_summary_fields(self):
         cfg = ExperimentConfig(generator=SMALL_GEN, lam=0.2, trials=2, master_seed=1)
         s = summarize(run_experiment(cfg))

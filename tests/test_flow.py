@@ -11,6 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 from conftest import Network, brute_force_min_cut, random_connected_graph
+from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut
 from netlasso.errors import InvalidDemandSpecError
 from netlasso.flow import (
     CutCertificate,
@@ -22,7 +23,7 @@ from netlasso.flow import (
     verify_cut_certificate,
     verify_demand_witness,
 )
-from netlasso.graphs import validate_graph
+from netlasso.graphs import Partition, validate_graph
 
 
 def scipy_max_flow_value(net: Network, s: int, t: int, scale: int) -> int:
@@ -360,6 +361,20 @@ class TestFeasibleFlow:
         for extra in (-1, 3):
             padded = replace(cut, nodes=(*cut.nodes, extra))
             assert not verify_cut_certificate(path, [], spec, padded)
+
+    @pytest.mark.parametrize("nodes", [(0.0, 1.0), (True, 1), (1.0,), ("0", "1"), (None,)])
+    def test_cut_with_non_integer_node_rejected(self, nodes):
+        # The NCC fails on this 4-node query with the cut (0, 1); a forged id
+        # that is no integer, or names fewer nodes, is rejected without raising.
+        g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0], 4)
+        query = NccQuery(g, Partition.from_labels([0, 0, 1, 1]), (0, 3), K=0.25, L=2)
+        cert = check_ncc(query)
+        assert cert.cut.nodes == (0, 1) and verify_ncc_cut(query, cert)
+        forged = replace(cert.cut, nodes=nodes)
+        assert not verify_ncc_cut(query, replace(cert, cut=forged))
+        spec = DemandSpec(injections={0: 2, 2: -2})
+        cut = replace(feasible_flow(g, [], spec).cut, nodes=nodes)
+        assert not verify_cut_certificate(g, [], spec, cut)
 
     @pytest.mark.parametrize(
         "kwargs",

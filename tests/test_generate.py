@@ -36,6 +36,24 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
             NoiseConfig(distribution="gaussian", sigma=0.1, seed=-1)
 
+    @pytest.mark.parametrize("sizes", [(7.9, 3), ("7", 3), (3, None)])
+    def test_sizes_must_be_integers(self, sizes):
+        # 7.9 was truncated to 7 and "7" parsed
+        with pytest.raises(InvalidConfigError, match="cluster size must be an integer"):
+            PlantedPartitionConfig(sizes=sizes, p_in=0.5, p_out=0.5)
+
+    def test_index_like_sizes_accepted(self):
+        cfg = PlantedPartitionConfig(sizes=(np.int64(3), 2), p_in=0.5, p_out=0.5, seed=np.int32(1))
+        assert cfg.sizes == (3, 2) and all(type(s) is int for s in cfg.sizes)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # numpy's generator raised a bare TypeError for these
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            PlantedPartitionConfig(sizes=(3, 3), p_in=0.5, p_out=0.5, seed=seed)
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            NoiseConfig(distribution="gaussian", sigma=0.1, seed=seed)
+
     def test_noise_distribution_names(self):
         with pytest.raises(InvalidConfigError):
             NoiseConfig(distribution="cauchy", sigma=1.0)

@@ -1,6 +1,6 @@
 """The array-built graph core against the loop-built one it replaced
-(``graph_reference``): construction errors, adjacency, edge ids,
-connectivity and boundaries, plus node-id checks and equality by value."""
+(``graph_reference``): construction errors, edge lookups, connectivity and
+boundaries, plus node-id checks and equality by value."""
 
 import numpy as np
 import pytest
@@ -68,23 +68,43 @@ def built(make):
         return None, (type(exc), exc.index)
 
 
-def edge_id(g, i, j):
-    try:
-        return g.edge_id(i, j)
-    except EdgeNotInGraphError:
-        return None
+def assert_lookups(g, index, absent):
+    """``g``'s edge lookups against ``index``, which maps each edge's canonical
+    pair to its id: every pair in one call, in either orientation, and each
+    pair alone; each ``absent`` pair raises EdgeNotInGraphError, alone and
+    after all the edges; a self loop raises SelfLoopError, alone and in a
+    call, as the first pair that is no edge."""
+    pairs, ids = list(index), list(index.values())
+    assert g.edge_ids(pairs).tolist() == ids
+    assert g.edge_ids([(j, i) for i, j in pairs]).tolist() == ids
+    for (i, j), k in index.items():
+        assert g.edge_id(j, i) == k and g.weight(i, j) == g.weights[k]
+    for e in absent:
+        with pytest.raises(EdgeNotInGraphError):
+            g.edge_id(*e)
+        with pytest.raises(EdgeNotInGraphError):
+            g.edge_ids([*pairs, e])
+    nodes = sorted({i for e in (*pairs, *absent) for i in e})
+    for i in nodes:
+        with pytest.raises(SelfLoopError):
+            g.edge_id(i, i)
+    if nodes:
+        i = nodes[-1]
+        with pytest.raises(SelfLoopError):
+            g.edge_ids([*pairs, (i, i), *absent])
+        if absent:
+            with pytest.raises(EdgeNotInGraphError):
+                g.edge_ids([*pairs, absent[0], (i, i)])
 
 
 def assert_same_graph(g, r):
     n = g.node_count
     assert g.edges == r.edges
     assert g.weights.tobytes() == r.weights.tobytes()
-    for i in range(n):
-        assert g.neighbors(i) == r.neighbors(i)
-        assert g.degree(i) == r.degree(i)
-        assert [edge_id(g, i, j) for j in range(n) if j != i] == [
-            edge_id(r, i, j) for j in range(n) if j != i
-        ]
+    present = set(r.edges)
+    absent = [(j, i) for i in range(n) for j in range(i) if (j, i) not in present]
+    # every absent pair on small graphs, about 60 on larger ones
+    assert_lookups(g, {e: r.edge_id(*e) for e in r.edges}, absent[:: len(absent) // 60 + 1])
     # a labelling that never settles fails instead of hanging the suite
     assert within(5, connected_components, g) == ref.connected_components(r)
     assert within(5, is_connected, g) == ref.is_connected(r)
@@ -233,11 +253,25 @@ def random_graph(rng, n, m, components=1):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_larger_graphs_match_reference(seed):
-    # enough edges per node that an unstable sort would reorder neighbor lists
+    # up to 300 nodes with several edges each, given in random order
     rng = np.random.default_rng(seed)
     n = int(rng.integers(40, 300))
     edges, weights = random_graph(rng, n, int(rng.integers(n, 6 * n)), int(rng.integers(1, 5)))
     assert_same_graph(Graph(n, edges, weights), ref.Graph(n, edges, weights))
+
+
+@pytest.mark.parametrize("build", [Graph, lambda n, e, w: validate_graph(e, w, n)])
+def test_lookups_with_ids_beyond_two_to_the_32(build):
+    # i * N + j would overflow int64 here; the edges go in unsorted
+    n = 2**62
+    ids = [0, 1, 2**31, 2**32 + 5, 2**40, 2**61, n - 2, n - 1]
+    pairs = [(ids[k], ids[k + 1]) for k in range(7)] + [(0, n - 1), (1, 2**40)]
+    edges = [pairs[k] for k in (4, 8, 0, 6, 2, 7, 1, 5, 3)]
+    g = build(n, edges, np.arange(1.0, 10.0))
+    index = {e: g.edges.index(e) for e in pairs}
+    absent = [(0, 2**31), (1, n - 1), (2**32 + 5, 2**61), (2**40 + 1, 2**61), (3, 4),
+              (-1, 0), (n - 1, n), (0, BIG)]
+    assert_lookups(g, index, absent)
 
 
 def test_shuffled_long_path_is_one_component():

@@ -8,6 +8,7 @@ from netlasso.errors import (
     CoefficientCountMismatchError,
     DimensionMismatchError,
     DuplicateEdgeError,
+    EdgeNotInGraphError,
     GraphError,
     InvalidPartitionError,
     NodeOutOfRangeError,
@@ -94,8 +95,9 @@ class TestValidateGraph:
 
     def test_adjacency(self):
         g = validate_graph([(0, 1), (0, 2)], [1.0, 2.0], 3)
-        assert {v for v, _ in g.neighbors(0)} == {1, 2}
-        assert g.degree(0) == 2 and g.degree(1) == 1
+        assert g.edge_ids([(2, 0), (0, 1)]).tolist() == [1, 0]
+        with pytest.raises(EdgeNotInGraphError):
+            g.edge_id(1, 2)
         assert list(g.weighted_degrees()) == [3.0, 1.0, 2.0]
 
 

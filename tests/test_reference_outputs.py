@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import graph_reference
 import netlasso.generate as generate
 from netlasso.errors import DisconnectedAfterRetriesError
 from netlasso.generate import (
@@ -75,9 +76,10 @@ def reference_sample_boundary_aware(g: Graph, partition: Partition, budget: int)
         cross_weight[j] += w
         endpoints.update((i, j))
     support = np.zeros(g.node_count)
+    adjacency = graph_reference.Graph(g.node_count, g.edges, g.weights)  # neighbor lists
     for u in endpoints:
         cluster = lab[u]
-        for v, k in g.neighbors(u):
+        for v, k in adjacency.neighbors(u):
             if lab[v] == cluster:
                 support[v] = max(support[v], float(g.weights[k]))
     wdeg = reference_weighted_degrees(g)
