@@ -54,7 +54,7 @@ from .graphs import (
     Partition,
     boundary_mask,
     heaviest_edges,
-    orient_edges,
+    orient_edge_ids,
     tv,
 )
 
@@ -171,10 +171,12 @@ def _boundary_flows(query: NccQuery, scale: int | None = None):
 
 def _boundary_supplies(query: NccQuery, cross: np.ndarray, flows) -> list[int]:
     """Per node, the sum of the scaled flows L*W over its boundary edges."""
-    s = np.zeros(query.graph.node_count, dtype=object)  # Python ints, exact at any size
-    for ends in query.graph.endpoint_arrays():
-        np.add.at(s, ends[cross], flows)
-    return s.tolist()
+    s = [0] * query.graph.node_count
+    ii, jj = (ends[cross].tolist() for ends in query.graph.endpoint_arrays())
+    for i, j, h in zip(ii, jj, flows):
+        s[i] += h
+        s[j] += h
+    return s
 
 
 def _demand_spec(query: NccQuery, b: list[int], scale: int) -> DemandSpec:
@@ -256,7 +258,7 @@ def check_ncc(query: NccQuery) -> NccCertificate:
     return NccCertificate(
         verdict="fails",
         failed_bits=bits,
-        failed_orientation=orient_edges(g, bnd, bits),
+        failed_orientation=orient_edge_ids(g, np.flatnonzero(cross), bits),
         cut=cut,
         **fields,
     )
@@ -294,10 +296,10 @@ def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:
     if cert.verdict != "fails" or cert.cut is None or cert.failed_bits is None:
         return False
     g = query.graph
-    _, bnd, (_, scale) = _boundary_flows(query)
+    cross, bnd, (_, scale) = _boundary_flows(query)
     if cert.boundary_edges != bnd or not 0 <= cert.failed_bits < 1 << len(bnd):
         return False
-    oriented = orient_edges(g, bnd, cert.failed_bits)
+    oriented = orient_edge_ids(g, np.flatnonzero(cross), cert.failed_bits)
     spec = _orientation_spec(query, oriented, scale)
     return verify_cut_certificate(g, bnd, spec, cert.cut)
 
@@ -332,12 +334,11 @@ def check_support_condition(
         return SupportConditionResult(satisfied=True, L=L, K=0.0, violations=(), degenerate=True)
     # Interior edges join nodes of one cluster: per node, its best sampled support.
     support = heaviest_edges(g, ~cross, sampled)
-    ends = np.stack(g.endpoint_arrays())[:, cross]
-    bad = np.flatnonzero(cross)[(support[ends] < float(L) * g.weights[cross]).any(axis=0)]
+    ends, w = np.stack(g.endpoint_arrays())[:, cross], g.weights[cross]
+    bad = np.flatnonzero(cross)[(support[ends] < float(L) * w).any(axis=0)]
     if bad.size:
         return SupportConditionResult(satisfied=False, L=L, K=None, violations=g.pairs(bad))
-    K = L * float(g.weights[cross].max())
-    return SupportConditionResult(satisfied=True, L=L, K=K, violations=())
+    return SupportConditionResult(satisfied=True, L=L, K=L * float(w.max()), violations=())
 
 
 def recovery_error_bound(K: float, L: float, eps_l1: float) -> float:

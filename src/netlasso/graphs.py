@@ -95,14 +95,14 @@ class Graph(_ByValue):
         ends = edges if isinstance(edges, np.ndarray) else _node_ids(edges)
         ii, jj = ends
         bad = (ii < 0) | (ii >= jj) | (jj >= n)
-        order = None  # the edge ids in (i, j) order, where the edges are not in it
+        keys, order = _pair_keys(ends.T), None  # order: the edge ids by key, if not 0..m-1
         if not ((ii[1:] > ii[:-1]) | (ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])).all():
-            order = np.lexsort((jj, ii))  # stable: a repeated pair's later copies follow it
-            bad[order[1:]] |= (np.diff(ii[order]) == 0) & (np.diff(jj[order]) == 0)
+            order = np.argsort(keys, kind="stable")  # a repeated pair's later copies follow it
+            keys = keys[order]
+            bad[order[1:]] |= keys[1:] == keys[:-1]
         _raise_first(edges, bad, n)
-        ends.flags.writeable = False
-        weights.flags.writeable = False
-        self.__dict__.update(_ends=ends, weights=weights, _order=order)
+        ends.flags.writeable = weights.flags.writeable = False
+        self.__dict__.update(_ends=ends, weights=weights, _keys=keys, _order=order)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -119,23 +119,16 @@ class Graph(_ByValue):
         return self._ends.shape[1]
 
     def edge_ids(self, pairs) -> np.ndarray:
-        """Ids of the edges {i, j} that ``pairs`` lists, by one binary search over
-        the edges' (i, j) keys, exact for any int64 ids. Raises SelfLoopError or
-        EdgeNotInGraphError for the first pair that is a self loop or no edge."""
+        """Ids of the edges {i, j} in ``pairs``, by one binary search over the sorted keys.
+        Raises SelfLoopError or EdgeNotInGraphError for the first pair that is no edge."""
         pairs = list(pairs)
-        order = self._order
-        ends = self._ends if order is None else self._ends[:, order]
-        # (i, j) as 16 big-endian bytes, which sort as pairs of ids >= 0 do
-        keys, wanted = (
-            np.ascontiguousarray(e.T, ">i8").view("S16").ravel()
-            for e in (ends, np.sort(_node_ids(pairs), axis=0))
-        )
-        at = np.searchsorted(keys, wanted)
-        found = np.take(keys, at, mode="clip") == wanted if keys.size else np.zeros(at.shape, bool)
+        keys, wanted = self._keys, _pair_keys(np.sort(_node_ids(pairs).T, axis=1))
+        at = np.searchsorted(keys, wanted, "right") - 1  # the last key <= each wanted one
+        found = keys[at] == wanted if keys.size else np.zeros(at.shape, bool)
         if not found.all():
             e = canonical_edge(*pairs[int(np.argmin(found))])
             raise EdgeNotInGraphError(f"edge {e} not in graph")
-        return at if order is None else order[at]
+        return at if self._order is None else self._order[at]
 
     def edge_id(self, i: int, j: int) -> int:
         return int(self.edge_ids([(i, j)])[0])
@@ -194,6 +187,11 @@ def _node_ids(edges) -> np.ndarray:
     if ids is None:
         ids = [[_node_id(i), _node_id(j)] for i, j in edges]
     return np.asarray(ids, np.int64).reshape(-1, 2).T.copy()
+
+
+def _pair_keys(rows: np.ndarray) -> np.ndarray:
+    """Each (i, j) row as 16 big-endian bytes, which sort as pairs of ids >= 0 do."""
+    return np.ascontiguousarray(rows, ">i8").view("S16").ravel()
 
 
 def _edge_array(edges: np.ndarray) -> np.ndarray:
@@ -402,12 +400,13 @@ class OrientedEdge:
 
 
 def orient_edges(g: Graph, edge_subset: Sequence[Edge], bits: int) -> tuple[OrientedEdge, ...]:
-    """Orient an edge subset by a bitmask.
+    """Orient an edge subset by a bitmask: bit k clear runs edge k, (i, j) with
+    i < j, as i -> j, bit set as j -> i. Weights are carried over unchanged."""
+    return orient_edge_ids(g, g.edge_ids(edge_subset), bits)
 
-    Bit k clear: edge (i, j) with i < j runs i -> j; bit set: j -> i.
-    Weights are carried over from the graph unchanged.
-    """
-    ids = g.edge_ids(edge_subset)
+
+def orient_edge_ids(g: Graph, ids: np.ndarray, bits: int) -> tuple[OrientedEdge, ...]:
+    """``orient_edges`` for the edges whose ids ``ids`` lists, in that order."""
     arcs = zip(*g._ends[:, ids].tolist(), g.weights[ids].tolist())
     return tuple(
         OrientedEdge(j, i, w) if bits >> k & 1 else OrientedEdge(i, j, w)
