@@ -17,11 +17,12 @@ per-cluster parts, and for a U inside one cluster supply(U) = L*W_bnd(dU),
 which is exactly the worst orientation's demand on U: all of U's boundary
 edges pointing in.
 
-A ``holds`` certificate is that one interior flow (scaled integers). A
-``fails`` certificate is the orientation that points every boundary edge of
-a violating single-cluster set U into U, plus U as its cut. The scale of a
-query is derived from its inputs: the smallest power of two that makes
-every weight, every boundary flow L*W_e and K an exact integer.
+A ``holds`` certificate is that flow's nonzero scaled integers by edge id. A
+``fails`` certificate is a violating single-cluster set U, a cut of the same
+supply demand; the orientation pointing U's boundary edges into U follows
+from it (``failed_bits``). The scale of a query is derived from its inputs:
+the smallest power of two that makes every weight, every boundary flow
+L*W_e and K an exact integer.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ from .graphs import (
     Edge,
     Graph,
     Observations,
-    OrientedEdge,
     Partition,
+    _index_array,
     boundary_mask,
     heaviest_edges,
-    orient_edge_ids,
     tv,
 )
 
@@ -99,9 +99,12 @@ class NccQuery:
 class NccCertificate:
     """Verdict over all ``orientations_total`` = 2^|boundary| orientations.
 
-    ``interior_flows`` (``holds``) aligns with ``interior_edges``, in scaled
-    integers at ``scale``; signs are relative to the canonical (smaller,
-    larger) direction.
+    ``holds``: ``interior_flows`` holds the nonzero flows as ``(edge id, flow)``
+    pairs by strictly increasing graph edge id (a ``write_graph`` file's line
+    order), in integers at ``scale``, signed relative to the canonical
+    (smaller, larger) direction. ``fails``: ``cut`` is the violated
+    single-cluster set U; bit k of ``failed_bits`` runs boundary edge k,
+    (i, j), as j -> i, into U.
     """
 
     verdict: str  # holds: interior_flows is a feasible supply flow | fails: failed_bits + cut
@@ -109,11 +112,9 @@ class NccCertificate:
     L: float
     scale: int
     boundary_edges: tuple[Edge, ...]
-    interior_edges: tuple[Edge, ...]
     orientations_total: int
-    interior_flows: tuple[int, ...] | None = None
+    interior_flows: tuple[tuple[int, int], ...] | None = None
     failed_bits: int | None = None
-    failed_orientation: tuple[OrientedEdge, ...] | None = None
     cut: CutCertificate | None = None
 
     def to_json_dict(self) -> dict:
@@ -126,13 +127,9 @@ class NccCertificate:
             "orientations_total": self.orientations_total,
         }
         if self.interior_flows is not None:
-            out["interior_edges"] = [list(e) for e in self.interior_edges]
-            out["interior_flows"] = list(self.interior_flows)
+            out["interior_flows"] = [list(p) for p in self.interior_flows]
         if self.verdict == "fails":
             out["failed_bits"] = self.failed_bits
-            out["failed_orientation"] = [
-                [a.tail, a.head, a.weight] for a in (self.failed_orientation or ())
-            ]
             if self.cut is not None:
                 out["cut"] = asdict(self.cut)
         return out
@@ -141,63 +138,34 @@ class NccCertificate:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _boundary_injections(
-    oriented: tuple[OrientedEdge, ...], node_count: int, L: float, scale: int
-) -> list[int]:
-    """Net boundary inflow per node, as exact scaled integers.
-
-    A boundary arc tail->head carrying L*W removes that much from the tail's
-    balance and delivers it at the head, so the remaining edges must carry
-    it back: the required net outflow on the interior is +h at the head and
-    -h at the tail.
-    """
-    b = [0] * node_count
-    for arc in oriented:
-        h = scaled(L * arc.weight, scale)
-        b[arc.head] += h
-        b[arc.tail] -= h
-    return b
-
-
-def _boundary_flows(query: NccQuery, scale: int | None = None):
-    """The boundary edges as a mask and as pairs, and ``_scaled_distinct`` of their
-    flows L*W at the smallest scale that makes every weight, every L*W and K an
-    integer (None where a given scale does not)."""
+def _supply_spec(query: NccQuery, scale: int | None = None):
+    """The boundary mask, the supply demand and its scale: each node's sum of
+    L*W over its boundary edges must reach the samples over the interior
+    edges, with imbalance at most K at each. The scale is the given one, or
+    else the smallest that makes every weight, every L*W and K an integer;
+    None where a given scale does not."""
     g = query.graph
     cross = boundary_mask(g, query.partition)
     others = [*set(g.weights.tolist()), query.K]
-    return cross, g.pairs(cross), _scaled_distinct(query.L * g.weights[cross], others, scale)
-
-
-def _boundary_supplies(query: NccQuery, cross: np.ndarray, flows) -> list[int]:
-    """Per node, the sum of the scaled flows L*W over its boundary edges."""
-    s = [0] * query.graph.node_count
-    ii, jj = (ends[cross].tolist() for ends in query.graph.endpoint_arrays())
+    flows = _scaled_distinct(query.L * g.weights[cross], others, scale)
+    if flows is None:
+        return None
+    flows, scale = flows
+    supply = [0] * g.node_count
+    ii, jj = (ends[cross].tolist() for ends in g.endpoint_arrays())
     for i, j, h in zip(ii, jj, flows):
-        s[i] += h
-        s[j] += h
-    return s
-
-
-def _demand_spec(query: NccQuery, b: list[int], scale: int) -> DemandSpec:
-    """Interior demand b / scale, with every sampled node's slack bounded by K."""
-    return DemandSpec(
-        injections={i: Fraction(v, scale) for i, v in enumerate(b) if v != 0},
+        supply[i] += h
+        supply[j] += h
+    spec = DemandSpec(
+        injections={i: Fraction(v, scale) for i, v in enumerate(supply) if v != 0},
         slack_nodes=frozenset(query.sample_nodes),
         slack_bound=query.K,
     )
-
-
-def _orientation_spec(
-    query: NccQuery, oriented: tuple[OrientedEdge, ...], scale: int
-) -> DemandSpec:
-    """Demand the interior edges must meet for one boundary orientation."""
-    b = _boundary_injections(oriented, query.graph.node_count, query.L, scale)
-    return _demand_spec(query, b, scale)
+    return cross, spec, scale
 
 
 def _cluster_cut(
-    query: NccQuery, interior: np.ndarray, supplies: list[int], nodes: tuple[int, ...], scale: int
+    query: NccQuery, interior: np.ndarray, spec: DemandSpec, nodes: tuple[int, ...], scale: int
 ) -> CutCertificate:
     """Restrict a violated supply cut to its first violated single-cluster part.
 
@@ -211,18 +179,27 @@ def _cluster_cut(
     ii, jj = g.endpoint_arrays()
     leaving = interior & (inside[ii] != inside[jj])
     caps = _scaled_distinct(g.weights[leaving], (), scale)[0]
+    supply = {i: scaled(v, scale) for i, v in spec.injections.items()}
     sampled = set(query.sample_nodes)
     k = scaled(query.K, scale)
     labels = lab.tolist()
     excess: Counter = Counter()
     for i in nodes:
-        excess[labels[i]] += supplies[i] - (k if i in sampled else 0)
+        excess[labels[i]] += supply.get(i, 0) - (k if i in sampled else 0)
     for c, cap in zip(lab[ii[leaving]].tolist(), caps):
         excess[c] -= cap
     c = min(c for c, e in excess.items() if e > 0)
     part = tuple(i for i in nodes if labels[i] == c)
-    demand = sum(supplies[i] for i in part)
+    demand = sum(supply.get(i, 0) for i in part)
     return CutCertificate("supply-excess", part, demand, demand - excess[c], scale)
+
+
+def _failed_bits(g: Graph, cross: np.ndarray, nodes) -> int:
+    """The orientation that points every boundary edge at ``nodes`` into them:
+    bit k set runs boundary edge k, (i, j), as j -> i, for i among the nodes."""
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[list(nodes)] = True
+    return sum(1 << k for k in np.flatnonzero(inside[g.endpoint_arrays()[0][cross]]).tolist())
 
 
 def check_ncc(query: NccQuery) -> NccCertificate:
@@ -235,73 +212,89 @@ def check_ncc(query: NccQuery) -> NccCertificate:
     boundary edges into U. Flows and cut are at the query's scale.
     """
     g = query.graph
-    cross, bnd, (flows, scale) = _boundary_flows(query)
-    supplies = _boundary_supplies(query, cross, flows)
-    result = feasible_flow(g, bnd, _demand_spec(query, supplies, scale))
+    cross, spec, scale = _supply_spec(query)
+    bnd = g.pairs(cross)
+    result = feasible_flow(g, bnd, spec)
     fields = dict(
         K=query.K,
         L=query.L,
         scale=scale,
         boundary_edges=bnd,
-        # the kept edges are the interior ones, and a witness lists them
-        interior_edges=result.witness.edges if result.feasible else g.pairs(~cross),
         orientations_total=1 << len(bnd),
     )
     if result.feasible:
         factor = scale // result.scale  # the flow's scale divides the query's
-        interior_flows = tuple(factor * f for f in result.witness.edge_flows)
+        # the witness lists the kept edges, the interior ones, in id order
+        flows = zip(np.flatnonzero(~cross).tolist(), result.witness.edge_flows)
+        interior_flows = tuple((e, factor * f) for e, f in flows if f != 0)
         return NccCertificate(verdict="holds", interior_flows=interior_flows, **fields)
-    cut = _cluster_cut(query, ~cross, supplies, result.cut.nodes, scale)
-    inside = set(cut.nodes)
-    # Bit k set orients (i, j) as j -> i: point every boundary edge at i in U into U.
-    bits = sum(1 << k for k, (i, _) in enumerate(bnd) if i in inside)
+    cut = _cluster_cut(query, ~cross, spec, result.cut.nodes, scale)
     return NccCertificate(
-        verdict="fails",
-        failed_bits=bits,
-        failed_orientation=orient_edge_ids(g, np.flatnonzero(cross), bits),
-        cut=cut,
-        **fields,
+        verdict="fails", failed_bits=_failed_bits(g, cross, cut.nodes), cut=cut, **fields
     )
+
+
+def _dense_flows(pairs, interior: np.ndarray, edge_count: int) -> list[int] | None:
+    """Sparse ``(edge id, flow)`` pairs as one flow per edge of ``interior``
+    (ids), zero where no pair names it; None unless each id is one of them,
+    the ids strictly increase and every flow is a nonzero integer."""
+    try:
+        ids, flows = [*zip(*pairs)] or [(), ()]
+        flows = list(map(operator.index, flows))
+    except (TypeError, ValueError):
+        return None
+    ids = _index_array(ids)
+    if ids is None or 0 in flows or (np.diff(ids) <= 0).any() or not np.isin(ids, interior).all():
+        return None
+    dense = np.zeros(edge_count, dtype=object)
+    dense[ids] = flows
+    return dense[interior].tolist()
 
 
 def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     """Independent integer re-check of the interior flow in a ``holds`` certificate.
 
-    Requires the query's boundary and a scale that makes every number of the
-    query an exact integer, then ``verify_demand_witness`` on the boundary
-    supplies: capacity on every interior edge, exact conservation at
-    non-sampled nodes, and imbalance at most K at sampled nodes.
+    Requires the query's boundary, a scale that makes every number of the
+    query an integer, and nonzero integer flows on interior edge ids in
+    strictly increasing order; expanded onto the interior edges, they must
+    pass ``verify_demand_witness`` on the boundary supply demand: capacity,
+    exact conservation at unsampled nodes, imbalance at most K at samples.
     """
     if cert.verdict != "holds" or cert.interior_flows is None:
         return False
-    g = query.graph
-    cross, bnd, scaled_flows = _boundary_flows(query, cert.scale)
-    if cert.boundary_edges != bnd or scaled_flows is None:
+    supply = _supply_spec(query, cert.scale)
+    if supply is None:
         return False
-    witness = DemandWitness.from_edge_flows(
-        g.node_count, cert.interior_edges, cert.interior_flows, cert.scale
-    )
-    spec = _demand_spec(query, _boundary_supplies(query, cross, scaled_flows[0]), cert.scale)
+    g = query.graph
+    cross, spec, _ = supply
+    bnd = g.pairs(cross)
+    interior = np.flatnonzero(~cross)
+    flows = _dense_flows(cert.interior_flows, interior, g.edge_count)
+    if cert.boundary_edges != bnd or flows is None:
+        return False
+    witness = DemandWitness.from_edge_flows(g.node_count, g.pairs(interior), flows, cert.scale)
     return verify_demand_witness(g, bnd, spec, witness)
 
 
 def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:
-    """Independent integer re-check of the cut in a ``fails`` certificate.
+    """Independent integer re-check of the cut U in a ``fails`` certificate.
 
-    Rebuilds the failed orientation's demand from the query at the query's
-    derived scale (the cut's own scale may be too coarse for a single
-    boundary flow L*W even where every net injection is exact) and checks
-    the cut with ``verify_cut_certificate`` at the cut's scale.
+    ``verify_cut_certificate`` checks, at the cut's scale, that U violates the
+    boundary supply demand (built at the query's derived scale, so a coarser
+    cut scale that makes every number on U an integer passes). U must also lie
+    in one cluster, where its supply is the demand of the orientation pointing
+    U's boundary edges into it, and ``failed_bits`` must name that orientation.
     """
-    if cert.verdict != "fails" or cert.cut is None or cert.failed_bits is None:
+    if cert.verdict != "fails" or cert.cut is None:
         return False
     g = query.graph
-    cross, bnd, (_, scale) = _boundary_flows(query)
-    if cert.boundary_edges != bnd or not 0 <= cert.failed_bits < 1 << len(bnd):
+    cross, spec, _ = _supply_spec(query)
+    bnd = g.pairs(cross)
+    if cert.boundary_edges != bnd or not verify_cut_certificate(g, bnd, spec, cert.cut):
         return False
-    oriented = orient_edge_ids(g, np.flatnonzero(cross), cert.failed_bits)
-    spec = _orientation_spec(query, oriented, scale)
-    return verify_cut_certificate(g, bnd, spec, cert.cut)
+    nodes = _index_array(cert.cut.nodes)  # ids in 0..N-1, as verify_cut_certificate checked
+    labels = query.partition.labels[nodes]
+    return bool((labels == labels[0]).all()) and cert.failed_bits == _failed_bits(g, cross, nodes)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ The default output directory is taken from $NETLASSO_OUT_DIR when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,10 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_NONCONVERGENCE = 3
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("NETLASSO_OUT_DIR", ".")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -205,7 +202,9 @@ def cmd_verify_bound(args) -> int:
     return EXIT_OK if report.passed else EXIT_CERTIFICATE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` fills in ``--out-dir``."""
     parser = argparse.ArgumentParser(
         prog="netlasso",
         description=(
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic clustered graph")
     _add_generator_args(p_gen)
-    p_gen.add_argument("--out-dir", default=_default_out_dir())
+    p_gen.add_argument("--out-dir")
     p_gen.set_defaults(func=cmd_generate)
 
     p_sample = sub.add_parser("sample", help="construct a sampling set")
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--master-seed", type=int, default=0)
     p_exp.add_argument("--plot-trial", type=int, default=0)
     _add_solver_args(p_exp)
-    p_exp.add_argument("--out-dir", default=_default_out_dir())
+    p_exp.add_argument("--out-dir")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_vb = sub.add_parser("verify-bound", help="check a recovery against the error bound")
@@ -282,6 +281,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code else EXIT_OK
+    if getattr(args, "out_dir", "") is None:
+        args.out_dir = os.environ.get("NETLASSO_OUT_DIR", ".")
     try:
         return args.func(args)
     except NetlassoError as exc:

@@ -96,7 +96,7 @@ class Graph(_ByValue):
         ii, jj = ends
         bad = (ii < 0) | (ii >= jj) | (jj >= n)
         keys, order = _pair_keys(ends.T), None  # order: the edge ids by key, if not 0..m-1
-        if not ((ii[1:] > ii[:-1]) | (ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])).all():
+        if not _increasing(ends):
             order = np.argsort(keys, kind="stable")  # a repeated pair's later copies follow it
             keys = keys[order]
             bad[order[1:]] |= keys[1:] == keys[:-1]
@@ -189,6 +189,12 @@ def _node_ids(edges) -> np.ndarray:
     return np.asarray(ids, np.int64).reshape(-1, 2).T.copy()
 
 
+def _increasing(ends: np.ndarray) -> bool:
+    """Whether the (i, j) pairs of a ``(2, m)`` array strictly increase."""
+    ii, jj = ends
+    return bool(((ii[1:] > ii[:-1]) | (ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])).all())
+
+
 def _pair_keys(rows: np.ndarray) -> np.ndarray:
     """Each (i, j) row as 16 big-endian bytes, which sort as pairs of ids >= 0 do."""
     return np.ascontiguousarray(rows, ">i8").view("S16").ravel()
@@ -249,11 +255,12 @@ def validate_graph(
 
     The edges are pairs or, as ``Graph`` takes them, a ``(2, m)`` integer
     array. Each pair is put smaller endpoint first and the edges are stably
-    sorted; the Graph checks them. Raises SelfLoopError, DuplicateEdgeError
-    (also for a pair given in both orders), NonPositiveWeightError or
-    NodeOutOfRangeError, whose ``index`` is the position in ``raw_edges`` of
-    the offending edge (for a repeated pair, of the later copy). Ids that are
-    not integers (GraphError) or exceed int64 (NodeOutOfRangeError) come first.
+    sorted unless they already strictly increase; the Graph checks them.
+    Raises SelfLoopError, DuplicateEdgeError (also for a pair given in both
+    orders), NonPositiveWeightError or NodeOutOfRangeError, whose ``index``
+    is the position in ``raw_edges`` of the offending edge (for a repeated
+    pair, of the later copy). Ids that are not integers (GraphError) or
+    exceed int64 (NodeOutOfRangeError) come first.
     """
     if isinstance(raw_edges, np.ndarray):
         ends = _edge_array(raw_edges)
@@ -269,6 +276,8 @@ def validate_graph(
         ends = _node_ids(raw_edges)
         _raise_first(raw_edges, (ends == _NOT_AN_ID).any(axis=0), node_count)
     ends.sort(axis=0)
+    if _increasing(ends):  # as every file write_graph writes
+        return Graph(node_count, ends, raw_weights)
     order = np.lexsort(ends[::-1])
     weights = _float_weights(raw_weights)[order]
     try:
@@ -402,11 +411,7 @@ class OrientedEdge:
 def orient_edges(g: Graph, edge_subset: Sequence[Edge], bits: int) -> tuple[OrientedEdge, ...]:
     """Orient an edge subset by a bitmask: bit k clear runs edge k, (i, j) with
     i < j, as i -> j, bit set as j -> i. Weights are carried over unchanged."""
-    return orient_edge_ids(g, g.edge_ids(edge_subset), bits)
-
-
-def orient_edge_ids(g: Graph, ids: np.ndarray, bits: int) -> tuple[OrientedEdge, ...]:
-    """``orient_edges`` for the edges whose ids ``ids`` lists, in that order."""
+    ids = g.edge_ids(edge_subset)
     arcs = zip(*g._ends[:, ids].tolist(), g.weights[ids].tolist())
     return tuple(
         OrientedEdge(j, i, w) if bits >> k & 1 else OrientedEdge(i, j, w)

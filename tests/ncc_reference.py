@@ -16,17 +16,23 @@ from netlasso.flow import DemandSpec, feasible_flow
 from netlasso.graphs import boundary, orient_edges
 
 
-def orientation_feasible(query, bits: int) -> bool:
-    """Whether the interior can carry the boundary flow of orientation ``bits``."""
+def orientation_spec(query, bits: int) -> DemandSpec:
+    """The demand the interior edges must meet for orientation ``bits`` of the
+    boundary: a boundary arc tail -> head carrying L*W leaves net outflow +L*W
+    at its head and -L*W at its tail for the interior to carry back."""
     g = query.graph
-    bnd = boundary(g, query.partition)
     injections = defaultdict(Fraction)
-    for arc in orient_edges(g, bnd, bits):
+    for arc in orient_edges(g, boundary(g, query.partition), bits):
         flow = Fraction(query.L * arc.weight)
         injections[arc.head] += flow
         injections[arc.tail] -= flow
-    spec = DemandSpec(injections, frozenset(query.sample_nodes), query.K)
-    return feasible_flow(g, bnd, spec).feasible
+    return DemandSpec(injections, frozenset(query.sample_nodes), query.K)
+
+
+def orientation_feasible(query, bits: int) -> bool:
+    """Whether the interior can carry the boundary flow of orientation ``bits``."""
+    g = query.graph
+    return feasible_flow(g, boundary(g, query.partition), orientation_spec(query, bits)).feasible
 
 
 def reference_verdict(query) -> tuple[str, int | None]:

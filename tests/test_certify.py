@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncc_reference import orientation_feasible, reference_support_condition, reference_verdict
+from ncc_reference import (
+    orientation_feasible,
+    orientation_spec,
+    reference_support_condition,
+    reference_verdict,
+)
 from netlasso import certify
 from netlasso.certify import (
     NccQuery,
@@ -22,7 +27,7 @@ from netlasso.certify import (
     verify_error_bound,
 )
 from netlasso.errors import InvalidQueryError, LNotGreaterThanOneError
-from netlasso.flow import CutCertificate, feasible_flow, verify_cut_certificate
+from netlasso.flow import CutCertificate, DemandSpec, feasible_flow, verify_cut_certificate
 from netlasso.generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -33,7 +38,6 @@ from netlasso.graphs import (
     Partition,
     boundary,
     clustered_signal,
-    orient_edges,
     validate_graph,
 )
 from netlasso.sampling import sample_boundary_aware
@@ -141,12 +145,12 @@ class TestCheckNcc:
         cert = check_ncc(query)
         assert cert.verdict == "holds"
         assert cert.orientations_total == 2
-        assert cert.interior_edges == ((0, 1), (2, 3))
         assert verify_ncc_witnesses(query, cert)
-        # i and j each supply L*W = 4 units, absorbed by m and n
-        flows = dict(zip(cert.interior_edges, cert.interior_flows))
-        assert flows[(0, 1)] == -4 * cert.scale  # i -> m (canonical 0 -> 1)
-        assert flows[(2, 3)] == 4 * cert.scale  # j -> n (canonical 2 -> 3)
+        # i and j each supply L*W = 4 units, absorbed by m and n, over the
+        # interior edges 0 = (0, 1) and 2 = (2, 3)
+        assert g.pairs([0, 2]) == ((0, 1), (2, 3))
+        # i -> m (canonical 0 -> 1), j -> n (canonical 2 -> 3)
+        assert cert.interior_flows == ((0, -4 * cert.scale), (2, 4 * cert.scale))
 
     def test_fixture_fails_at_k1(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
@@ -219,29 +223,16 @@ class TestCheckNcc:
         assert checked >= 3
 
     def test_failed_cut_reverifies(self, two_cluster_fixture):
-        from netlasso.certify import _boundary_injections
-        from netlasso.flow import DemandSpec
-        from netlasso.graphs import orient_edges
-
         g, p, m = two_cluster_fixture
         query = NccQuery(g, p, m, K=1.0, L=4.0)
         cert = check_ncc(query)
         assert cert.verdict == "fails"
-        bnd = boundary(g, p)
-        oriented = orient_edges(g, bnd, cert.failed_bits)
-        b = _boundary_injections(oriented, g.node_count, query.L, cert.scale)
-        spec = DemandSpec(
-            injections={i: v / cert.scale for i, v in enumerate(b) if v},
-            slack_nodes=frozenset(m),
-            slack_bound=query.K,
-        )
-        assert verify_cut_certificate(g, bnd, spec, cert.cut)
+        spec = orientation_spec(query, cert.failed_bits)
+        assert verify_cut_certificate(g, boundary(g, p), spec, cert.cut)
 
     def test_weight_4096_copy_repeats_unit_verdict(self):
         # At weight 4096 the scaled capacities pass 2^31; scaling every weight
         # and K by the same factor must leave verdict and certificate unchanged.
-        from netlasso.certify import _orientation_spec
-
         verdicts = set()
         for seed in range(12):
             instances = [
@@ -260,10 +251,8 @@ class TestCheckNcc:
                     if cert.verdict == "holds":
                         assert verify_ncc_witnesses(query, cert)
                     else:
-                        bnd = boundary(g, p)
-                        oriented = orient_edges(g, bnd, cert.failed_bits)
-                        spec = _orientation_spec(query, oriented, cert.scale)
-                        assert verify_cut_certificate(g, bnd, spec, cert.cut)
+                        spec = orientation_spec(query, cert.failed_bits)
+                        assert verify_cut_certificate(g, boundary(g, p), spec, cert.cut)
                     certs.append(cert)
                 unit, heavy = certs
                 assert heavy.verdict == unit.verdict
@@ -289,29 +278,24 @@ class TestCheckNcc:
     def test_boundary_injection_exact_below_float_resolution(self):
         # Node 1 meets boundary edges of weight 1 and 2**-60; its injection of
         # 1 + 2**-60 has no float, so it must reach the flow solver exactly.
-        from netlasso.certify import _orientation_spec
-
         g = validate_graph([(0, 1), (1, 2), (1, 3), (2, 3)], [2.0, 1.0, 2.0**-60, 2.0], 4)
         p = Partition((frozenset({0, 1}), frozenset({2, 3})))
         query = NccQuery(g, p, (0, 2, 3), K=2.0, L=1.0)
         cert = check_ncc(query)
         assert cert.verdict == "holds" and cert.scale == 2**60
         assert verify_ncc_witnesses(query, cert)
-        both_in = orient_edges(g, cert.boundary_edges, 0b11)  # 2 -> 1 and 3 -> 1
-        assert _orientation_spec(query, both_in, cert.scale).injections[1] == 1 + Fraction(
-            1, 2**60
-        )
-        flows = dict(zip(cert.interior_edges, cert.interior_flows))
-        assert flows[(0, 1)] == -(2**60 + 1)  # node 1 sends it all to node 0
+        both_in = orientation_spec(query, 0b11)  # 2 -> 1 and 3 -> 1
+        assert both_in.injections[1] == 1 + Fraction(1, 2**60)
+        flows = dict(cert.interior_flows)
+        assert flows[g.edge_id(0, 1)] == -(2**60 + 1)  # node 1 sends it all to node 0
 
     def test_certificate_serializes(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
         payload = json.loads(cert.to_json())
         assert payload["verdict"] == "holds"
-        assert payload["interior_edges"] == [[0, 1], [2, 3]]
-        assert len(payload["interior_flows"]) == 2
-        assert "witnesses" not in payload
+        assert payload["interior_flows"] == [[0, -4 * cert.scale], [2, 4 * cert.scale]]
+        assert "interior_edges" not in payload and "witnesses" not in payload
 
 
 class TestCheckNccMatchesEnumeration:
@@ -360,15 +344,17 @@ def pinned_queries(family: str):
 @pytest.mark.parametrize(
     "family, count, expected",
     [
-        ("preset", 16, "087b91d5a5a45eb562d2d642dcbe3593ca069710bf9177a0e37c0e9aec5a1360"),
-        ("8x4", 36, "3e868388a77cf9f0868b7390a8c0976719f7c25e0f0ca0eb220ea63202cd305f"),
-        ("mixed-weights", 36, "79f539462be2caf0add068cb593e8319c254c0430788c92ef92b90235e62eff7"),
-        ("n1e3", 2, "edae78db9f7dd6a7ec7a5382df4a75d1166d1d2dc632aa1ba3b5c31cfebd0915"),
+        ("preset", 16, "f099418b707c61c86abb0b8521e6edf5aa9faf4b0776b5988b877aabf20df98a"),
+        ("8x4", 36, "c870634a1336ebc503add46a916b6acf35364c59fe0129dcc877c5d7c27ec013"),
+        ("mixed-weights", 36, "5c7dbcaf7d3cb895e1b98b611d45708bb7619c941fdd253257d6b29cff52efcb"),
+        ("n1e3", 2, "18e63360e2a03a9d304fec1cfe6084200f35ea667f2b2bb3661c699e67bf4d05"),
     ],
+    ids=["preset", "8x4", "mixed-weights", "n1e3"],
 )
 def test_certificates_are_pinned(family, count, expected):
-    """Byte-identical certificates (flows, cuts, scales) to those recorded
-    before feasible_flow scaled each distinct weight once."""
+    """Byte-identical certificates (flows, cuts, scales). Recorded when the
+    certificate went sparse, after every query's nonzero flows by edge id,
+    cut, failed_bits and scale were checked equal to the earlier form's."""
     certs = [check_ncc(q) for q in pinned_queries(family)]
     assert len(certs) == count
     assert {c.verdict for c in certs} == {"holds", "fails"}
@@ -396,8 +382,6 @@ class TestVerifyNccCut:
         # The failed orientation's boundary arcs 1->0, 2->0 and 1->2 of flow
         # 0.5 leave net injections of +-1 only, so that orientation's own
         # feasibility query cuts at scale 1 while 0.5 needs 2.
-        from netlasso.certify import _orientation_spec
-
         g = validate_graph(
             [(0, 1), (1, 2), (0, 2), (3, 4), (0, 3), (2, 4)], [0.5, 0.5, 0.5, 1.0, 1.0, 1.0], 5
         )
@@ -405,9 +389,7 @@ class TestVerifyNccCut:
         query = NccQuery(g, p, (1,), K=1.0, L=1.0)
         cert = check_ncc(query)
         assert cert.verdict == "fails" and cert.scale == 2
-        bnd = cert.boundary_edges
-        oriented = orient_edges(g, bnd, cert.failed_bits)
-        own = feasible_flow(g, bnd, _orientation_spec(query, oriented, cert.scale))
+        own = feasible_flow(g, cert.boundary_edges, orientation_spec(query, cert.failed_bits))
         assert not own.feasible and own.cut.scale == 1
         assert verify_ncc_cut(query, cert)
         assert verify_ncc_cut(query, dataclasses.replace(cert, cut=own.cut))
@@ -438,6 +420,22 @@ class TestVerifyNccCut:
         holds_query = NccQuery(g, p, m, K=4.0, L=4.0)
         assert not verify_ncc_cut(holds_query, check_ncc(holds_query))
 
+    def test_rejects_cut_spanning_two_clusters(self):
+        # U = all four nodes supplies 2 + 2^-59 against the 1.5 its three
+        # samples may absorb, and bits 0b11 point U's boundary edges into it;
+        # but the edges join two parts of U, so no orientation has that demand.
+        query = self.fine_injection_query()
+        cert = check_ncc(query)
+        s = cert.scale
+        spans = CutCertificate("supply-excess", (0, 1, 2, 3), 2 * s + 2, 3 * s // 2, s)
+        supply = DemandSpec(
+            {1: 1 + Fraction(1, 2**60), 2: 1, 3: Fraction(1, 2**60)},
+            frozenset(query.sample_nodes),
+            query.K,
+        )
+        assert verify_cut_certificate(query.graph, cert.boundary_edges, supply, spans)
+        assert cert.failed_bits == 0b11
+        assert not verify_ncc_cut(query, dataclasses.replace(cert, cut=spans))
 
     def test_rejects_cut_with_out_of_range_node(self):
         # Preset seed 3 holds at K = 20. With no boundary edge flipped node 29
@@ -472,17 +470,44 @@ class TestVerifyNccWitnesses:
         return query, cert
 
     @staticmethod
-    def with_flow(cert, edge, flow):
+    def with_flow(query, cert, edge, flow):
         """Certificate whose interior flow on ``edge`` is replaced."""
-        flows = dict(zip(cert.interior_edges, cert.interior_flows))
-        flows[edge] = flow
-        return dataclasses.replace(cert, interior_flows=tuple(flows.values()))
+        flows = dict(cert.interior_flows)
+        flows[query.graph.edge_id(*edge)] = flow
+        kept = tuple(sorted((e, f) for e, f in flows.items() if f != 0))
+        return dataclasses.replace(cert, interior_flows=kept)
 
     def test_rejects_corrupt_interior_flow(self, holds):
         query, cert = holds
-        flow = dict(zip(cert.interior_edges, cert.interior_flows))[(0, 1)]
+        flow = dict(cert.interior_flows)[query.graph.edge_id(0, 1)]
         for delta in (-1, 1):  # unbalances non-sampled node 1
-            assert not verify_ncc_witnesses(query, self.with_flow(cert, (0, 1), flow + delta))
+            forged = self.with_flow(query, cert, (0, 1), flow + delta)
+            assert not verify_ncc_witnesses(query, forged)
+
+    # Forgeries of the sparse list ((0, -4s), (3, 4s)): edge 0 is (0, 1), edge 1
+    # (0, 4) carries nothing, edge 2 is the boundary edge (1, 2) and edge 3,
+    # (2, 3), is the last of the m = 4 edges.
+    FORGED = {
+        "id -1 for the last edge": lambda fl: sorted((-1 if e == 3 else e, f) for e, f in fl),
+        "id m": lambda fl: [*fl, (4, 1)],
+        "id beyond int64": lambda fl: [*fl, (2**64, 1)],
+        "boundary id": lambda fl: sorted([*fl, (2, 1)]),
+        "repeated id": lambda fl: [fl[0], (3, fl[1][1] // 2), (3, fl[1][1] // 2)],
+        "ids out of order": lambda fl: fl[::-1],
+        "explicit zero flow": lambda fl: sorted([*fl, (1, 0)]),
+        "float id": lambda fl: [(float(e), f) for e, f in fl],
+        "string id": lambda fl: [(str(e), f) for e, f in fl],
+        "float flow": lambda fl: [(e, float(f)) for e, f in fl],
+        "no pair": lambda fl: [(*p, 0) for p in fl],
+    }
+
+    @pytest.mark.parametrize("forgery", FORGED)
+    def test_rejects_forged_sparse_flows(self, holds, forgery):
+        query, cert = holds
+        s = cert.scale
+        assert cert.interior_flows == ((0, -4 * s), (3, 4 * s))
+        forged = tuple(self.FORGED[forgery](list(cert.interior_flows)))
+        assert not verify_ncc_witnesses(query, dataclasses.replace(cert, interior_flows=forged))
 
     def test_rejects_wrong_boundary_edges(self, holds):
         query, cert = holds
@@ -493,7 +518,8 @@ class TestVerifyNccWitnesses:
         query, cert = holds
         # Node 1 forces 4 units over {1,0}; 4 more over {4,0} leaves node 0
         # absorbing 8 > K while every edge stays within capacity.
-        assert not verify_ncc_witnesses(query, self.with_flow(cert, (0, 4), -4 * cert.scale))
+        forged = self.with_flow(query, cert, (0, 4), -4 * cert.scale)
+        assert not verify_ncc_witnesses(query, forged)
 
     def test_rejects_flow_above_capacity(self):
         # A circulation of 3 around the unit triangle 0 -> 1 -> 2 -> 0 keeps
@@ -503,9 +529,10 @@ class TestVerifyNccWitnesses:
         query = NccQuery(g, p, (0, 4), K=2.0, L=1.0)
         cert = check_ncc(query)
         assert cert.verdict == "holds" and verify_ncc_witnesses(query, cert)
-        flows = dict(zip(cert.interior_edges, cert.interior_flows))
+        flows = dict(cert.interior_flows)
         for edge, sign in (((0, 1), 1), ((1, 2), 1), ((0, 2), -1)):
-            cert = self.with_flow(cert, edge, flows[edge] + sign * 3 * cert.scale)
+            flow = flows.get(g.edge_id(*edge), 0) + sign * 3 * cert.scale
+            cert = self.with_flow(query, cert, edge, flow)
         assert not verify_ncc_witnesses(query, cert)
 
     def test_rejects_coarse_scale(self, two_cluster_fixture):

@@ -219,8 +219,9 @@ class TestCli:
         assert report["verdict"] == "holds"
         assert len(report["boundary_edges"]) == 50
         assert report["orientations_total"] == 2**50
-        assert len(report["interior_flows"]) == len(report["interior_edges"]) == 98
-        assert all(isinstance(f, int) for f in report["interior_flows"])
+        ids = [e for e, _ in report["interior_flows"]]
+        assert ids == sorted(set(ids)) and "interior_edges" not in report
+        assert all(isinstance(f, int) and f != 0 for _, f in report["interior_flows"])
         assert "witnesses" not in report
 
     def test_certify_preset_fails_exit_two(self, preset_files, capsys):
@@ -342,6 +343,20 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert not any(d.glob("gen/*")) and not (d / "mu.txt").exists()
         assert not any(d.glob("exp/*"))
+
+    def test_out_dir_default_is_read_when_a_command_runs(self, tmp_path, monkeypatch):
+        # main builds its parser once per process, after which
+        # $NETLASSO_OUT_DIR may still change
+        monkeypatch.delenv("NETLASSO_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["generate", "--seed", "3"]) == 0
+        assert (tmp_path / "graph.txt").exists()
+        monkeypatch.setenv("NETLASSO_OUT_DIR", str(tmp_path / "env"))
+        assert cli.main(["generate", "--seed", "3"]) == 0
+        assert (tmp_path / "env" / "graph.txt").exists()
+        assert cli.main(["generate", "--seed", "3", "--out-dir", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "graph.txt").exists()
+        assert cli.build_parser() is cli.build_parser()
 
     def test_missing_subcommand_usage_exit(self):
         assert run_cli().returncode == 1

@@ -146,6 +146,33 @@ def test_validate_graph_matches_sorted_reference(case):
         assert_same_graph(g, r)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_graph_takes_sorted_and_shuffled_edges_alike(data):
+    # sorted canonical edges, as write_graph writes them, skip the sort; a
+    # shuffled, partly reversed copy is sorted first; both build one graph,
+    # and a repeated pair is reported at its later copy either way
+    n = data.draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)))
+    weights = [data.draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in edges]
+    order = data.draw(st.permutations(range(len(edges))))
+    flips = [data.draw(st.booleans()) for _ in edges]
+    shuffled = [edges[k][::-1] if flip else edges[k] for k, flip in zip(order, flips)]
+    g = validate_graph(edges, weights, n)
+    assert validate_graph(shuffled, [weights[k] for k in order], n) == g
+    assert validate_graph(np.array(edges).T, weights, n) == g
+
+    k = data.draw(st.integers(0, len(edges) - 1))
+    at = data.draw(st.integers(0, len(edges)))
+    for raw, first, copy_at in ((edges, k, k + 1), (shuffled, order.index(k), at)):
+        repeated = [*raw[:copy_at], edges[k], *raw[copy_at:]]
+        later = max(copy_at, first + (first >= copy_at))
+        with pytest.raises(DuplicateEdgeError) as error:
+            validate_graph(repeated, [1.0] * len(repeated), n)
+        assert error.value.index == later
+
+
 def edge_array(edges):
     """The ``(2, m)`` int64 form of a list of pairs."""
     return np.array(edges, np.int64).reshape(-1, 2).T
