@@ -27,9 +27,7 @@ L*W_e and K an exact integer.
 
 from __future__ import annotations
 
-import json
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -40,10 +38,11 @@ from .flow import (
     CutCertificate,
     DemandSpec,
     DemandWitness,
+    _cut,
     _finite,
+    _instance,
     _scaled_distinct,
     feasible_flow,
-    scaled,
     verify_cut_certificate,
     verify_demand_witness,
 )
@@ -134,9 +133,6 @@ class NccCertificate:
                 out["cut"] = asdict(self.cut)
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def _supply_spec(query: NccQuery, scale: int | None = None):
     """The boundary mask, the supply demand and its scale: each node's sum of
@@ -164,34 +160,18 @@ def _supply_spec(query: NccQuery, scale: int | None = None):
     return cross, spec, scale
 
 
-def _cluster_cut(
-    query: NccQuery, interior: np.ndarray, spec: DemandSpec, nodes: tuple[int, ...], scale: int
-) -> CutCertificate:
-    """Restrict a violated supply cut to its first violated single-cluster part.
+def _cluster_cut(query: NccQuery, bnd, spec: DemandSpec, nodes, scale: int) -> CutCertificate:
+    """The part of the supply flow's minimal cut in its smallest cluster label.
 
-    Interior edges never join two clusters, so the cut's excess (supply
-    minus interior capacity leaving it minus K per sampled node) is the sum
-    of its cluster parts' excesses, and one of them is positive.
+    The reservoir never lies on the cut's side (its arc to the sink carries
+    the whole supply, so a failed flow leaves it unsaturated). The clusters
+    share no other node, so each nonempty cluster part of the cut is that
+    cluster's own minimal cut, and violated.
     """
-    g, lab = query.graph, query.partition.labels
-    inside = np.zeros(g.node_count, dtype=bool)
-    inside[list(nodes)] = True
-    ii, jj = g.endpoint_arrays()
-    leaving = interior & (inside[ii] != inside[jj])
-    caps = _scaled_distinct(g.weights[leaving], (), scale)[0]
-    supply = {i: scaled(v, scale) for i, v in spec.injections.items()}
-    sampled = set(query.sample_nodes)
-    k = scaled(query.K, scale)
-    labels = lab.tolist()
-    excess: Counter = Counter()
-    for i in nodes:
-        excess[labels[i]] += supply.get(i, 0) - (k if i in sampled else 0)
-    for c, cap in zip(lab[ii[leaving]].tolist(), caps):
-        excess[c] -= cap
-    c = min(c for c, e in excess.items() if e > 0)
-    part = tuple(i for i in nodes if labels[i] == c)
-    demand = sum(supply.get(i, 0) for i in part)
-    return CutCertificate("supply-excess", part, demand, demand - excess[c], scale)
+    g, nodes = query.graph, np.array(nodes, dtype=np.int64)
+    labels = query.partition.labels[nodes]
+    part = nodes[labels == labels.min()]
+    return _cut(g, spec, _instance(g, bnd, spec, scale), part, "supply-excess")
 
 
 def _failed_bits(g: Graph, cross: np.ndarray, nodes) -> int:
@@ -207,9 +187,9 @@ def check_ncc(query: NccQuery) -> NccCertificate:
 
     The boundary supplies must reach the sampled nodes over the interior
     edges, with imbalance at most K at each sampled node. A feasible flow certifies
-    ``holds``; otherwise the flow's cut, restricted to its first violated
-    cluster part U, certifies ``fails`` for the orientation pointing U's
-    boundary edges into U. Flows and cut are at the query's scale.
+    ``holds``; otherwise the flow's minimal cut, restricted to its part U in
+    the smallest cluster label, certifies ``fails`` for the orientation
+    pointing U's boundary edges into U. Flows and cut are at the query's scale.
     """
     g = query.graph
     cross, spec, scale = _supply_spec(query)
@@ -228,7 +208,7 @@ def check_ncc(query: NccQuery) -> NccCertificate:
         flows = zip(np.flatnonzero(~cross).tolist(), result.witness.edge_flows)
         interior_flows = tuple((e, factor * f) for e, f in flows if f != 0)
         return NccCertificate(verdict="holds", interior_flows=interior_flows, **fields)
-    cut = _cluster_cut(query, ~cross, spec, result.cut.nodes, scale)
+    cut = _cluster_cut(query, bnd, spec, result.cut.nodes, scale)
     return NccCertificate(
         verdict="fails", failed_bits=_failed_bits(g, cross, cut.nodes), cut=cut, **fields
     )
@@ -272,8 +252,7 @@ def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     flows = _dense_flows(cert.interior_flows, interior, g.edge_count)
     if cert.boundary_edges != bnd or flows is None:
         return False
-    witness = DemandWitness.from_edge_flows(g.node_count, g.pairs(interior), flows, cert.scale)
-    return verify_demand_witness(g, bnd, spec, witness)
+    return verify_demand_witness(g, bnd, spec, DemandWitness(tuple(flows), cert.scale))
 
 
 def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:

@@ -18,7 +18,12 @@ carry up to W_ij in a direction of the solver's choosing. Feasibility of a
 flow with prescribed node injections and bounded-slack nodes reduces to one
 max-flow problem via a reservoir node plus the standard lower-bound
 transform; infeasibility is certified by a node set whose required net
-outflow exceeds the capacity leaving it.
+outflow exceeds the capacity leaving it. In that network each kept edge, and
+each slack node's link to the reservoir, is one arc pair with its capacity
+both ways, so the pair's flow is half the difference of its two residual
+capacities. At N=1e4 (100 clusters of 100, 995 boundary edges) ``check_ncc``
+takes 76-95 ms this way, against 110-164 ms with two one-way pairs per edge,
+and ``verify_ncc_witnesses`` 29 ms, against 73 ms (2-core Intel Xeon).
 """
 
 from __future__ import annotations
@@ -196,27 +201,14 @@ class DemandSpec:
 
 @dataclass(frozen=True)
 class DemandWitness:
-    """Feasible flow on the kept edges, in scaled integer units.
+    """Feasible flow on the kept edges, in id order, in scaled integer units.
 
-    ``edge_flows[k]`` is the signed flow on ``edges[k]``: positive means the
+    ``edge_flows[k]`` is the signed flow on kept edge k: positive means the
     flow runs from the smaller endpoint to the larger one.
     """
 
-    edges: tuple[Edge, ...]
     edge_flows: tuple[int, ...]
-    node_net_outflow: tuple[int, ...]
     scale: int
-
-    @classmethod
-    def from_edge_flows(
-        cls, node_count: int, edges: tuple[Edge, ...], edge_flows: tuple[int, ...], scale: int
-    ) -> DemandWitness:
-        """Witness whose per-node net outflows are summed from the edge flows."""
-        net_out = [0] * node_count
-        for (i, j), f in zip(edges, edge_flows):
-            net_out[i] += f
-            net_out[j] -= f
-        return cls(tuple(edges), tuple(edge_flows), tuple(net_out), scale)
 
 
 @dataclass(frozen=True)
@@ -248,14 +240,19 @@ def _scaled_distinct(values: np.ndarray, others: Iterable, scale: int | None = N
 
     Scales each distinct value once. Without a scale, takes the smallest that
     makes every value and every one of ``others`` an integer; returns None
-    when a given scale does not.
+    when a given scale is no integer multiple of it.
     """
     distinct = np.unique(values)
     needed = exact_scale([*distinct.tolist(), *others])
     if scale is None:
         scale = needed
-    elif scale <= 0 or scale % needed:
-        return None
+    else:
+        try:
+            scale = operator.index(scale)  # a float scale would make the checks float
+        except TypeError:
+            return None
+        if scale <= 0 or scale % needed:
+            return None
     ints = np.array([scaled(v, scale) for v in distinct.tolist()], dtype=object)
     return ints[np.searchsorted(distinct, values)], scale
 
@@ -285,12 +282,18 @@ def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int |
     return kept, caps, b, scaled(spec.slack_bound, scale), scale
 
 
-def _cut_capacity(g: Graph, kept, caps, nodes, spec: DemandSpec, k: int) -> int:
-    """Kept capacity leaving ``nodes`` plus slack bound ``k`` per slack node in it."""
+def _cut(g: Graph, spec: DemandSpec, instance, nodes: np.ndarray, kind: str) -> CutCertificate:
+    """The ``kind`` certificate of ``nodes`` (node ids in 0..N-1) on an
+    ``_instance``: their total injection (negated for 'demand-excess'), and
+    the kept capacity leaving them plus the slack bound per slack node in them."""
+    kept, caps, b, k_scaled, scale = instance
     inside = np.zeros(g.node_count, dtype=bool)
-    inside[list(nodes)] = True
+    inside[nodes] = True
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    return sum(caps[inside[ii] != inside[jj]]) + k * len(spec.slack_nodes.intersection(nodes))
+    demand = (1 if kind == "supply-excess" else -1) * sum(b[inside])
+    capacity = sum(caps[inside[ii] != inside[jj]])
+    capacity += k_scaled * int(inside[list(spec.slack_nodes)].sum())
+    return CutCertificate(kind, tuple(nodes.tolist()), demand, capacity, scale)
 
 
 def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
@@ -301,68 +304,67 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     certificate proving infeasibility, both at the scale derived from the
     kept weights, the injections and the slack bound.
     """
-    kept, caps, b, k_scaled, scale = _instance(g, excluded, spec)
+    instance = kept, caps, b, k_scaled, scale = _instance(g, excluded, spec)
     n = g.node_count
     reservoir, source, sink = n, n + 1, n + 2
     supply_total = sum(v for v in b if v > 0)
     demand_total = sum(-v for v in b if v < 0)
 
     # Kept edge number p, and after them the slack nodes paired with the
-    # reservoir, become arc pairs 2*p (u -> v) and 2*p + 1 (v -> u), each with
-    # no capacity back. One arc per nonzero injection follows, from the source
-    # or to the sink, the reservoir's two last.
+    # reservoir, become arc pair 2*p (u -> v) and 2*p + 1 (v -> u), with the
+    # same capacity both ways. One arc per nonzero injection follows, from the
+    # source or to the sink with no capacity back, the reservoir's two last.
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
     slack = np.array(sorted(spec.slack_nodes), dtype=np.int64)
-    u = np.concatenate([ii, slack])
-    v = np.concatenate([jj, np.full(slack.size, reservoir)])
     injections = np.append(b, [demand_total, -supply_total])
     at = np.flatnonzero(injections)
     node = np.minimum(at, reservoir)  # injections n and n + 1 are the reservoir's
     into = injections[at] > 0
-    tails = np.concatenate([np.stack([u, v], 1).ravel(), np.where(into, source, node)])
-    heads = np.concatenate([np.stack([v, u], 1).ravel(), np.where(into, node, sink)])
-    arc_caps = [*np.repeat(np.append(caps, [k_scaled] * slack.size), 2), *abs(injections[at])]
-
-    solver = _Dinic(n + 3, tails, heads, arc_caps, [0] * len(arc_caps))
+    tails = np.concatenate([ii, slack, np.where(into, source, node)])
+    heads = np.concatenate([jj, np.full(slack.size, reservoir), np.where(into, node, sink)])
+    both = [*caps, *[k_scaled] * slack.size]
+    arc_caps = both + abs(injections[at]).tolist()
+    solver = _Dinic(n + 3, tails, heads, arc_caps, both + [0] * at.size)
     value = solver.max_flow(source, sink)
-    required = supply_total + demand_total
 
-    if value == required:
-        cap = solver.cap  # edge pos: i -> j is arc 4*pos, j -> i is arc 4*pos + 2
-        m = 4 * kept.size
-        flows = tuple(map(operator.sub, cap[2:m:4], cap[0:m:4]))
-        witness = DemandWitness.from_edge_flows(n, g.pairs(kept), flows, scale)
-        return FeasibilityResult(True, witness, None, scale)
+    if value == supply_total + demand_total:
+        cap, m = solver.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
+        flows = tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2]))
+        return FeasibilityResult(True, DemandWitness(flows, scale), None, scale)
 
-    reachable = solver.residual_reachable(source)
+    reachable = np.array(solver.residual_reachable(source))
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]
-    nodes = tuple(i for i in range(n) if reachable[i] == supply_side)
-    demand = (1 if supply_side else -1) * sum(b[i] for i in nodes)
-    kind = "supply-excess" if supply_side else "demand-excess"
-    capacity = _cut_capacity(g, kept, caps, nodes, spec, k_scaled)
-    cut = CutCertificate(kind, nodes, demand, capacity, scale)
+    nodes = np.flatnonzero(reachable[:n] == supply_side)
+    cut = _cut(g, spec, instance, nodes, "supply-excess" if supply_side else "demand-excess")
     return FeasibilityResult(False, None, cut, scale)
 
 
 def verify_demand_witness(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, witness: DemandWitness
 ) -> bool:
-    """Re-verify a witness against the raw instance with integer arithmetic."""
+    """Re-verify a witness against the raw instance with integer arithmetic:
+    one integer flow per kept edge within its capacity, and every node's net
+    outflow equal to its injection, or within the slack bound of it at a
+    slack node."""
     instance = _instance(g, excluded, spec, witness.scale)
     if instance is None:
         return False
-    kept, caps, b, k_scaled, scale = instance
-    flows = witness.edge_flows
-    if len(flows) != len(kept) or any(abs(f) > c for f, c in zip(flows, caps)):
+    kept, caps, b, k_scaled, _ = instance
+    try:
+        flows = list(map(operator.index, witness.edge_flows))  # no float arithmetic
+    except TypeError:
         return False
-    if DemandWitness.from_edge_flows(g.node_count, g.pairs(kept), flows, scale) != witness:
+    if len(flows) != kept.size or any(abs(f) > c for f, c in zip(flows, caps)):
         return False
-    return all(
-        abs(net - v) <= (k_scaled if i in spec.slack_nodes else 0)
-        for i, (net, v) in enumerate(zip(witness.node_net_outflow, b))
-    )
+    rest = b.tolist()  # each node's injection minus its net outflow
+    ii, jj = (ends[kept].tolist() for ends in g.endpoint_arrays())
+    for i, j, f in zip(ii, jj, flows):
+        rest[i] -= f
+        rest[j] += f
+    slack = spec.slack_nodes
+    return all(abs(r) <= k_scaled if i in slack else r == 0 for i, r in enumerate(rest))
 
 
 def verify_cut_certificate(
@@ -374,11 +376,6 @@ def verify_cut_certificate(
     nodes = _index_array(cut.nodes)  # None where an id is no integer
     if instance is None or nodes is None or ((nodes < 0) | (nodes >= g.node_count)).any():
         return False
-    inside = set(nodes.tolist())
-    kept, caps, b, k_scaled, _ = instance
-    sign = 1 if cut.kind == "supply-excess" else -1
-    demand = sign * sum(b[i] for i in inside)
-    capacity = _cut_capacity(g, kept, caps, inside, spec, k_scaled)
-    if demand != cut.demand_scaled or capacity != cut.capacity_scaled:
-        return False
-    return demand > capacity
+    mine = _cut(g, spec, instance, nodes, cut.kind)
+    claimed = (cut.demand_scaled, cut.capacity_scaled)
+    return claimed == (mine.demand_scaled, mine.capacity_scaled) and claimed[0] > claimed[1]

@@ -480,23 +480,5 @@ def component_roots(node_count: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarr
             root = up
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    """Connected components as sets of nodes, ordered by their smallest node."""
-    comps: dict[int, set[int]] = {}
-    for i, root in enumerate(component_roots(g.node_count, *g.endpoint_arrays()).tolist()):
-        comps.setdefault(root, set()).add(i)
-    return list(comps.values())
-
-
 def is_connected(g: Graph) -> bool:
     return not component_roots(g.node_count, *g.endpoint_arrays()).any()
-
-
-def subgraph_is_connected(g: Graph, nodes: set[int]) -> bool:
-    """Whether the induced subgraph on ``nodes`` is connected (True if empty)."""
-    if any(not 0 <= i < g.node_count for i in nodes):
-        raise NodeOutOfRangeError(f"subgraph node outside 0..{g.node_count - 1}")
-    inside = np.zeros(g.node_count, dtype=bool)
-    inside[list(nodes)] = True
-    both = inside[g._ends].all(axis=0)
-    return np.unique(component_roots(g.node_count, *g._ends[:, both])[inside]).size <= 1

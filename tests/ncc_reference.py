@@ -29,6 +29,18 @@ def orientation_spec(query, bits: int) -> DemandSpec:
     return DemandSpec(injections, frozenset(query.sample_nodes), query.K)
 
 
+def supply_spec(query) -> DemandSpec:
+    """The demand of all orientations at once: each boundary edge supplies
+    L*W at both of its endpoints, for the interior to carry to the samples."""
+    g = query.graph
+    injections = defaultdict(Fraction)
+    for arc in orient_edges(g, boundary(g, query.partition), 0):
+        flow = Fraction(query.L * arc.weight)
+        injections[arc.head] += flow
+        injections[arc.tail] += flow
+    return DemandSpec(injections, frozenset(query.sample_nodes), query.K)
+
+
 def orientation_feasible(query, bits: int) -> bool:
     """Whether the interior can carry the boundary flow of orientation ``bits``."""
     g = query.graph

@@ -14,6 +14,7 @@ from ncc_reference import (
     orientation_spec,
     reference_support_condition,
     reference_verdict,
+    supply_spec,
 )
 from netlasso import certify
 from netlasso.certify import (
@@ -292,7 +293,7 @@ class TestCheckNcc:
     def test_certificate_serializes(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
-        payload = json.loads(cert.to_json())
+        payload = json.loads(json.dumps(cert.to_json_dict()))
         assert payload["verdict"] == "holds"
         assert payload["interior_flows"] == [[0, -4 * cert.scale], [2, 4 * cert.scale]]
         assert "interior_edges" not in payload and "witnesses" not in payload
@@ -309,6 +310,33 @@ class TestCheckNccMatchesEnumeration:
         else:
             assert verify_ncc_cut(query, cert)
             assert not orientation_feasible(query, cert.failed_bits)
+
+
+class TestNccCutIsOneClusterPart:
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_queries())
+    def test_every_cluster_part_of_the_supply_cut_is_violated(self, query):
+        cert = check_ncc(query)
+        if cert.verdict == "holds":
+            return
+        g, labels, s = query.graph, query.partition.labels, cert.scale
+        spec = supply_spec(query)
+        supply = feasible_flow(g, cert.boundary_edges, spec)
+        assert not supply.feasible and supply.cut.kind == "supply-excess"
+        interior = [(i, j, Fraction(w)) for (i, j), w in zip(g.edges, g.weights.tolist())
+                    if labels[i] == labels[j]]
+        parts = sorted({labels[i] for i in supply.cut.nodes})
+        for c in parts:
+            nodes = tuple(i for i in supply.cut.nodes if labels[i] == c)
+            inside = set(nodes)
+            demand = sum(spec.injections.get(i, 0) for i in nodes)
+            capacity = sum(w for i, j, w in interior if (i in inside) != (j in inside))
+            capacity += Fraction(query.K) * len(inside.intersection(query.sample_nodes))
+            cut = CutCertificate("supply-excess", nodes, int(demand * s), int(capacity * s), s)
+            bits = sum(1 << k for k, (i, _) in enumerate(cert.boundary_edges) if i in inside)
+            assert verify_ncc_cut(query, dataclasses.replace(cert, cut=cut, failed_bits=bits))
+            if c == parts[0]:
+                assert (cert.cut, cert.failed_bits) == (cut, bits)
 
 
 def pinned_queries(family: str):

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import graph_reference
 from conftest import lp_optimum
 from netlasso import cli, experiments
 from netlasso.errors import DimensionMismatchError, InvalidConfigError, NodeOutOfRangeError
 from netlasso.flow import DemandSpec, feasible_flow, verify_demand_witness
-from netlasso.graphs import Observations, connected_components, validate_graph
+from netlasso.graphs import Observations, validate_graph
 from netlasso.solver import solve_exact, solve_oracle
 
 LAMS = (0.0, 0.05, 1.0, 7.0)
@@ -54,7 +55,8 @@ def check_minimizer(g, obs, lam, result):
     assert result.cuts <= result.levels - 1  # one cut per split of the label range
     assert result.objective == result.empirical_error + lam * result.tv_term
     sampled = set(obs.nodes)
-    for comp in connected_components(g):
+    reference = graph_reference.Graph(g.node_count, g.edges, g.weights)
+    for comp in graph_reference.connected_components(reference):
         if not comp & sampled or lam == 0.0:
             free = sorted(comp - sampled)
             assert np.all(x[free] == obs.y.min())

@@ -232,6 +232,12 @@ class TestCli:
         assert report["verdict"] == "fails" and report["cut"]["kind"] == "supply-excess"
         assert "interior_flows" not in report
 
+    def test_certify_report_is_one_compact_line(self, preset_files):
+        d = preset_files
+        assert self.certify_preset(d, "20", "--report", str(d / "r.json")) == 0
+        text = (d / "r.json").read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
     def test_certify_rejects_max_boundary(self, preset_files, capsys):
         assert self.certify_preset(preset_files, "20", "--max-boundary", "64") == 1
         assert "--max-boundary" in capsys.readouterr().err

@@ -224,7 +224,7 @@ class TestMaxFlow:
         assert verify_demand_witness(g, [], spec, res.witness)
         more = DemandSpec(injections={0: 2e-6, 2: -2e-6})
         assert not feasible_flow(g, [], more).feasible
-        coarse = DemandWitness(g.edges, (2, 2), (2, 0, -2), scale=10**6)
+        coarse = DemandWitness((2, 2), scale=10**6)
         assert not verify_demand_witness(g, [], more, coarse)
 
     def test_integrality_with_integer_capacities(self):
@@ -259,7 +259,7 @@ class TestFeasibleFlow:
         res = feasible_flow(star, [], spec)
         assert res.feasible
         assert verify_demand_witness(star, [], spec, res.witness)
-        flows = dict(zip(res.witness.edges, res.witness.edge_flows))
+        flows = dict(zip(star.pairs(slice(None)), res.witness.edge_flows))
         assert flows[(0, 1)] == -2 * res.scale  # leaf 1 -> center
         assert flows[(0, 2)] == 2 * res.scale  # center -> leaf 2
 
@@ -267,7 +267,10 @@ class TestFeasibleFlow:
         spec = DemandSpec(injections={0: 1.0}, slack_nodes=frozenset({3}), slack_bound=1.0)
         res = feasible_flow(path4, [], spec)
         assert res.feasible
-        net_out = res.witness.node_net_outflow
+        net_out = [0] * path4.node_count
+        for (i, j), f in zip(path4.pairs(slice(None)), res.witness.edge_flows):
+            net_out[i] += f
+            net_out[j] -= f
         assert net_out[0] == res.scale
         assert net_out[3] == -res.scale
 
@@ -321,6 +324,22 @@ class TestFeasibleFlow:
         assert res.cut.demand_scaled == int(1e300) * 2**1074
         assert res.cut.capacity_scaled == 1
         assert verify_cut_certificate(g, [], huge, res.cut)
+
+    @pytest.mark.parametrize("flow, scale", [(2**53, 1.0), (2.0**53, 1)])
+    def test_rejects_witness_one_short_in_float_arithmetic(self, flow, scale):
+        # 2^53 + 1 is no float: checked in floats, a flow one short of it passes.
+        g = validate_graph([(0, 1)], [2.0**60], 2)
+        spec = DemandSpec(injections={0: 2**53 + 1, 1: -(2**53 + 1)})
+        res = feasible_flow(g, [], spec)
+        assert res.witness == DemandWitness((2**53 + 1,), 1)
+        assert verify_demand_witness(g, [], spec, res.witness)
+        assert not verify_demand_witness(g, [], spec, DemandWitness((flow,), scale))
+
+    def test_rejects_cut_restated_at_a_float_scale(self, path2):
+        spec = DemandSpec(injections={0: 2.0, 1: -2.0})
+        cut = feasible_flow(path2, [], spec).cut
+        assert cut.scale == 1 and verify_cut_certificate(path2, [], spec, cut)
+        assert not verify_cut_certificate(path2, [], spec, replace(cut, scale=1.0))
 
     def test_invalid_demand_spec(self, path2):
         with pytest.raises(InvalidDemandSpecError):

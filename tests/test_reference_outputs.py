@@ -25,7 +25,6 @@ from netlasso.graphs import (
     Partition,
     boundary,
     is_connected,
-    subgraph_is_connected,
     validate_graph,
 )
 from netlasso.sampling import SATURATION_DISCOUNT, sample_boundary_aware, sample_uniform
@@ -49,8 +48,9 @@ def reference_generate(cfg: PlantedPartitionConfig):
         keep = u < probs
         edges = tuple(p for p, k in zip(pairs, keep) if k)
         g = Graph(n, edges, np.full(len(edges), cfg.weight))
+        reference = graph_reference.Graph(n, edges, g.weights)
         if is_connected(g) and all(
-            subgraph_is_connected(g, set(c)) for c in partition.clusters
+            graph_reference.subgraph_is_connected(reference, set(c)) for c in partition.clusters
         ):
             return g, partition, attempt
     raise DisconnectedAfterRetriesError("no connected instance")
