@@ -21,30 +21,30 @@ A ``holds`` certificate is that flow's nonzero scaled integers by edge id. A
 ``fails`` certificate is a violating single-cluster set U, a cut of the same
 supply demand; the orientation pointing U's boundary edges into U follows
 from it (``failed_bits``). The scale of a query is derived from its inputs:
-the smallest power of two that makes every weight, every boundary flow
-L*W_e and K an exact integer.
+the smallest integer (for floats, a power of two) that makes every weight,
+K and every boundary flow L*W_e an exact integer. L*W_e is the exact product
+of L and W_e, not the rounded float one, so a product beyond the float range
+either way is still exact. The flow is built and solved once, in those ints.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidQueryError, LNotGreaterThanOneError
 from .flow import (
     CutCertificate,
-    DemandSpec,
-    DemandWitness,
     _cut,
+    _cut_verified,
     _finite,
-    _instance,
-    _scaled_distinct,
-    feasible_flow,
-    verify_cut_certificate,
-    verify_demand_witness,
+    _flow_verified,
+    _ratio,
+    _route,
+    feasible_flow,  # noqa: F401  unused here; perfbench/tracing.py rebinds it
 )
 from .graphs import (
     Edge,
@@ -134,44 +134,34 @@ class NccCertificate:
         return out
 
 
-def _supply_spec(query: NccQuery, scale: int | None = None):
-    """The boundary mask, the supply demand and its scale: each node's sum of
-    L*W over its boundary edges must reach the samples over the interior
-    edges, with imbalance at most K at each. The scale is the given one, or
-    else the smallest that makes every weight, every L*W and K an integer;
-    None where a given scale does not."""
+def _supply_instance(query: NccQuery):
+    """The boundary mask and the supply flow in exact integers: the interior
+    edge ids, their capacities, each node's sum of L*W over its boundary edges,
+    the samples, K and the scale, the smallest that makes every weight, L*W and
+    K an integer. L*W is the exact product, never rounded, flushed or overflowed."""
     g = query.graph
     cross = boundary_mask(g, query.partition)
-    others = [*set(g.weights.tolist()), query.K]
-    flows = _scaled_distinct(query.L * g.weights[cross], others, scale)
-    if flows is None:
-        return None
-    flows, scale = flows
-    supply = [0] * g.node_count
-    ii, jj = (ends[cross].tolist() for ends in g.endpoint_arrays())
-    for i, j, h in zip(ii, jj, flows):
-        supply[i] += h
-        supply[j] += h
-    spec = DemandSpec(
-        injections={i: Fraction(v, scale) for i, v in enumerate(supply) if v != 0},
-        slack_nodes=frozenset(query.sample_nodes),
-        slack_bound=query.K,
-    )
-    return cross, spec, scale
+    weights, where = np.unique(g.weights, return_inverse=True)
+    ratios = [_ratio(w) for w in weights.tolist()]
+    (lp, lq), (kp, kq) = _ratio(query.L), _ratio(query.K)
+    lw = {k: (lp * ratios[k][0], lq * ratios[k][1]) for k in set(where[cross].tolist())}
+    scale = math.lcm(kq, *(q for _, q in ratios), *(q // math.gcd(p, q) for p, q in lw.values()))
+    caps = np.array([p * scale // q for p, q in ratios], dtype=object)
+    flows = np.array([lw[k][0] * scale // lw[k][1] for k in where[cross].tolist()], dtype=object)
+    supply = np.zeros(g.node_count, dtype=object)
+    np.add.at(supply, np.stack(g.endpoint_arrays())[:, cross], flows)  # at both ends
+    interior = np.flatnonzero(~cross)
+    samples = np.array(query.sample_nodes, dtype=np.int64)
+    return cross, (interior, caps[where[interior]], supply, samples, kp * scale // kq, scale)
 
 
-def _cluster_cut(query: NccQuery, bnd, spec: DemandSpec, nodes, scale: int) -> CutCertificate:
-    """The part of the supply flow's minimal cut in its smallest cluster label.
-
-    The reservoir never lies on the cut's side (its arc to the sink carries
-    the whole supply, so a failed flow leaves it unsaturated). The clusters
-    share no other node, so each nonempty cluster part of the cut is that
-    cluster's own minimal cut, and violated.
-    """
-    g, nodes = query.graph, np.array(nodes, dtype=np.int64)
+def _cluster_cut(query: NccQuery, instance, nodes: np.ndarray) -> CutCertificate:
+    """The supply flow's minimal cut in its smallest cluster label. The
+    reservoir is never on the cut's side (its arc to the sink carries the whole
+    supply, so a failed flow leaves it unsaturated), and the clusters share no
+    other node, so each cluster's part is its own minimal cut, and violated."""
     labels = query.partition.labels[nodes]
-    part = nodes[labels == labels.min()]
-    return _cut(g, spec, _instance(g, bnd, spec, scale), part, "supply-excess")
+    return _cut(query.graph, instance, nodes[labels == labels.min()], "supply-excess")
 
 
 def _failed_bits(g: Graph, cross: np.ndarray, nodes) -> int:
@@ -192,26 +182,18 @@ def check_ncc(query: NccQuery) -> NccCertificate:
     pointing U's boundary edges into U. Flows and cut are at the query's scale.
     """
     g = query.graph
-    cross, spec, scale = _supply_spec(query)
+    cross, instance = _supply_instance(query)
+    flows, nodes, _ = _route(g, instance)
     bnd = g.pairs(cross)
-    result = feasible_flow(g, bnd, spec)
-    fields = dict(
-        K=query.K,
-        L=query.L,
-        scale=scale,
-        boundary_edges=bnd,
-        orientations_total=1 << len(bnd),
-    )
-    if result.feasible:
-        factor = scale // result.scale  # the flow's scale divides the query's
-        # the witness lists the kept edges, the interior ones, in id order
-        flows = zip(np.flatnonzero(~cross).tolist(), result.witness.edge_flows)
-        interior_flows = tuple((e, factor * f) for e, f in flows if f != 0)
+    fields = dict(K=query.K, L=query.L, scale=instance[-1], boundary_edges=bnd,
+                  orientations_total=1 << len(bnd))
+    if flows is not None:
+        # the flows are on the interior edges, in id order
+        interior_flows = tuple((e, f) for e, f in zip(instance[0].tolist(), flows) if f != 0)
         return NccCertificate(verdict="holds", interior_flows=interior_flows, **fields)
-    cut = _cluster_cut(query, bnd, spec, result.cut.nodes, scale)
-    return NccCertificate(
-        verdict="fails", failed_bits=_failed_bits(g, cross, cut.nodes), cut=cut, **fields
-    )
+    cut = _cluster_cut(query, instance, nodes)
+    bits = _failed_bits(g, cross, cut.nodes)
+    return NccCertificate(verdict="fails", failed_bits=bits, cut=cut, **fields)
 
 
 def _dense_flows(pairs, interior: np.ndarray, edge_count: int) -> list[int] | None:
@@ -234,44 +216,38 @@ def _dense_flows(pairs, interior: np.ndarray, edge_count: int) -> list[int] | No
 def verify_ncc_witnesses(query: NccQuery, cert: NccCertificate) -> bool:
     """Independent integer re-check of the interior flow in a ``holds`` certificate.
 
-    Requires the query's boundary, a scale that makes every number of the
-    query an integer, and nonzero integer flows on interior edge ids in
+    Requires the query's boundary, a scale that makes every capacity, supply
+    and K an integer, and nonzero integer flows on interior edge ids in
     strictly increasing order; expanded onto the interior edges, they must
-    pass ``verify_demand_witness`` on the boundary supply demand: capacity,
-    exact conservation at unsampled nodes, imbalance at most K at samples.
+    pass ``verify_demand_witness``'s checks on the boundary supply demand:
+    capacity, exact conservation at unsampled nodes, imbalance at most K at samples.
     """
     if cert.verdict != "holds" or cert.interior_flows is None:
         return False
-    supply = _supply_spec(query, cert.scale)
-    if supply is None:
-        return False
     g = query.graph
-    cross, spec, _ = supply
-    bnd = g.pairs(cross)
-    interior = np.flatnonzero(~cross)
-    flows = _dense_flows(cert.interior_flows, interior, g.edge_count)
-    if cert.boundary_edges != bnd or flows is None:
+    cross, instance = _supply_instance(query)
+    flows = _dense_flows(cert.interior_flows, instance[0], g.edge_count)
+    if cert.boundary_edges != g.pairs(cross) or flows is None:
         return False
-    return verify_demand_witness(g, bnd, spec, DemandWitness(tuple(flows), cert.scale))
+    return _flow_verified(g, instance, flows, cert.scale)
 
 
 def verify_ncc_cut(query: NccQuery, cert: NccCertificate) -> bool:
     """Independent integer re-check of the cut U in a ``fails`` certificate.
 
-    ``verify_cut_certificate`` checks, at the cut's scale, that U violates the
-    boundary supply demand (built at the query's derived scale, so a coarser
-    cut scale that makes every number on U an integer passes). U must also lie
-    in one cluster, where its supply is the demand of the orientation pointing
+    ``verify_cut_certificate``'s checks, at the cut's scale (which may be
+    coarser than the query's if it makes every capacity, supply and K an
+    integer), that U violates the boundary supply demand. U must also lie in
+    one cluster, where its supply is the demand of the orientation pointing
     U's boundary edges into it, and ``failed_bits`` must name that orientation.
     """
     if cert.verdict != "fails" or cert.cut is None:
         return False
     g = query.graph
-    cross, spec, _ = _supply_spec(query)
-    bnd = g.pairs(cross)
-    if cert.boundary_edges != bnd or not verify_cut_certificate(g, bnd, spec, cert.cut):
+    cross, instance = _supply_instance(query)
+    if cert.boundary_edges != g.pairs(cross) or not _cut_verified(g, instance, cert.cut):
         return False
-    nodes = _index_array(cert.cut.nodes)  # ids in 0..N-1, as verify_cut_certificate checked
+    nodes = _index_array(cert.cut.nodes)  # ids in 0..N-1, as _cut_verified checked
     labels = query.partition.labels[nodes]
     return bool((labels == labels[0]).all()) and cert.failed_bits == _failed_bits(g, cross, nodes)
 

@@ -1,29 +1,32 @@
 """Maximum flow and feasibility of flows with node demands.
 
-All flow arithmetic happens on integers. Each call derives its scale from
-its inputs: the smallest power of two that makes every capacity, injection
-and slack bound an exact integer (every finite float is a dyadic rational,
-so one always exists). Nothing is rounded, so results are exact for the real
-inputs, and certificates carry their scale and re-verify with integer
-arithmetic. Max flow is one pure-Python Dinic solver on Python ints, so
-capacities of any size stay exact and parallel arcs stay distinct. Each phase
-labels nodes by residual distance to the sink (BFS back from t, stopped once
-the source's layer is complete), then a DFS from the source pushes a blocking
-flow along arcs one label closer to t, so it enters only nodes that can still
-reach t (Dinitz 1970; Ahuja & Orlin 1991). The residual graph it leaves gives
-the minimal minimum cut, which is unique whichever maximum flow was found.
+All flow arithmetic happens on integers. Each question becomes one exact
+instance: the kept edge ids and their capacities, every node's injection, the
+slack nodes, the slack bound and the scale, the smallest that makes every
+number an integer (every finite float is a dyadic rational, so one always
+exists). ``_instance`` builds it from excluded pairs and a ``DemandSpec``;
+``certify`` builds the NCC's straight from its boundary mask. One kernel
+(``_route``) solves either, and one integer check per certificate kind
+re-verifies either, at any scale that keeps its numbers integers. Nothing is
+rounded, so results are exact for the real inputs.
 
-Undirected graph edges act as bidirectional capacity: each edge {i,j} may
-carry up to W_ij in a direction of the solver's choosing. Feasibility of a
-flow with prescribed node injections and bounded-slack nodes reduces to one
-max-flow problem via a reservoir node plus the standard lower-bound
-transform; infeasibility is certified by a node set whose required net
-outflow exceeds the capacity leaving it. In that network each kept edge, and
-each slack node's link to the reservoir, is one arc pair with its capacity
-both ways, so the pair's flow is half the difference of its two residual
-capacities. At N=1e4 (100 clusters of 100, 995 boundary edges) ``check_ncc``
-takes 76-95 ms this way, against 110-164 ms with two one-way pairs per edge,
-and ``verify_ncc_witnesses`` 29 ms, against 73 ms (2-core Intel Xeon).
+Max flow is one pure-Python Dinic solver on Python ints, so capacities of any
+size stay exact and parallel arcs stay distinct. Each phase labels nodes by
+residual distance to the sink (BFS back from t, stopped once the source's
+layer is complete), then a DFS from the source pushes a blocking flow along
+arcs one label closer to t (Dinitz 1970; Ahuja & Orlin 1991). The residual
+graph gives the minimal minimum cut, whichever maximum flow was found. Every
+capacity times c scales the flow by c and leaves the phases and cut as they are.
+
+Each kept edge {i,j} may carry up to W_ij in a direction of the solver's
+choosing. Injections and bounded-slack nodes reduce to one max flow via a
+reservoir node and the standard lower-bound transform; infeasibility is
+certified by a node set whose required net outflow exceeds the capacity
+leaving it. Each kept edge, and each slack node's link to the reservoir, is
+one arc pair with its capacity both ways, so the pair's flow is half the
+difference of its two residual capacities. On perfbench's certify-enum
+queries ``check_ncc`` takes a median of about 360 us this way, against 560 us
+through a ``DemandSpec`` of ``Fraction``s and a second instance (2-core Xeon).
 """
 
 from __future__ import annotations
@@ -235,33 +238,22 @@ class FeasibilityResult:
     scale: int
 
 
-def _scaled_distinct(values: np.ndarray, others: Iterable, scale: int | None = None):
-    """``values * scale`` as an object array of exact ints, and the scale.
-
-    Scales each distinct value once. Without a scale, takes the smallest that
-    makes every value and every one of ``others`` an integer; returns None
-    when a given scale is no integer multiple of it.
-    """
+def _scaled_distinct(values: np.ndarray, others: Iterable):
+    """``values * scale`` as an object array of exact ints, and the scale: the
+    smallest that makes every value and every one of ``others`` an integer.
+    Scales each distinct value once."""
     distinct = np.unique(values)
-    needed = exact_scale([*distinct.tolist(), *others])
-    if scale is None:
-        scale = needed
-    else:
-        try:
-            scale = operator.index(scale)  # a float scale would make the checks float
-        except TypeError:
-            return None
-        if scale <= 0 or scale % needed:
-            return None
+    scale = exact_scale([*distinct.tolist(), *others])
     ints = np.array([scaled(v, scale) for v in distinct.tolist()], dtype=object)
     return ints[np.searchsorted(distinct, values)], scale
 
 
-def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int | None = None):
+def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec):
     """The flow question (g minus ``excluded``, ``spec``) in exact integers:
     the kept edge ids, their capacities, every node's injection (the ints in
-    object arrays), the slack bound and the scale (as in ``_scaled_distinct``).
-    Raises for a spec node outside 0..N-1."""
+    object arrays), the slack nodes' sorted ids, the slack bound and the
+    smallest scale that makes every number an integer. Raises for a spec node
+    outside 0..N-1."""
     n = g.node_count
     for what, nodes in (("injection", spec.injections), ("slack", spec.slack_nodes)):
         for i in nodes:
@@ -270,41 +262,34 @@ def _instance(g: Graph, excluded: Iterable[Edge], spec: DemandSpec, scale: int |
     keep = np.ones(g.edge_count, dtype=bool)
     keep[g.edge_ids(excluded)] = False
     kept = np.flatnonzero(keep)
-    instance = _scaled_distinct(
-        g.weights[kept], [*spec.injections.values(), spec.slack_bound], scale
-    )
-    if instance is None:
-        return None
-    caps, scale = instance
+    caps, scale = _scaled_distinct(g.weights[kept], [*spec.injections.values(), spec.slack_bound])
     b = np.zeros(n, dtype=object)
     for i, v in spec.injections.items():
         b[i] = scaled(v, scale)
-    return kept, caps, b, scaled(spec.slack_bound, scale), scale
+    slack = np.array(sorted(spec.slack_nodes), dtype=np.int64)
+    return kept, caps, b, slack, scaled(spec.slack_bound, scale), scale
 
 
-def _cut(g: Graph, spec: DemandSpec, instance, nodes: np.ndarray, kind: str) -> CutCertificate:
-    """The ``kind`` certificate of ``nodes`` (node ids in 0..N-1) on an
-    ``_instance``: their total injection (negated for 'demand-excess'), and
-    the kept capacity leaving them plus the slack bound per slack node in them."""
-    kept, caps, b, k_scaled, scale = instance
-    inside = np.zeros(g.node_count, dtype=bool)
-    inside[nodes] = True
-    ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    demand = (1 if kind == "supply-excess" else -1) * sum(b[inside])
-    capacity = sum(caps[inside[ii] != inside[jj]])
-    capacity += k_scaled * int(inside[list(spec.slack_nodes)].sum())
-    return CutCertificate(kind, tuple(nodes.tolist()), demand, capacity, scale)
+def _at_scale(instance, scale):
+    """An instance at another scale; None unless ``scale`` is a positive
+    integer multiple of the smallest that makes all its numbers integers."""
+    kept, caps, b, slack, k_scaled, own = instance
+    try:
+        scale = operator.index(scale)  # a float scale would make the checks float
+    except TypeError:
+        return None
+    if scale == own:
+        return instance
+    needed = own // math.gcd(own, k_scaled, *set(caps.tolist()), *set(b.tolist()))
+    if scale <= 0 or scale % needed:
+        return None
+    return kept, caps * scale // own, b * scale // own, slack, k_scaled * scale // own, scale
 
 
-def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
-    """Decide whether the graph minus ``excluded`` supports the demanded flow.
-
-    Each kept edge {i,j} may carry up to W_ij in one direction of the
-    solver's choosing. Returns a witness flow when feasible, otherwise a cut
-    certificate proving infeasibility, both at the scale derived from the
-    kept weights, the injections and the slack bound.
-    """
-    instance = kept, caps, b, k_scaled, scale = _instance(g, excluded, spec)
+def _route(g: Graph, instance):
+    """Max flow on an instance: the flow on each kept edge, in id order, when
+    every injection is met; otherwise None, the minimal cut's nodes and kind."""
+    kept, caps, b, slack, k_scaled, _ = instance
     n = g.node_count
     reservoir, source, sink = n, n + 1, n + 2
     supply_total = sum(v for v in b if v > 0)
@@ -315,8 +300,8 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
     # same capacity both ways. One arc per nonzero injection follows, from the
     # source or to the sink with no capacity back, the reservoir's two last.
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    slack = np.array(sorted(spec.slack_nodes), dtype=np.int64)
-    injections = np.append(b, [demand_total, -supply_total])
+    # numpy would turn two ints past int64 into floats; keep them Python ints
+    injections = np.append(b, np.array([demand_total, -supply_total], dtype=object))
     at = np.flatnonzero(injections)
     node = np.minimum(at, reservoir)  # injections n and n + 1 are the reservoir's
     into = injections[at] > 0
@@ -329,31 +314,37 @@ def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> Feasi
 
     if value == supply_total + demand_total:
         cap, m = solver.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
-        flows = tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2]))
-        return FeasibilityResult(True, DemandWitness(flows, scale), None, scale)
+        return tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2])), None, None
 
     reachable = np.array(solver.residual_reachable(source))
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]
     nodes = np.flatnonzero(reachable[:n] == supply_side)
-    cut = _cut(g, spec, instance, nodes, "supply-excess" if supply_side else "demand-excess")
-    return FeasibilityResult(False, None, cut, scale)
+    return None, nodes, "supply-excess" if supply_side else "demand-excess"
 
 
-def verify_demand_witness(
-    g: Graph, excluded: Iterable[Edge], spec: DemandSpec, witness: DemandWitness
-) -> bool:
-    """Re-verify a witness against the raw instance with integer arithmetic:
-    one integer flow per kept edge within its capacity, and every node's net
-    outflow equal to its injection, or within the slack bound of it at a
-    slack node."""
-    instance = _instance(g, excluded, spec, witness.scale)
+def _cut(g: Graph, instance, nodes: np.ndarray, kind: str) -> CutCertificate:
+    """The ``kind`` certificate of ``nodes`` (node ids in 0..N-1) on an
+    instance: their total injection (negated for 'demand-excess'), and the
+    kept capacity leaving them plus the slack bound per slack node in them."""
+    kept, caps, b, slack, k_scaled, scale = instance
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[nodes] = True
+    ii, jj = (ends[kept] for ends in g.endpoint_arrays())
+    demand = (1 if kind == "supply-excess" else -1) * sum(b[inside])
+    capacity = sum(caps[inside[ii] != inside[jj]]) + k_scaled * int(inside[slack].sum())
+    return CutCertificate(kind, tuple(nodes.tolist()), demand, capacity, scale)
+
+
+def _flow_verified(g: Graph, instance, edge_flows, scale) -> bool:
+    """``verify_demand_witness`` on an instance: ``edge_flows`` at ``scale``."""
+    instance = _at_scale(instance, scale)
     if instance is None:
         return False
-    kept, caps, b, k_scaled, _ = instance
+    kept, caps, b, slack, k_scaled, _ = instance
     try:
-        flows = list(map(operator.index, witness.edge_flows))  # no float arithmetic
+        flows = list(map(operator.index, edge_flows))  # no float arithmetic
     except TypeError:
         return False
     if len(flows) != kept.size or any(abs(f) > c for f, c in zip(flows, caps)):
@@ -363,19 +354,52 @@ def verify_demand_witness(
     for i, j, f in zip(ii, jj, flows):
         rest[i] -= f
         rest[j] += f
-    slack = spec.slack_nodes
+    slack = set(slack.tolist())
     return all(abs(r) <= k_scaled if i in slack else r == 0 for i, r in enumerate(rest))
+
+
+def _cut_verified(g: Graph, instance, cut: CutCertificate) -> bool:
+    """``verify_cut_certificate`` on an instance."""
+    instance = _at_scale(instance, cut.scale)
+    nodes = _index_array(cut.nodes)  # None where an id is no integer
+    if instance is None or nodes is None or ((nodes < 0) | (nodes >= g.node_count)).any():
+        return False
+    mine = _cut(g, instance, nodes, cut.kind)
+    claimed = (cut.demand_scaled, cut.capacity_scaled)
+    return claimed == (mine.demand_scaled, mine.capacity_scaled) and claimed[0] > claimed[1]
+
+
+def feasible_flow(g: Graph, excluded: Iterable[Edge], spec: DemandSpec) -> FeasibilityResult:
+    """Decide whether the graph minus ``excluded`` supports the demanded flow.
+
+    Each kept edge {i,j} may carry up to W_ij in one direction of the
+    solver's choosing. Returns a witness flow when feasible, otherwise a cut
+    certificate proving infeasibility, both at the scale derived from the
+    kept weights, the injections and the slack bound.
+    """
+    instance = _instance(g, excluded, spec)
+    flows, nodes, kind = _route(g, instance)
+    scale = instance[-1]
+    if flows is not None:
+        return FeasibilityResult(True, DemandWitness(flows, scale), None, scale)
+    return FeasibilityResult(False, None, _cut(g, instance, nodes, kind), scale)
+
+
+def verify_demand_witness(
+    g: Graph, excluded: Iterable[Edge], spec: DemandSpec, witness: DemandWitness
+) -> bool:
+    """Re-verify a witness against the raw instance with integer arithmetic:
+    a scale that makes every number of the instance an integer, one integer
+    flow per kept edge within its capacity, and every node's net outflow equal
+    to its injection, or within the slack bound of it at a slack node."""
+    return _flow_verified(g, _instance(g, excluded, spec), witness.edge_flows, witness.scale)
 
 
 def verify_cut_certificate(
     g: Graph, excluded: Iterable[Edge], spec: DemandSpec, cut: CutCertificate
 ) -> bool:
-    """Re-verify that a cut certificate proves infeasibility; a cut node that
-    is no integer in 0..N-1 fails it."""
-    instance = _instance(g, excluded, spec, cut.scale)
-    nodes = _index_array(cut.nodes)  # None where an id is no integer
-    if instance is None or nodes is None or ((nodes < 0) | (nodes >= g.node_count)).any():
-        return False
-    mine = _cut(g, spec, instance, nodes, cut.kind)
-    claimed = (cut.demand_scaled, cut.capacity_scaled)
-    return claimed == (mine.demand_scaled, mine.capacity_scaled) and claimed[0] > claimed[1]
+    """Re-verify that a cut certificate proves infeasibility, at a scale that
+    makes every number of the instance an integer: the claimed demand and
+    capacity are the nodes' own, and the demand exceeds the capacity. A cut
+    node that is no integer in 0..N-1 fails it."""
+    return _cut_verified(g, _instance(g, excluded, spec), cut)

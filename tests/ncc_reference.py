@@ -3,8 +3,9 @@ sufficient support condition as a loop over each boundary endpoint's neighbors.
 
 Independent of ``certify.check_ncc``: each orientation is one exact
 ``feasible_flow`` query whose injections (+L*W at the head of a boundary
-arc, -L*W at its tail) are built here as ``Fraction``s. Exponential in the
-boundary size, so only for small instances.
+arc, -L*W at its tail) are built here as exact ``Fraction`` products, not
+rounded float ones. Exponential in the boundary size, so only for small
+instances.
 """
 
 from collections import defaultdict
@@ -23,7 +24,7 @@ def orientation_spec(query, bits: int) -> DemandSpec:
     g = query.graph
     injections = defaultdict(Fraction)
     for arc in orient_edges(g, boundary(g, query.partition), bits):
-        flow = Fraction(query.L * arc.weight)
+        flow = Fraction(query.L) * Fraction(arc.weight)
         injections[arc.head] += flow
         injections[arc.tail] -= flow
     return DemandSpec(injections, frozenset(query.sample_nodes), query.K)
@@ -35,7 +36,7 @@ def supply_spec(query) -> DemandSpec:
     g = query.graph
     injections = defaultdict(Fraction)
     for arc in orient_edges(g, boundary(g, query.partition), 0):
-        flow = Fraction(query.L * arc.weight)
+        flow = Fraction(query.L) * Fraction(arc.weight)
         injections[arc.head] += flow
         injections[arc.tail] += flow
     return DemandSpec(injections, frozenset(query.sample_nodes), query.K)

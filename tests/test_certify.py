@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from ncc_reference import (
     reference_verdict,
     supply_spec,
 )
-from netlasso import certify
 from netlasso.certify import (
     NccQuery,
     ErrorBoundReport,
@@ -28,7 +28,13 @@ from netlasso.certify import (
     verify_error_bound,
 )
 from netlasso.errors import InvalidQueryError, LNotGreaterThanOneError
-from netlasso.flow import CutCertificate, DemandSpec, feasible_flow, verify_cut_certificate
+from netlasso.flow import (
+    CutCertificate,
+    DemandSpec,
+    _Dinic,
+    feasible_flow,
+    verify_cut_certificate,
+)
 from netlasso.generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -173,12 +179,13 @@ class TestCheckNcc:
         m = sample_boundary_aware(g, p, 15)
         assert len(boundary(g, p)) == 50
         calls = []
+        max_flow = _Dinic.max_flow
 
-        def counted(*args):
-            calls.append(args)
-            return feasible_flow(*args)
+        def counted(net, s, t):
+            calls.append((s, t))
+            return max_flow(net, s, t)
 
-        monkeypatch.setattr(certify, "feasible_flow", counted)
+        monkeypatch.setattr(_Dinic, "max_flow", counted)
         for K, expected in ((1.0, "fails"), (5.0, "fails"), (9.0, "fails"),
                             (10.0, "holds"), (20.0, "holds")):
             calls.clear()
@@ -290,6 +297,32 @@ class TestCheckNcc:
         flows = dict(cert.interior_flows)
         assert flows[g.edge_id(0, 1)] == -(2**60 + 1)  # node 1 sends it all to node 0
 
+    @staticmethod
+    def path_query(boundary_weight, L):
+        """Path 0-1-2-3 with clusters {0,1} and {2,3}, node 3 the only sample
+        and K = 1: the boundary edge's supply L*W at node 1 has nowhere to go."""
+        g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, boundary_weight, 1.0], 4)
+        p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+        return NccQuery(g, p, (3,), K=1.0, L=L)
+
+    def test_boundary_flow_below_float_range_is_exact(self):
+        # 0.5 * 5e-324 is 0 in floats, which would make the NCC hold.
+        query = self.path_query(5e-324, 0.5)
+        cert = check_ncc(query)
+        assert cert.verdict == "fails" and cert.scale == 2**1075
+        assert cert.cut == CutCertificate("supply-excess", (0, 1), 1, 0, 2**1075)
+        assert verify_ncc_cut(query, cert)
+
+    def test_boundary_flow_above_float_range_is_exact(self):
+        # 2 * 1.5e308 is inf in floats.
+        query = self.path_query(1.5e308, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check_ncc(query)
+        assert cert.verdict == "fails" and cert.cut.nodes == (0, 1)
+        assert cert.cut.demand_scaled == 2 * int(1.5e308)
+        assert verify_ncc_cut(query, cert)
+
     def test_certificate_serializes(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         cert = check_ncc(NccQuery(g, p, m, K=4.0, L=4.0))
@@ -388,6 +421,41 @@ def test_certificates_are_pinned(family, count, expected):
     assert {c.verdict for c in certs} == {"holds", "fails"}
     data = "".join(repr(c) for c in certs).encode()
     assert hashlib.sha256(data).hexdigest() == expected
+
+
+class TestCheckNccMatchesPublicFlow:
+    """``check_ncc``'s integer instance against ``feasible_flow`` on the
+    reference supply demand: the same network, at the query's scale."""
+
+    @staticmethod
+    def assert_matches_public_flow(query):
+        cert = check_ncc(query)
+        g, labels = query.graph, query.partition.labels
+        public = feasible_flow(g, cert.boundary_edges, supply_spec(query))
+        assert cert.verdict == ("holds" if public.feasible else "fails")
+        if public.feasible:
+            factor, rest = divmod(cert.scale, public.scale)
+            assert rest == 0
+            ii, jj = g.endpoint_arrays()
+            interior = np.flatnonzero(labels[ii] == labels[jj]).tolist()
+            flows = zip(interior, public.witness.edge_flows)
+            assert cert.interior_flows == tuple((e, factor * f) for e, f in flows if f != 0)
+            assert verify_ncc_witnesses(query, cert)
+        else:
+            nodes = np.array(public.cut.nodes)
+            part = nodes[labels[nodes] == labels[nodes].min()]
+            assert cert.cut.nodes == tuple(part.tolist())
+            assert verify_ncc_cut(query, cert)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_queries())
+    def test_clustered_queries(self, query):
+        self.assert_matches_public_flow(query)
+
+    @pytest.mark.parametrize("family", ["preset", "8x4", "mixed-weights", "n1e3"])
+    def test_pinned_families(self, family):
+        for query in pinned_queries(family):
+            self.assert_matches_public_flow(query)
 
 
 class TestVerifyNccCut:

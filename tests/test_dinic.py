@@ -120,6 +120,21 @@ def test_constructor_matches_sequential_add_arc(instance):
     assert (net.head, net.cap, net.adj) == (sequential.head, sequential.cap, sequential.adj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(), st.integers(2, 2**70))
+def test_kernel_is_scale_equivariant(instance, c):
+    # Every capacity times c scales the max flow and each residual capacity by
+    # c and leaves the phases and the residual reach as they are, so a flow
+    # solved at a coarse scale and multiplied out equals one solved at a fine one.
+    n, arcs, s, t = instance
+    net, value = solved(_Dinic, n, arcs, s, t)
+    big, big_value = solved(_Dinic, n, [(u, v, c * x, c * r) for u, v, x, r in arcs], s, t)
+    assert big_value == c * value
+    assert big.cap == [c * x for x in net.cap]
+    assert big.phases == net.phases
+    assert big.residual_reachable(s) == net.residual_reachable(s)
+
+
 def test_phases_count_blocking_flows():
     # s=0, t=3: the direct arc 0 -> 3 is one phase, the path over 1 and 2 another
     net = _Dinic(4, [0, 1, 2, 0], [1, 2, 3, 3], [1] * 4, [0] * 4)

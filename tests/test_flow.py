@@ -325,6 +325,18 @@ class TestFeasibleFlow:
         assert res.cut.capacity_scaled == 1
         assert verify_cut_certificate(g, [], huge, res.cut)
 
+    def test_totals_between_int64_and_uint64_stay_exact(self):
+        # Scaled, node 0 absorbs 3 * 2^62 + 1 and node 2 supplies 1: numpy turns
+        # that demand total, beyond int64 but within uint64, and the supply total
+        # into floats together, and the rounded network finds no feasible flow.
+        g = validate_graph([(0, 1), (1, 2)], [4.0, 4.0], 3)
+        tiny = Fraction(1, 2**62)
+        spec = DemandSpec(injections={0: -(3 + tiny), 2: tiny}, slack_nodes={1}, slack_bound=3.0)
+        res = feasible_flow(g, [], spec)
+        assert res.feasible and res.scale == 2**62
+        assert res.witness.edge_flows == (-(3 * 2**62 + 1), -1)
+        assert verify_demand_witness(g, [], spec, res.witness)
+
     @pytest.mark.parametrize("flow, scale", [(2**53, 1.0), (2.0**53, 1)])
     def test_rejects_witness_one_short_in_float_arithmetic(self, flow, scale):
         # 2^53 + 1 is no float: checked in floats, a flow one short of it passes.
