@@ -283,7 +283,8 @@ def check_support_condition(
     # Interior edges join nodes of one cluster: per node, its best sampled support.
     support = heaviest_edges(g, ~cross, sampled)
     ends, w = np.stack(g.endpoint_arrays())[:, cross], g.weights[cross]
-    bad = np.flatnonzero(cross)[(support[ends] < float(L) * w).any(axis=0)]
+    with np.errstate(over="ignore"):  # an L*W beyond the float range is inf, still unsupported
+        bad = np.flatnonzero(cross)[(support[ends] < float(L) * w).any(axis=0)]
     if bad.size:
         return SupportConditionResult(satisfied=False, L=L, K=None, violations=g.pairs(bad))
     return SupportConditionResult(satisfied=True, L=L, K=L * float(w.max()), violations=())

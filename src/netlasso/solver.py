@@ -15,8 +15,11 @@ ends once per iteration, and the five norms of the stopping rule come from
 one row-wise sum of squares. A row sum over a contiguous last axis is the
 same pairwise sum as ``np.sum`` of that row alone, and the two rows are
 added as two separate sums would be, so the iterates do not depend on the
-layout. All updates are vectorized over fixed arrays, so identical inputs
-produce bit-identical iterates.
+layout. The views and buffers an iteration writes into are made once per
+call: an iteration makes no array but bincount's result and the views of its
+two halves. The soft threshold runs on the sampled nodes only. All updates
+are vectorized over fixed arrays, so identical inputs produce bit-identical
+iterates.
 """
 
 from __future__ import annotations
@@ -196,11 +199,6 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     return ExactResult(x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), phases)
 
 
-def _shrink(v: np.ndarray, t) -> np.ndarray:
-    """Soft threshold sign(v) * max(|v| - t, 0)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     """Solve the graph l1/TV problem by ADMM.
 
@@ -223,8 +221,7 @@ def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     lam = cfg.lam
 
     obs_nodes = np.array(obs.nodes)
-    sampled = np.zeros(n, dtype=bool)
-    sampled[obs_nodes] = True
+    # Isolated nodes sit at their label if sampled, else at 0.
     y_full = np.zeros(n)
     y_full[obs_nodes] = obs.y
 
@@ -232,19 +229,29 @@ def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     isolated = deg == 0
     has_isolated = bool(isolated.any())
     safe_deg = np.where(isolated, 1, deg).astype(np.float64)
-    # Sampled isolated nodes sit at their label; unsampled isolated at 0.
-    isolated_value = np.where(sampled, y_full, 0.0)
-
-    x = np.zeros(n)
-    # Rows of a block: primal residual, change of z, x at the edge ends, z, u. An
-    # iteration writes one block and reads the last z and u from the other.
-    cur, prev, squares = np.zeros((5, 2, m)), np.zeros((5, 2, m)), np.empty((5, 2, m))
-    row_signs = np.array([[1.0], [-1.0]])
 
     abs_tol = float(np.sqrt(2.0 * m)) * cfg.eps_abs
-    shrink_t = 1.0 / (rho * safe_deg)
+    obs_t = 1.0 / (rho * safe_deg[obs_nodes])  # the soft threshold at each sample
     theta_cap = lam * w / rho
     trace: list[dict] = []
+
+    # Rows of a block: primal residual, change of z, x at the edge ends, z, u. An
+    # iteration writes one block and reads the last z and u from the other. A
+    # state is a block, its five rows and the two rows of its z. Every update
+    # writes into these views or the buffers below; only bincount returns a new
+    # array. The loop is bound by call overhead, so the ufuncs are locals too.
+    cur, prev = [(b, *b, *b[3]) for b in np.zeros((2, 5, 2, m))]
+    x = np.zeros(n)
+    y = obs.y
+    v, a = np.empty(len(obs_nodes)), np.empty(len(obs_nodes))
+    diff, pq, squares = np.empty((2, m)), np.empty((2, m)), np.empty((5, 2, m))
+    diff_flat, (p, q) = diff.reshape(-1), pq
+    delta, step = np.empty(m), np.empty(m)
+    sq, norms = np.empty((5, 2)), np.empty(5)
+    sq_i, sq_j = sq.T
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, sign, minimum, maximum = np.absolute, np.sign, np.minimum, np.maximum
+    square, sqrt, bincount = np.square, np.sqrt, np.bincount
 
     iterations = 0
     converged = False
@@ -252,25 +259,46 @@ def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     s_norm = 0.0
     for iterations in range(1, cfg.max_iters + 1):
         cur, prev = prev, cur
-        (r, dz, xe, z, u), (z_old, u_old) = cur, prev[3:]
-        sums = np.bincount(ends_shifted, weights=(z_old - u_old).ravel(), minlength=2 * n)
-        c = (sums[:n] + sums[n:]) / safe_deg
-        x = np.where(sampled, y_full + _shrink(c - y_full, shrink_t), c)
+        block, r, dz, xe, z, u, z_i, z_j = cur
+        z_old, u_old = prev[4], prev[5]
+        subtract(z_old, u_old, out=diff)
+        sums = bincount(ends_shifted, weights=diff_flat, minlength=2 * n)
+        add(sums[:n], sums[n:], out=x)
+        divide(x, safe_deg, out=x)
+        # at the samples, x = y + sign(x - y) * max(|x - y| - t, 0); every index is in
+        # range, and mode="clip" spares the copy that take makes for out= under "raise"
+        x.take(obs_nodes, out=v, mode="clip")
+        subtract(v, y, out=v)
+        absolute(v, out=a)
+        subtract(a, obs_t, out=a)
+        maximum(a, 0.0, out=a)
+        sign(v, out=v)
+        multiply(v, a, out=v)
+        add(y, v, out=v)
+        x.put(obs_nodes, v)
         if has_isolated:
-            x = np.where(isolated, isolated_value, x)
+            np.copyto(x, y_full, where=isolated)
 
-        np.take(x, ends, out=xe)
-        pq = xe + u_old
-        delta = pq[0] - pq[1]
-        step = np.minimum(theta_cap, np.abs(delta) / 2.0) * np.sign(delta)
-        # z_i = p - step and z_j = q + step, as q - (-step) is q + step exactly
-        np.subtract(pq, step * row_signs, out=z)
-        np.subtract(xe, z, out=r)
-        np.subtract(z, z_old, out=dz)
-        np.add(u_old, r, out=u)
+        x.take(ends, out=xe, mode="clip")
+        add(xe, u_old, out=pq)
+        subtract(p, q, out=delta)
+        # step = min(theta_cap, |delta| / 2) * sign(delta), z_i = p - step, z_j = q + step
+        absolute(delta, out=step)
+        divide(step, 2.0, out=step)
+        minimum(theta_cap, step, out=step)
+        sign(delta, out=delta)
+        multiply(step, delta, out=step)
+        subtract(p, step, out=z_i)
+        add(q, step, out=z_j)
+        subtract(xe, z, out=r)
+        subtract(z, z_old, out=dz)
+        add(u_old, r, out=u)
 
-        sq = np.sum(np.square(cur, out=squares), axis=-1)
-        r_norm, dz_norm, ax_norm, z_norm, u_norm = np.sqrt(sq[:, 0] + sq[:, 1]).tolist()
+        # each norm adds its two row sums, the same pairwise sums as np.sum of a row
+        square(block, out=squares)
+        add.reduce(squares, axis=-1, out=sq)
+        add(sq_i, sq_j, out=norms)
+        r_norm, dz_norm, ax_norm, z_norm, u_norm = sqrt(norms, out=norms).tolist()
         s_norm = rho * dz_norm
         eps_pri = abs_tol + cfg.eps_rel * max(ax_norm, z_norm)
         eps_dual = abs_tol + cfg.eps_rel * rho * u_norm

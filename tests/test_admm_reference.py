@@ -121,6 +121,36 @@ def test_max_iters_cut_off():
     assert res.iterations == 7 and not res.converged
 
 
+def test_label_minus_zero_inside_the_threshold():
+    # Node 0 is sampled at -0.0 and its average c lies in [-t, 0): the shrink gives
+    # sign(c) * 0 = -0.0, and -0.0 + -0.0 keeps x[0] at -0.0.
+    g = validate_graph([(0, 1), (1, 2)], [1.0, 1.0], 3)
+    for lam in (0.05, 1.0):
+        cfg = SolverConfig(lam=lam, record_trace=True)
+        res = assert_identical(g, obs_of((0, 2), [-0.0, -0.5]), cfg)
+        if lam == 0.05:
+            assert bits(res.x_hat[0]) == bits(-0.0)
+
+
+def test_lam_zero_with_negative_edge_difference():
+    # theta_cap is 0, so the step is min(0, |delta| / 2) * sign(delta) = 0 * -1 = -0.0
+    g = validate_graph([(0, 1), (1, 2)], [1.0, 1.0], 3)
+    for y in ([-1.0, 1.0], [-0.0, 2.0], [0.0, -0.0]):
+        res = assert_identical(g, obs_of((0, 1), y), SolverConfig(lam=0.0, record_trace=True))
+        assert res.converged
+
+
+def test_edge_difference_of_minus_zero():
+    # Samples at +0.0 and -0.0 both pulled below zero end at x = +0.0 and -0.0, so
+    # edge (0, 1) differs by -0.0 - 0.0 = -0.0 in the trace's total variation. (The
+    # edge step's p - q is never -0.0: from zero duals, u and z never hold -0.0.)
+    g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0], 4)
+    for lam in (0.05, 1.0):
+        cfg = SolverConfig(lam=lam, record_trace=True)
+        res = assert_identical(g, obs_of((0, 1, 3), [0.0, -0.0, -0.5]), cfg)
+        assert [bits(v) for v in res.x_hat[:2]] == [bits(0.0), bits(-0.0)]
+
+
 @st.composite
 def instances(draw):
     """Graphs on up to 9 nodes, with isolated sampled and unsampled nodes likely."""

@@ -673,6 +673,15 @@ class TestCheckSupportCondition:
         assert res.K is None
         assert res.violations == ((1, 2),)
 
+    def test_boundary_flow_beyond_float_range_warns_nothing(self):
+        # L*W = 2 * 1.5e308 is inf in floats: no support reaches it, and no overflow warning
+        g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, 1.5e308, 1.0], 4)
+        p = Partition((frozenset({0, 1}), frozenset({2, 3})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = check_support_condition(g, p, (3,), 2)
+        assert not res.satisfied and res.K is None and res.violations == ((1, 2),)
+
     def test_empty_boundary_degenerate(self, path4):
         p = Partition((frozenset({0, 1, 2, 3}),))
         res = check_support_condition(path4, p, (0,), 3.0)

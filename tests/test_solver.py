@@ -117,6 +117,13 @@ class TestSolveAdmm:
         assert r1.iterations == r2.iterations
         assert r1.objective == r2.objective
 
+    def test_x_hat_owns_its_memory(self):
+        # no view into the loop's blocks, which would keep them alive
+        rng = np.random.default_rng(2)
+        g, obs = random_tiny_instance(rng)
+        x_hat = solve_admm(g, obs, SolverConfig(lam=0.3)).x_hat
+        assert x_hat.flags.owndata and x_hat.shape == (g.node_count,)
+
     def test_trace_recorded_and_objective_bounded(self, path4):
         obs = obs_of((0, 3), [0.0, 3.0])
         cfg = SolverConfig(lam=0.5, record_trace=True, max_iters=500)
