@@ -260,9 +260,6 @@ class SupportConditionResult:
     violations: tuple[Edge, ...]
     degenerate: bool = False  # empty boundary: vacuously satisfied, K = 0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_support_condition(
     g: Graph, partition: Partition, sample_nodes, L: float

@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .certify import (
-    NccQuery,
-    check_support_condition,
-    check_ncc,
-    verify_error_bound,
-)
+from .certify import NccQuery, check_ncc, verify_error_bound
 from .errors import NetlassoError
 from .experiments import ExperimentConfig, run_experiment, summarize, write_outputs
 from .generate import (
@@ -32,8 +27,8 @@ from .generate import (
 )
 from .graphs import boundary, clustered_signal, tv
 from .sampling import sample_boundary_aware, sample_uniform
+from .solver import SolverConfig, solve_exact
 from .solver import solve_admm  # noqa: F401  unused here; perfbench/tracing.py rebinds it
-from .solver import solve_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,15 +79,18 @@ def _add_generator_args(sub, with_seed=True):
         sub.add_argument("--seed", type=int, default=0)
 
 
+# ADMM settings of ``experiment``: one flag each, with SolverConfig's type and default.
+_SOLVER_FIELDS = ("rho", "eps_abs", "eps_rel", "max_iters")
+
+
 def _add_solver_args(sub):
-    sub.add_argument("--rho", type=float, default=1.0)
-    sub.add_argument("--eps-abs", type=float, default=1e-6)
-    sub.add_argument("--eps-rel", type=float, default=1e-5)
-    sub.add_argument("--max-iters", type=int, default=100_000)
+    for name in _SOLVER_FIELDS:
+        default = SolverConfig.__dataclass_fields__[name].default
+        sub.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _solver_overrides(args) -> dict:
-    return {name: getattr(args, name) for name in ("rho", "eps_abs", "eps_rel", "max_iters")}
+    return {name: getattr(args, name) for name in _SOLVER_FIELDS}
 
 
 def cmd_generate(args) -> int:
@@ -131,20 +129,12 @@ def cmd_certify(args) -> int:
     g = fileio.read_graph(args.graph)
     partition = fileio.read_partition(args.partition, g)
     samples = fileio.read_node_set(args.samples)
-    support = check_support_condition(g, partition, samples, args.L)
-    print(
-        f"sufficient condition at L={args.L}: "
-        + ("satisfied" if support.satisfied else "violated")
-        + (f" (K={support.K})" if support.satisfied else f" on {len(support.violations)} edges")
-    )
-    query = NccQuery(g, partition, samples, K=args.K, L=args.L)
-    cert = check_ncc(query)
+    cert = check_ncc(NccQuery(g, partition, samples, K=args.K, L=args.L))
     print(f"compatibility condition at K={args.K}, L={args.L}: {cert.verdict}")
     if args.report:
-        payload = cert.to_json_dict()
-        payload["support_condition"] = support.to_json_dict()
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))  # one line: a report can hold 1e5 flows
+            # one line: a report can hold 1e5 flows
+            json.dump(cert.to_json_dict(), fh, separators=(",", ":"))
         print(f"report -> {args.report}")
     return EXIT_OK if cert.verdict == "holds" else EXIT_CERTIFICATE
 
@@ -168,10 +158,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    custom = args.preset == "custom" or args.sizes is not None
-    generator = _generator_config(args, seed=0) if custom else None
     cfg = ExperimentConfig(
-        generator=generator,
+        generator=_generator_config(args, seed=0),  # run_trial sets each trial's seed
         budget=args.budget,
         noise=args.noise,
         sigma=args.sigma,

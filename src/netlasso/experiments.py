@@ -31,33 +31,11 @@ from .generate import (
     paper_like_config,
 )
 from .graphs import Graph, Partition, boundary, clustered_signal, tv
-from .sampling import _integer, sample_boundary_aware, sample_uniform
+from .sampling import _integer, _seed, sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, SolverResult, solve_admm
 
 STRATEGY_BOUNDARY = "boundary"
 STRATEGY_UNIFORM = "uniform"
-
-RESULTS_CSV_FIELDS = [
-    "trial",
-    "strategy",
-    "nodes",
-    "edges",
-    "boundary_edges",
-    "budget",
-    "lam",
-    "tv_error",
-    "mad",
-    "objective",
-    "empirical_error",
-    "tv_term",
-    "iterations",
-    "converged",
-    "noise_l1",
-    "cert_K",
-    "cert_L",
-    "bound",
-    "bound_ok",
-]
 
 
 @dataclass(frozen=True)
@@ -75,8 +53,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if _integer(self.trials, "trial count") < 1:
             raise InvalidConfigError("trial count must be at least 1")
-        if _integer(self.master_seed, "master seed") < 0:
-            raise InvalidConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        _seed(self.master_seed, "master seed")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise InvalidConfigError(f"lam must be a number or 'auto', got {self.lam!r}")
 
@@ -223,10 +200,13 @@ def results_rows(trials: list[TrialResult]) -> list[dict]:
 
 
 def write_results_csv(path, trials: list[TrialResult]) -> None:
+    """One row per trial and strategy; the header is the keys of the first
+    row, so this needs at least one trial."""
+    rows = results_rows(trials)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULTS_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerows(results_rows(trials))
+        writer.writerows(rows)
 
 
 def write_signals_csv(path, trials: list[TrialResult]) -> None:

@@ -26,7 +26,7 @@ from .errors import (
     NodeOutOfRangeError,
 )
 from .graphs import Graph, Observations, Partition, component_roots, is_connected
-from .sampling import _integer
+from .sampling import _integer, _seed
 
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one
@@ -57,8 +57,7 @@ class PlantedPartitionConfig:
                 raise InvalidConfigError(f"{name}={p} outside [0, 1]")
         if not self.weight > 0.0:
             raise InvalidConfigError("edge weight must be positive")
-        if _integer(self.seed, "seed") < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        _seed(self.seed)
 
     @property
     def node_count(self) -> int:
@@ -147,8 +146,7 @@ class NoiseConfig:
             raise InvalidConfigError(f"unknown noise distribution {self.distribution!r}")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise InvalidConfigError("sigma must be finite and >= 0")
-        if _integer(self.seed, "seed") < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        _seed(self.seed)
 
 
 def noise_field(node_count: int, noise: NoiseConfig) -> np.ndarray:

@@ -17,6 +17,13 @@ def _integer(value, name: str) -> int:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value, name: str = "seed") -> int:
+    seed = _integer(value, name)
+    if seed < 0:
+        raise InvalidConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _check_budget(g: Graph, budget: int) -> int:
     budget = _integer(budget, "budget")
     if not 1 <= budget <= g.node_count:
@@ -75,9 +82,6 @@ def sample_boundary_aware(g: Graph, partition: Partition, budget: int) -> tuple[
 def sample_uniform(g: Graph, budget: int, seed: int) -> tuple[int, ...]:
     """Budget-many distinct nodes drawn uniformly without replacement."""
     budget = _check_budget(g, budget)
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     nodes = rng.choice(g.node_count, size=budget, replace=False)
     return tuple(sorted(int(i) for i in nodes))

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import lp_optimum
 from netlasso import cli, fileio
+from netlasso.certify import NccQuery, check_ncc
 from netlasso.errors import InvalidConfigError
 from netlasso.experiments import (
     ExperimentConfig,
@@ -109,6 +110,16 @@ class TestOutputs:
         assert {r["strategy"] for r in rows} == {"boundary", "uniform"}
         for r in rows:
             assert float(r["tv_error"]) >= 0.0
+
+    def test_results_csv_header(self, outputs):
+        _, paths = outputs
+        with open(paths["results"]) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+        assert header == [
+            "trial", "strategy", "nodes", "edges", "boundary_edges", "budget", "lam",
+            "tv_error", "mad", "objective", "empirical_error", "tv_term", "iterations",
+            "converged", "noise_l1", "cert_K", "cert_L", "bound", "bound_ok",
+        ]
 
     def test_signals_csv_covers_all_nodes(self, outputs):
         trials, paths = outputs
@@ -232,6 +243,23 @@ class TestCli:
         assert report["verdict"] == "fails" and report["cut"]["kind"] == "supply-excess"
         assert "interior_flows" not in report
 
+    @pytest.mark.parametrize("K", ["1", "20"])
+    def test_certify_prints_and_writes_only_the_ncc_certificate(self, preset_files, capsys, K):
+        d = preset_files
+        code = self.certify_preset(d, K, "--report", str(d / "r.json"))
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "condition at" in line] == [
+            f"compatibility condition at K={float(K)}, L=1.0: {'holds' if K == '20' else 'fails'}"
+        ]
+        assert not any("sufficient condition" in line for line in lines)
+        assert code == (0 if K == "20" else 2)
+        report = json.load(open(d / "r.json"))
+        assert "support_condition" not in report
+        g = fileio.read_graph(d / "graph.txt")
+        query = NccQuery(g, fileio.read_partition(d / "partition.txt", g),
+                         fileio.read_node_set(d / "m.txt"), K=float(K), L=1.0)
+        assert report == json.loads(json.dumps(check_ncc(query).to_json_dict()))
+
     def test_certify_report_is_one_compact_line(self, preset_files):
         d = preset_files
         assert self.certify_preset(d, "20", "--report", str(d / "r.json")) == 0
@@ -324,6 +352,11 @@ class TestCli:
                     "--out-dir", str(tmp_path))
         assert r.returncode == 1
         assert "lam" in r.stderr
+
+    def test_experiment_solver_defaults_are_solver_configs(self):
+        args = cli.build_parser().parse_args(["experiment"])
+        assert (args.rho, args.eps_abs, args.eps_rel) == (1.0, 1e-6, 1e-5)
+        assert args.max_iters == 100_000 and type(args.max_iters) is int
 
     def test_experiment_writes_outputs(self, tmp_path):
         r = run_cli("experiment", "--preset", "custom", "--sizes", "4,4", "--p-in", "1",
