@@ -288,13 +288,13 @@ def check_support_condition(
 
 
 def recovery_error_bound(K: float, L: float, eps_l1: float) -> float:
-    """Error-bound value (K + 4/(L-1)) * eps_l1; requires L > 1 and K > 0."""
-    if not L > 1.0:
-        raise LNotGreaterThanOneError(f"L must exceed 1, got {L}")
-    if not K > 0.0:
-        raise InvalidQueryError(f"K must be strictly positive, got {K}")
-    if eps_l1 < 0.0:
-        raise InvalidQueryError("eps_l1 must be nonnegative")
+    """Error-bound value (K + 4/(L-1)) * eps_l1; requires finite L > 1, K > 0
+    and eps_l1 >= 0."""
+    if not (_finite(L) and L > 1.0):
+        raise LNotGreaterThanOneError(f"L must be a finite number > 1, got {L!r}")
+    _check_positive(K, "K")
+    if not (_finite(eps_l1) and eps_l1 >= 0.0):
+        raise InvalidQueryError(f"eps_l1 must be a finite number >= 0, got {eps_l1!r}")
     return (K + 4.0 / (L - 1.0)) * eps_l1
 
 
@@ -321,7 +321,10 @@ def verify_error_bound(
     L: float,
     tolerance: float = 1e-6,
 ) -> ErrorBoundReport:
-    """Compare the recovered signal's TV error against the certified bound."""
+    """Compare the recovered signal's TV error against the certified bound,
+    with a finite ``tolerance`` (a negative one makes the check stricter)."""
+    if not _finite(tolerance):
+        raise InvalidQueryError(f"tolerance must be a finite number, got {tolerance!r}")
     x_true = np.asarray(x_true, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     eps_l1 = obs.noise_l1()

@@ -55,26 +55,27 @@ def _parse_lam(text: str):
         raise argparse.ArgumentTypeError(f"lam must be a number or 'auto', got {text!r}")
 
 
+# The custom generator's flags and defaults; the paper-like preset fixes them all.
+_CUSTOM_FIELDS = {"sizes": None, "p_in": 1.0, "p_out": 0.2, "weight": 1.0}
+
+
 def _generator_config(args, seed: int) -> PlantedPartitionConfig:
-    if args.preset == "paper-like" and args.sizes is None:
+    given = {k: getattr(args, k) for k in _CUSTOM_FIELDS if getattr(args, k) is not None}
+    if args.preset == "paper-like":
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise NetlassoError(f"{flag} needs --preset custom: the paper-like preset fixes it")
         return paper_like_config(seed=seed)
-    if args.sizes is None:
+    if "sizes" not in given:
         raise NetlassoError("custom generation requires --sizes")
-    return PlantedPartitionConfig(
-        sizes=args.sizes,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        weight=args.weight,
-        seed=seed,
-    )
+    return PlantedPartitionConfig(**{**_CUSTOM_FIELDS, **given}, seed=seed)
 
 
 def _add_generator_args(sub, with_seed=True):
     sub.add_argument("--preset", choices=["paper-like", "custom"], default="paper-like")
-    sub.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. 7,7,8,8")
-    sub.add_argument("--p-in", type=float, default=1.0)
-    sub.add_argument("--p-out", type=float, default=0.2)
-    sub.add_argument("--weight", type=float, default=1.0)
+    sub.add_argument("--sizes", type=_parse_sizes, help="e.g. 7,7,8,8")
+    for name in ("p_in", "p_out", "weight"):
+        sub.add_argument("--" + name.replace("_", "-"), type=float)
     if with_seed:
         sub.add_argument("--seed", type=int, default=0)
 

@@ -18,15 +18,19 @@ arcs one label closer to t (Dinitz 1970; Ahuja & Orlin 1991). The residual
 graph gives the minimal minimum cut, whichever maximum flow was found. Every
 capacity times c scales the flow by c and leaves the phases and cut as they are.
 
-Each kept edge {i,j} may carry up to W_ij in a direction of the solver's
-choosing. Injections and bounded-slack nodes reduce to one max flow via a
-reservoir node and the standard lower-bound transform; infeasibility is
-certified by a node set whose required net outflow exceeds the capacity
-leaving it. Each kept edge, and each slack node's link to the reservoir, is
-one arc pair with its capacity both ways, so the pair's flow is half the
-difference of its two residual capacities. On perfbench's certify-enum
-queries ``check_ncc`` takes a median of about 360 us this way, against 560 us
-through a ``DemandSpec`` of ``Fraction``s and a second instance (2-core Xeon).
+``_network`` builds every max-flow network, ``_route``'s and
+``solver.solve_exact``'s: one arc pair per undirected edge, its capacity both
+ways (the pair's flow is half the difference of its residual capacities), and
+one terminal arc per node with nonzero excess. Each kept edge {i,j} may carry
+up to W_ij either way. Bounded-slack nodes reduce to one max flow by the
+lower-bound transform: each joins a reservoir node by an arc pair of the slack
+bound, and the reservoir's excess is -sum(b), the demand total D less the
+supply total S. Giving it D from the source and S to the sink instead would
+raise every s-t cut by exactly min(S, D), whichever side the reservoir is on,
+so the minimum cuts, the minimal one included, are the same, and the flow is
+feasible iff its value is the sum of the positive excesses, max(S, D).
+Infeasibility is certified by a node set whose required net outflow exceeds
+the capacity leaving it.
 """
 
 from __future__ import annotations
@@ -164,6 +168,18 @@ class _Dinic:
         return seen
 
 
+def _network(n: int, ii, jj, caps: list[int], excess: np.ndarray) -> _Dinic:
+    """Nodes 0..n-1, source n and sink n+1. Arc pair p joins ii[p] and jj[p]
+    with capacity caps[p] both ways; then, in node order, each node with
+    nonzero excess (an object array of ints) gets one terminal arc of its
+    |excess|, from the source if positive, to the sink if negative."""
+    at = np.flatnonzero(excess)
+    into = excess[at] > 0
+    tails = np.concatenate([ii, np.where(into, n, at)])
+    heads = np.concatenate([jj, np.where(into, at, n + 1)])
+    return _Dinic(n + 2, tails, heads, caps + abs(excess[at]).tolist(), caps + [0] * at.size)
+
+
 def _finite(value) -> bool:
     """Whether value is a finite number; strings, None and ints beyond the
     float range are not."""
@@ -291,32 +307,18 @@ def _route(g: Graph, instance):
     every injection is met; otherwise None, the minimal cut's nodes and kind."""
     kept, caps, b, slack, k_scaled, _ = instance
     n = g.node_count
-    reservoir, source, sink = n, n + 1, n + 2
-    supply_total = sum(v for v in b if v > 0)
-    demand_total = sum(-v for v in b if v < 0)
-
-    # Kept edge number p, and after them the slack nodes paired with the
-    # reservoir, become arc pair 2*p (u -> v) and 2*p + 1 (v -> u), with the
-    # same capacity both ways. One arc per nonzero injection follows, from the
-    # source or to the sink with no capacity back, the reservoir's two last.
+    reservoir, source = n, n + 1
+    # Kept edge number p, and after them each slack node paired with the
+    # reservoir, is arc pair p; the reservoir nets supply against demand.
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    # numpy would turn two ints past int64 into floats; keep them Python ints
-    injections = np.append(b, np.array([demand_total, -supply_total], dtype=object))
-    at = np.flatnonzero(injections)
-    node = np.minimum(at, reservoir)  # injections n and n + 1 are the reservoir's
-    into = injections[at] > 0
-    tails = np.concatenate([ii, slack, np.where(into, source, node)])
-    heads = np.concatenate([jj, np.full(slack.size, reservoir), np.where(into, node, sink)])
-    both = [*caps, *[k_scaled] * slack.size]
-    arc_caps = both + abs(injections[at]).tolist()
-    solver = _Dinic(n + 3, tails, heads, arc_caps, both + [0] * at.size)
-    value = solver.max_flow(source, sink)
-
-    if value == supply_total + demand_total:
-        cap, m = solver.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
+    pairs = np.concatenate([ii, slack]), np.concatenate([jj, np.full(slack.size, reservoir)])
+    excess = np.concatenate([b, np.array([-sum(b.tolist())], dtype=object)])
+    net = _network(n + 1, *pairs, caps.tolist() + [k_scaled] * slack.size, excess)
+    if net.max_flow(source, source + 1) == sum(v for v in excess.tolist() if v > 0):
+        cap, m = net.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
         return tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2])), None, None
 
-    reachable = np.array(solver.residual_reachable(source))
+    reachable = np.array(net.residual_reachable(source))
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]

@@ -35,7 +35,7 @@ from .errors import (
     InstanceTooLargeError,
     InvalidConfigError,
 )
-from .flow import _Dinic, _scaled_distinct
+from .flow import _network, _scaled_distinct
 from .graphs import Graph, Observations, as_signal, is_connected, tv
 
 ORACLE_MAX_NODES = 8
@@ -142,11 +142,10 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
 
     n = g.node_count
     levels = sorted(set(obs.y.tolist()))
-    rank = {v: r for r, v in enumerate(levels)}
-    label_rank = [-1] * n
-    for i, v in zip(obs.nodes, obs.y.tolist()):
-        label_rank[i] = rank[v]
+    label_rank = np.full(n, -1)
+    label_rank[list(obs.nodes)] = np.searchsorted(levels, obs.y)
     caps, scale = _scaled_distinct(pair_caps, [1.0])
+    unary = np.array([0, -scale, scale], dtype=object)  # no sample, at or below mid, above
     ends = np.stack(g.endpoint_arrays())
     # Edges' arc pairs come by smaller end, then edge, and terminal arcs last:
     # every node lists its arcs in the order adding them node by node would.
@@ -156,7 +155,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     # A group holds the nodes whose x lies in levels[lo..hi] and the edges within
     # them; a cut folds each edge it splits into its ends' terminal capacities.
     lowest = np.zeros(n, dtype=np.intp)
-    pull = [0] * n
+    pull = np.zeros(n, dtype=object)
     cuts = phases = 0
     stack = [(np.arange(n), edges, 0, len(levels) - 1)]
     while stack:
@@ -165,31 +164,20 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
             continue
         mid = (lo + hi) // 2
         size = nodes.size
-        source, sink = size, size + 1
         pairs = np.searchsorted(nodes, ends[:, group_edges])  # arc pair p: pairs[:, p]
-        tails, heads = pairs.tolist()
-        c = caps[group_edges].tolist()
-        back = c.copy()
-        for k, i in enumerate(nodes.tolist()):  # terminal arcs last
-            r = label_rank[i]
-            excess = pull[i] + (0 if r < 0 else (scale if r > mid else -scale))  # source - sink
-            if excess:
-                tails.append(source if excess > 0 else k)
-                heads.append(k if excess > 0 else sink)
-                c.append(abs(excess))
-                back.append(0)
-        net = _Dinic(size + 2, tails, heads, c, back)
-        net.max_flow(source, sink)
+        rank = label_rank[nodes]
+        excess = pull[nodes] + unary[(rank >= 0) + (rank > mid).astype(np.intp)]
+        net = _network(size, *pairs, caps[group_edges].tolist(), excess)
+        net.max_flow(size, size + 1)  # the source is node size, the sink size + 1
         cuts += 1
         phases += net.phases
-        upper = np.array(net.residual_reachable(source)[:size])
+        upper = np.array(net.residual_reachable(size)[:size])
         lowest[nodes[upper]] = mid + 1
         up = upper[pairs]
         split = group_edges[up[0] != up[1]]
         below, above = np.where(up[0, up[0] != up[1]], ends[::-1, split], ends[:, split])
-        for i, j, x in zip(below.tolist(), above.tolist(), caps[split].tolist()):
-            pull[i] += x
-            pull[j] -= x
+        np.add.at(pull, below, caps[split])
+        np.subtract.at(pull, above, caps[split])
         stack.append((nodes[~upper], group_edges[~(up[0] | up[1])], lo, mid))
         stack.append((nodes[upper], group_edges[up[0] & up[1]], mid + 1, hi))
 

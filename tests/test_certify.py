@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -772,6 +773,18 @@ class TestRecoveryErrorBound:
         with pytest.raises(InvalidQueryError):
             recovery_error_bound(0.0, 2.0, 0.1)
 
+    @pytest.mark.parametrize("K, L, eps_l1, error", [
+        (math.inf, 2.0, 1.0, InvalidQueryError),
+        (math.nan, 2.0, 1.0, InvalidQueryError),
+        (10.0, math.inf, 1.0, LNotGreaterThanOneError),
+        (10.0, math.nan, 1.0, LNotGreaterThanOneError),
+        (10.0, 2.0, math.nan, InvalidQueryError),
+        (10.0, 2.0, math.inf, InvalidQueryError),
+    ])
+    def test_non_finite_inputs_rejected(self, K, L, eps_l1, error):
+        with pytest.raises(error):
+            recovery_error_bound(K, L, eps_l1)
+
 
 class TestVerifyErrorBound:
     def test_exact_recovery_passes_any_bound(self, two_cluster_fixture):
@@ -781,6 +794,14 @@ class TestVerifyErrorBound:
         report = verify_error_bound(g, x, x, obs, K=4.0, L=4.0)
         assert isinstance(report, ErrorBoundReport)
         assert report.passed and report.tv_error == 0.0 and report.bound == 0.0
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, two_cluster_fixture, tolerance):
+        g, p, m = two_cluster_fixture
+        x = clustered_signal(p, [1.0, 2.0])
+        obs = Observations(nodes=m, y=x[list(m)], eps=np.zeros(2))
+        with pytest.raises(InvalidQueryError):
+            verify_error_bound(g, x, x, obs, K=4.0, L=4.0, tolerance=tolerance)
 
     def test_violation_detected(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import dinic_reference
 from conftest import AddArcDinic, Network, brute_force_min_cut
-from netlasso import flow, solver
+from netlasso import flow
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut, verify_ncc_witnesses
 from netlasso.flow import _Dinic
 from netlasso.generate import (
@@ -144,7 +144,6 @@ def test_phases_count_blocking_flows():
 
 def with_reference_kernel(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(solver, "_Dinic", _Reference)
         m.setattr(flow, "_Dinic", _Reference)
         return fn(*args)
 

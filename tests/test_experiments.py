@@ -1,6 +1,7 @@
 """Experiment harness reproducibility, output files, and the CLI surface."""
 
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -174,6 +175,26 @@ class TestCli:
         assert graph.splitlines()[0] == "N 4"
         assert len(graph.splitlines()) == 1 + 6  # complete graph on 4 nodes
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--p-out", "0.01"], "--p-out"),
+        (["generate", "--sizes", "4,4"], "--sizes"),
+        (["experiment", "--weight", "2"], "--weight"),
+    ])
+    def test_paper_like_preset_rejects_custom_flags(self, tmp_path, capsys, argv, flag):
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_custom_defaults_unchanged(self, tmp_path):
+        # p_in 1.0, p_out 0.2 and weight 1.0 when not given
+        assert cli.main(["generate", "--preset", "custom", "--sizes", "4,4", "--seed", "0",
+                         "--out-dir", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+                   for name in ("graph.txt", "partition.txt", "signal.txt")}
+        assert digests == {"graph.txt": "8564f2d6b69da165", "partition.txt": "2a366951a2f2393e",
+                           "signal.txt": "90f0e717e5773b23"}
+
     @pytest.fixture
     def fixture_files(self, tmp_path):
         (tmp_path / "g.txt").write_text("N 4\n0 1 4.0\n1 2 1.0\n2 3 4.0\n")
@@ -325,8 +346,20 @@ class TestCli:
                       "--true-signal", str(d / "true.txt"), "--recovered", str(d / "true.txt"),
                       "--observations", str(d / "obs.txt"), "--K", "4", "--L", "1.5",
                       "--tolerance", "-1")  # negative tolerance forces strictness
-        # recovered == true gives tv_error 0 <= bound 0 only with tolerance >= 0
-        assert bad.returncode in (0, 2)
+        # noiseless, so the bound is 0, and tv_error 0 exceeds it plus the tolerance -1
+        assert bad.returncode == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--K", "inf", "--L", "2"], ["--K", "4", "--L", "inf"],
+        ["--K", "4", "--L", "2", "--tolerance", "nan"],
+    ])
+    def test_verify_bound_rejects_non_finite_inputs(self, fixture_files, capsys, flags):
+        d = fixture_files
+        code = cli.main(["verify-bound", "--graph", str(d / "g.txt"),
+                         "--true-signal", str(d / "true.txt"), "--recovered", str(d / "true.txt"),
+                         "--observations", str(d / "obs.txt"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sample_boundary_requires_partition(self, fixture_files, capsys):
         d = fixture_files

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
+import flow_reference
 from conftest import Network, brute_force_min_cut, random_connected_graph
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut
 from netlasso.errors import InvalidDemandSpecError
@@ -18,6 +19,9 @@ from netlasso.flow import (
     DemandSpec,
     DemandWitness,
     _Dinic,
+    _flow_verified,
+    _instance,
+    _route,
     feasible_flow,
     scaled,
     verify_cut_certificate,
@@ -111,6 +115,18 @@ def demand_instances(draw, max_nodes: int = 6):
         slack_bound=float(draw(st.integers(0, 3))),
     )
     return g, spec
+
+
+@st.composite
+def two_sided_instances(draw):
+    """``demand_instances`` with at least one supply, one demand and one slack node."""
+    g, spec = draw(demand_instances())
+    n = g.node_count
+    supply, demand = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    amount = st.integers(1, 4).map(float)
+    injections = {**spec.injections, supply: draw(amount), demand: -draw(amount)}
+    slack_nodes = spec.slack_nodes | {draw(st.integers(0, n - 1))}
+    return g, replace(spec, injections=injections, slack_nodes=slack_nodes)
 
 
 def random_network(rng: np.random.Generator, max_nodes: int = 8) -> Network:
@@ -512,6 +528,21 @@ class TestFeasibleFlow:
         else:
             assert res.witness is None
             assert verify_cut_certificate(g, excluded, spec, res.cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_sided_instances(), st.data())
+    def test_netted_reservoir_matches_two_arc_reservoir(self, instance, data):
+        # The reservoir's one arc of |D - S| cuts every s-t cut by min(S, D), so
+        # feasibility and the minimal cut stay those of its two arcs D and S.
+        g, spec = instance
+        exact = _instance(g, data.draw(st.sets(st.sampled_from(g.edges))), spec)
+        flows, nodes, kind = _route(g, exact)
+        ref_flows, ref_nodes, ref_kind = flow_reference._route(g, exact)
+        assert (flows is None) == (ref_flows is None)
+        if flows is None:
+            assert (nodes.tolist(), kind) == (ref_nodes.tolist(), ref_kind)
+        else:
+            assert _flow_verified(g, exact, flows, exact[-1])
 
     @settings(max_examples=200, deadline=None)
     @given(demand_instances(), st.integers(0, 60))
