@@ -157,9 +157,10 @@ def _supply_instance(query: NccQuery):
 
 def _cluster_cut(query: NccQuery, instance, nodes: np.ndarray) -> CutCertificate:
     """The supply flow's minimal cut in its smallest cluster label. The
-    reservoir is never on the cut's side (its arc to the sink carries the whole
-    supply, so a failed flow leaves it unsaturated), and the clusters share no
-    other node, so each cluster's part is its own minimal cut, and violated."""
+    reservoir is never on the cut's side (its deficit is the whole supply, so a
+    failed flow leaves some of it, and the excess left reaches no deficit), and
+    the clusters share no other node, so each cluster's part is its own
+    minimal cut, and violated."""
     labels = query.partition.labels[nodes]
     return _cut(query.graph, instance, nodes[labels == labels.min()], "supply-excess")
 

@@ -115,12 +115,18 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     if args.strategy == "boundary" and args.partition is None:
         raise NetlassoError("--strategy boundary requires --partition")
+    if args.strategy == "boundary" and args.seed is not None:
+        raise NetlassoError("--seed needs --strategy uniform; boundary sampling would ignore it")
+    if args.strategy == "uniform" and args.partition is not None:
+        raise NetlassoError(
+            "--partition needs --strategy boundary; uniform sampling would ignore it"
+        )
     g = fileio.read_graph(args.graph)
     if args.strategy == "boundary":
         partition = fileio.read_partition(args.partition, g)
         nodes = sample_boundary_aware(g, partition, args.budget)
     else:
-        nodes = sample_uniform(g, args.budget, seed=args.seed)
+        nodes = sample_uniform(g, args.budget, seed=args.seed or 0)
     fileio.write_node_set(args.out, nodes)
     print(f"sampled {len(nodes)} nodes ({args.strategy}) -> {args.out}")
     return EXIT_OK
@@ -159,6 +165,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.noise == "none" and args.sigma > 0.0:
+        raise NetlassoError(
+            "--sigma needs --noise gaussian or laplace; --noise none would ignore it"
+        )
+    if args.noise != "none" and args.sigma == 0.0:
+        raise NetlassoError(f"--noise {args.noise} needs --sigma > 0")
     cfg = ExperimentConfig(
         generator=_generator_config(args, seed=0),  # run_trial sets each trial's seed
         budget=args.budget,
@@ -214,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--partition")
     p_sample.add_argument("--strategy", choices=["boundary", "uniform"], required=True)
     p_sample.add_argument("--budget", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=int, help="uniform only; default 0")
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(func=cmd_sample)
 

@@ -11,33 +11,40 @@ re-verifies either, at any scale that keeps its numbers integers. Nothing is
 rounded, so results are exact for the real inputs.
 
 Max flow is one pure-Python Dinic solver on Python ints, so capacities of any
-size stay exact and parallel arcs stay distinct. Each phase labels nodes by
-residual distance to the sink (BFS back from t, stopped once the source's
-layer is complete), then a DFS from the source pushes a blocking flow along
-arcs one label closer to t (Dinitz 1970; Ahuja & Orlin 1991). The residual
-graph gives the minimal minimum cut, whichever maximum flow was found. Every
-capacity times c scales the flow by c and leaves the phases and cut as they are.
+size stay exact and parallel arcs stay distinct. It has no source or sink
+node: it moves node excess to node deficits (``_Dinic.route``). Each phase
+labels nodes by residual distance to the deficits (BFS back from them in node
+order, stopped once a layer holds a node with excess left), then from each
+node with excess at that distance, in node order, a DFS pushes a blocking flow
+along arcs one label closer, each push the least of the start's excess, the
+path's residuals and the end's deficit (Dinitz 1970; Ahuja & Orlin 1991).
+That is step for step Dinic on the s-t network with, in node order, an arc
+from a source to each node with excess and one from each node with a deficit
+to a sink, so the flows, phases and cuts are that network's. The nodes the
+excess left reaches through positive residual capacity form the minimal
+minimum cut's source side, whichever maximum flow was found. Every capacity
+and excess times c scales the flow by c and leaves the phases and cut as
+they are.
 
-``_network`` builds every max-flow network, ``_route``'s and
-``solver.solve_exact``'s: one arc pair per undirected edge, its capacity both
-ways (the pair's flow is half the difference of its residual capacities), and
-one terminal arc per node with nonzero excess. Each kept edge {i,j} may carry
-up to W_ij either way. Bounded-slack nodes reduce to one max flow by the
-lower-bound transform: each joins a reservoir node by an arc pair of the slack
-bound, and the reservoir's excess is -sum(b), the demand total D less the
-supply total S. Giving it D from the source and S to the sink instead would
-raise every s-t cut by exactly min(S, D), whichever side the reservoir is on,
-so the minimum cuts, the minimal one included, are the same, and the flow is
-feasible iff its value is the sum of the positive excesses, max(S, D).
-Infeasibility is certified by a node set whose required net outflow exceeds
-the capacity leaving it.
+``_route`` gives the kernel one arc pair per kept edge, its capacity both ways
+(the pair's flow is half the difference of its residual capacities): each
+kept edge {i,j} may carry up to W_ij either way. Bounded-slack nodes reduce to
+it by the lower-bound transform: each joins a reservoir node by an arc pair of
+the slack bound, and the reservoir's excess is -sum(b), so the excesses sum to
+zero and the reservoir nets the supply total against the demand total. A flow
+meets every injection, with each slack node within its bound, iff it routes
+all that excess, so the instance is feasible iff none is left. Otherwise the
+set U the excess left reaches has saturated every arc out of it and holds no
+deficit, so its required net outflow exceeds the capacity leaving it; if U
+holds the reservoir, the complement's required inflow exceeds the capacity
+entering it instead. Either way a node set of the graph certifies
+infeasibility.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -73,18 +80,18 @@ def scaled(value: float, scale: int) -> int:
 
 
 class _Dinic:
-    """Dinic max flow on integer capacities (Python ints, no overflow).
+    """Dinic's algorithm on integer capacities (Python ints, no overflow),
+    moving node excess rather than flow between a source and a sink.
 
     Arc 2k runs tails[k] -> heads[k] with capacity caps[k], and arc 2k + 1
     runs back with capacity back[k] (an undirected edge when both are equal).
     Each node lists its arcs in id order. ``phases`` counts the blocking
-    flows that ``max_flow`` has run.
+    flows that ``route`` has run.
     """
 
     def __init__(self, n: int, tails, heads, caps: list[int], back: list[int]):
         pairs = np.array([tails, heads], dtype=np.intp)
         ends = pairs.T.ravel()  # the tail of arc e is ends[e]
-        self.n = n
         self.phases = 0
         self.head = pairs[::-1].T.ravel().tolist()
         self.cap = [0] * ends.size
@@ -93,19 +100,30 @@ class _Dinic:
         arcs = np.argsort(ends, kind="stable").tolist()
         bounds = np.bincount(ends, minlength=n).cumsum().tolist()
         self.adj = [arcs[a:b] for a, b in zip([0, *bounds], bounds)]
+        # per node: its label in a phase (-1 for none) and its next arc to try;
+        # a phase resets them at the nodes it labelled
+        self.dist = [-1] * n
+        self.it = [0] * n
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Value of a maximum s-t flow, left pushed in the residual capacities."""
-        total = 0
-        n, head, cap, adj = self.n, self.head, self.cap, self.adj
+    def route(self, nodes, excess: list[int]) -> None:
+        """Move positive excess to negative excess over positive residual arcs
+        until none can move, updating ``excess`` (one int per node id) in
+        place. Only the excess of ``nodes`` counts, and no arc of positive
+        capacity may leave them."""
+        head, cap, adj, dist, it = self.head, self.cap, self.adj, self.dist, self.it
+        sources = [v for v in nodes if excess[v] > 0]
+        sinks = [v for v in nodes if excess[v] < 0]
         while True:
-            # Label nodes by residual distance to t: BFS back from t over arcs
-            # whose reverse still has capacity, until s's layer is complete.
-            dist = [-1] * n
-            dist[t] = 0
-            layer = [t]
-            d = 0
-            while layer and dist[s] < 0:
+            # Label nodes by residual distance to the deficits: BFS back from
+            # them over arcs whose reverse still has capacity, until a layer
+            # holds a node with excess left.
+            layer = [v for v in sinks if excess[v] < 0]
+            for v in layer:
+                dist[v] = 1
+            labelled = list(layer)
+            d = 1
+            found = False
+            while layer and not found:
                 d += 1
                 reached = []
                 for v in layer:
@@ -114,26 +132,48 @@ class _Dinic:
                         if dist[u] < 0 and cap[e ^ 1] > 0:
                             dist[u] = d
                             reached.append(u)
+                            found = found or excess[u] > 0
+                labelled += reached
                 layer = reached
-            if dist[s] < 0:
-                return total
-            self.phases += 1
-            # Blocking flow: a DFS from s that steps one label closer to t, so
-            # it only enters nodes that could still reach t.
-            it = [0] * n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    push = min(cap[e] for e in path)
+            if found:
+                self.phases += 1
+                # Blocking flow: from each node with excess at distance d, a
+                # DFS that steps one label closer to the deficits, so it only
+                # enters nodes that could still reach one.
+                for s in sources:
+                    if dist[s] == d and excess[s] > 0:
+                        self._block(s, excess)
+            for v in labelled:
+                dist[v] = -1
+                it[v] = 0
+            if not found:
+                return
+
+    def _block(self, s: int, excess: list[int]) -> None:
+        """Push from s along label-decreasing paths until its excess is gone
+        or it is a dead end in this phase."""
+        head, cap, adj, dist, it = self.head, self.cap, self.adj, self.dist, self.it
+        path: list[int] = []
+        u = s
+        while True:
+            if dist[u] == 1:  # a deficit when the phase began
+                if excess[u] < 0:
+                    push = min(excess[s], -excess[u], *(cap[e] for e in path))
                     for e in path:
                         cap[e] -= push
                         cap[e ^ 1] += push
-                    total += push
-                    # Back up to the tail of the first saturated arc.
-                    del path[next(k for k, e in enumerate(path) if not cap[e]):]
-                    u = head[path[-1]] if path else s
+                    excess[s] -= push
+                    excess[u] += push
+                    if not excess[s]:
+                        return
+                    # Back up to the tail of the first saturated arc, if any.
+                    for k, e in enumerate(path):
+                        if not cap[e]:
+                            del path[k:]
+                            u = head[path[-1]] if path else s
+                            break
                     continue
+            else:
                 arcs, i, want = adj[u], it[u], dist[u] - 1
                 m = len(arcs)
                 while i < m:
@@ -145,39 +185,30 @@ class _Dinic:
                 if i < m:
                     path.append(arcs[i])
                     u = head[arcs[i]]
-                elif u == s:
-                    break
-                else:
-                    dist[u] = -1  # dead end in this phase
-                    path.pop()
-                    u = head[path[-1]] if path else s
+                    continue
+            dist[u] = -1  # dead end in this phase
+            if u == s:
+                return
+            path.pop()
+            u = head[path[-1]] if path else s
 
-    def residual_reachable(self, s: int) -> list[bool]:
-        """Per node, whether s reaches it through positive residual capacity."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        head, cap, adj = self.head, self.cap, self.adj
-        while queue:
-            u = queue.popleft()
+    def reached(self, nodes, excess: list[int]) -> list[int]:
+        """The nodes that the positive excess left among ``nodes`` reaches
+        through positive residual capacity, itself included: after ``route``,
+        the source side of the minimal minimum cut."""
+        head, cap, adj, dist = self.head, self.cap, self.adj, self.dist
+        seen = [v for v in nodes if excess[v] > 0]
+        for v in seen:
+            dist[v] = 0
+        for u in seen:  # grows as it goes: a BFS
             for e in adj[u]:
                 v = head[e]
-                if cap[e] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+                if cap[e] > 0 and dist[v] < 0:
+                    dist[v] = 0
+                    seen.append(v)
+        for v in seen:
+            dist[v] = -1
         return seen
-
-
-def _network(n: int, ii, jj, caps: list[int], excess: np.ndarray) -> _Dinic:
-    """Nodes 0..n-1, source n and sink n+1. Arc pair p joins ii[p] and jj[p]
-    with capacity caps[p] both ways; then, in node order, each node with
-    nonzero excess (an object array of ints) gets one terminal arc of its
-    |excess|, from the source if positive, to the sink if negative."""
-    at = np.flatnonzero(excess)
-    into = excess[at] > 0
-    tails = np.concatenate([ii, np.where(into, n, at)])
-    heads = np.concatenate([jj, np.where(into, at, n + 1)])
-    return _Dinic(n + 2, tails, heads, caps + abs(excess[at]).tolist(), caps + [0] * at.size)
 
 
 def _finite(value) -> bool:
@@ -307,18 +338,22 @@ def _route(g: Graph, instance):
     every injection is met; otherwise None, the minimal cut's nodes and kind."""
     kept, caps, b, slack, k_scaled, _ = instance
     n = g.node_count
-    reservoir, source = n, n + 1
+    reservoir = n
     # Kept edge number p, and after them each slack node paired with the
     # reservoir, is arc pair p; the reservoir nets supply against demand.
     ii, jj = (ends[kept] for ends in g.endpoint_arrays())
-    pairs = np.concatenate([ii, slack]), np.concatenate([jj, np.full(slack.size, reservoir)])
-    excess = np.concatenate([b, np.array([-sum(b.tolist())], dtype=object)])
-    net = _network(n + 1, *pairs, caps.tolist() + [k_scaled] * slack.size, excess)
-    if net.max_flow(source, source + 1) == sum(v for v in excess.tolist() if v > 0):
+    both = caps.tolist() + [k_scaled] * slack.size
+    net = _Dinic(n + 1, np.concatenate([ii, slack]),
+                 np.concatenate([jj, np.full(slack.size, reservoir)]), both, both)
+    excess = b.tolist()
+    excess.append(-sum(excess))
+    net.route(range(n + 1), excess)
+    if not any(v > 0 for v in excess):
         cap, m = net.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
         return tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2])), None, None
 
-    reachable = np.array(net.residual_reachable(source))
+    reachable = np.zeros(n + 1, dtype=bool)
+    reachable[net.reached(range(n + 1), excess)] = True
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]

@@ -35,7 +35,7 @@ from .errors import (
     InstanceTooLargeError,
     InvalidConfigError,
 )
-from .flow import _network, _scaled_distinct
+from .flow import _Dinic, _scaled_distinct
 from .graphs import Graph, Observations, as_signal, is_connected, tv
 
 ORACLE_MAX_NODES = 8
@@ -120,11 +120,12 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     lam * W_e when it crosses. The minimal cuts are nested as t grows, so the
     nodes split at the median threshold and each side recurses on its half
     of the labels, with neighbours already placed above or below acting as
-    terminal arcs (Hochbaum 2001; Chambolle & Darbon 2009). Each cut is one
-    exact integer max flow whose source side is what the residual graph
-    reaches from the source, the minimal minimum cut, so the result is the
-    componentwise smallest minimizer. Nodes that no sample constrains, such
-    as those of a component without a sample, take the smallest label.
+    node excess (Hochbaum 2001; Chambolle & Darbon 2009). Each cut is one
+    exact integer max flow, routed on its group's nodes in one network built
+    for the whole solve; its source side is what the excess left reaches, the
+    minimal minimum cut, so the result is the componentwise smallest
+    minimizer. Nodes that no sample constrains, such as those of a component
+    without a sample, take the smallest label.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidConfigError("lam must be finite and >= 0")
@@ -144,47 +145,60 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     levels = sorted(set(obs.y.tolist()))
     label_rank = np.full(n, -1)
     label_rank[list(obs.nodes)] = np.searchsorted(levels, obs.y)
+    rank = label_rank.tolist()
     caps, scale = _scaled_distinct(pair_caps, [1.0])
-    unary = np.array([0, -scale, scale], dtype=object)  # no sample, at or below mid, above
     ends = np.stack(g.endpoint_arrays())
-    # Edges' arc pairs come by smaller end, then edge, and terminal arcs last:
-    # every node lists its arcs in the order adding them node by node would.
+    # One network for the whole solve. Its arc pairs come by smaller end, then
+    # edge: every node lists its arcs in the order adding them node by node would.
     by_tail = np.argsort(ends[0], kind="stable")
     edges = by_tail[pair_caps[by_tail] > 0.0]
+    ii, jj = ends[:, edges].tolist()
+    c = caps[edges].tolist()
+    net = _Dinic(n, ii, jj, c, c)
+    cap = net.cap
 
-    # A group holds the nodes whose x lies in levels[lo..hi] and the edges within
-    # them; a cut folds each edge it splits into its ends' terminal capacities.
-    lowest = np.zeros(n, dtype=np.intp)
-    pull = np.zeros(n, dtype=object)
-    cuts = phases = 0
-    stack = [(np.arange(n), edges, 0, len(levels) - 1)]
+    # A group holds the nodes whose x lies in levels[lo..hi], in id order, and the
+    # pairs within them. A cut zeroes each pair it splits and folds its capacity
+    # into its ends' pull, so no arc of positive capacity leaves a group.
+    lowest = [0] * n
+    pull = [0] * n
+    excess = [0] * n
+    cuts = 0
+    stack = [(list(range(n)), list(range(len(c))), 0, len(levels) - 1)]
     while stack:
-        nodes, group_edges, lo, hi = stack.pop()
-        if not nodes.size or lo == hi:
+        nodes, pairs, lo, hi = stack.pop()
+        if not nodes or lo == hi:
             continue
         mid = (lo + hi) // 2
-        size = nodes.size
-        pairs = np.searchsorted(nodes, ends[:, group_edges])  # arc pair p: pairs[:, p]
-        rank = label_rank[nodes]
-        excess = pull[nodes] + unary[(rank >= 0) + (rank > mid).astype(np.intp)]
-        net = _network(size, *pairs, caps[group_edges].tolist(), excess)
-        net.max_flow(size, size + 1)  # the source is node size, the sink size + 1
+        for p in pairs:  # the parent cut's flow is still on them
+            cap[2 * p] = cap[2 * p + 1] = c[p]
+        for i in nodes:  # a sample pays scale on the wrong side of mid
+            r = rank[i]
+            excess[i] = pull[i] + (0 if r < 0 else scale if r > mid else -scale)
+        net.route(nodes, excess)
         cuts += 1
-        phases += net.phases
-        upper = np.array(net.residual_reachable(size)[:size])
-        lowest[nodes[upper]] = mid + 1
-        up = upper[pairs]
-        split = group_edges[up[0] != up[1]]
-        below, above = np.where(up[0, up[0] != up[1]], ends[::-1, split], ends[:, split])
-        np.add.at(pull, below, caps[split])
-        np.subtract.at(pull, above, caps[split])
-        stack.append((nodes[~upper], group_edges[~(up[0] | up[1])], lo, mid))
-        stack.append((nodes[upper], group_edges[up[0] & up[1]], mid + 1, hi))
+        for i in net.reached(nodes, excess):
+            lowest[i] = mid + 1
+        inner = ([], [])  # the pairs within the lower group and within the upper
+        for p in pairs:
+            i, j = ii[p], jj[p]
+            up = lowest[i] > lo
+            if up == (lowest[j] > lo):
+                inner[up].append(p)
+                continue
+            cap[2 * p] = cap[2 * p + 1] = 0
+            below, above = (j, i) if up else (i, j)
+            pull[below] += c[p]
+            pull[above] -= c[p]
+        stack.append(([i for i in nodes if lowest[i] == lo], inner[False], lo, mid))
+        stack.append(([i for i in nodes if lowest[i] > lo], inner[True], mid + 1, hi))
 
     x_hat = np.array(levels)[lowest]
     emp = empirical_error(x_hat, obs)
     tv_term = tv(g, x_hat)
-    return ExactResult(x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), phases)
+    return ExactResult(
+        x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), net.phases
+    )
 
 
 def solve_admm(g: Graph, obs: Observations, cfg: SolverConfig) -> SolverResult:

@@ -77,8 +77,7 @@ class Network:
 
 class AddArcDinic(_Dinic):
     """The max-flow kernel, built one ``add_arc`` call at a time (the method
-    its array constructor replaced, verbatim), with ``residual_reachable``
-    as the set of reached nodes."""
+    its array constructor replaced, verbatim)."""
 
     def __init__(self, n: int):
         super().__init__(n, [], [], [], [])
@@ -95,8 +94,19 @@ class AddArcDinic(_Dinic):
         self.adj[v].append(arc_id + 1)
         return arc_id
 
-    def residual_reachable(self, s: int) -> set[int]:
-        return {v for v, reached in enumerate(super().residual_reachable(s)) if reached}
+
+def st_max_flow(net, s: int, t: int) -> tuple[int, set[int]]:
+    """A maximum s-t flow on a kernel network, left in its residual capacities,
+    by excess routing: s starts with one more excess than the capacity leaving
+    it and t with one more deficit than the capacity entering it, so neither
+    runs out and ``route`` moves exactly a maximum flow. Returns its value and
+    the nodes s reaches through positive residual capacity, s included."""
+    nodes = range(len(net.adj))
+    excess = [0] * len(net.adj)
+    excess[s] = start = sum(net.cap[e] for e in net.adj[s]) + 1
+    excess[t] = -sum(net.cap[e ^ 1] for e in net.adj[t]) - 1
+    net.route(nodes, excess)
+    return start - excess[s], set(net.reached(nodes, excess))
 
 
 def brute_force_min_cut(net: Network, s: int, t: int, scale: int) -> int:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from netlasso.errors import DimensionMismatchError, InvalidConfigError
-from conftest import AddArcDinic as _Dinic
+from conftest import AddArcDinic as _Dinic, st_max_flow
 from netlasso.flow import exact_scale, scaled
 from netlasso.graphs import Graph, Observations, is_connected, tv
 from netlasso.solver import ExactResult, empirical_error
@@ -89,10 +89,9 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
                 net.add_arc(source, k, excess)
             elif excess < 0:
                 net.add_arc(k, sink, -excess)
-        net.max_flow(source, sink)
+        _, above = st_max_flow(net, source, sink)
         cuts += 1
         phases += net.phases
-        above = net.residual_reachable(source)
         upper = [i for k, i in enumerate(nodes) if k in above]
         for i in upper:
             lowest[i] = mid + 1

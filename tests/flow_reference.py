@@ -9,6 +9,7 @@ feasibility, cut nodes and kind on the same instance.
 
 import numpy as np
 
+from conftest import st_max_flow
 from netlasso.flow import _Dinic
 from netlasso.graphs import Graph
 
@@ -37,13 +38,13 @@ def _route(g: Graph, instance):
     both = [*caps, *[k_scaled] * slack.size]
     arc_caps = both + abs(injections[at]).tolist()
     solver = _Dinic(n + 3, tails, heads, arc_caps, both + [0] * at.size)
-    value = solver.max_flow(source, sink)
+    value, reached = st_max_flow(solver, source, sink)
 
     if value == supply_total + demand_total:
         cap, m = solver.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
         return tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2])), None, None
 
-    reachable = np.array(solver.residual_reachable(source))
+    reachable = np.isin(np.arange(n + 3), list(reached))
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]

@@ -180,13 +180,13 @@ class TestCheckNcc:
         m = sample_boundary_aware(g, p, 15)
         assert len(boundary(g, p)) == 50
         calls = []
-        max_flow = _Dinic.max_flow
+        route = _Dinic.route
 
-        def counted(net, s, t):
-            calls.append((s, t))
-            return max_flow(net, s, t)
+        def counted(net, nodes, excess):
+            calls.append(nodes)
+            return route(net, nodes, excess)
 
-        monkeypatch.setattr(_Dinic, "max_flow", counted)
+        monkeypatch.setattr(_Dinic, "route", counted)
         for K, expected in ((1.0, "fails"), (5.0, "fails"), (9.0, "fails"),
                             (10.0, "holds"), (20.0, "holds")):
             calls.clear()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dinic_reference
-from conftest import AddArcDinic, Network, brute_force_min_cut
-from netlasso import flow
+import st_dinic_reference
+from conftest import AddArcDinic, Network, brute_force_min_cut, st_max_flow
+from netlasso import flow, solver
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut, verify_ncc_witnesses
 from netlasso.flow import _Dinic
 from netlasso.generate import (
@@ -63,18 +64,44 @@ def within(seconds, fn, *args):
 
 
 class _Reference(dinic_reference._Dinic):
-    """The reference kernel behind the live kernel's constructor and reached-node mask."""
+    """The reference kernel behind the live kernel's constructor and excess
+    routing: ``route`` and ``reached`` join a source of their own (node n) to
+    each node with excess and each node with a deficit to a sink (node n + 1),
+    in node order, run the reference's s-t max flow or residual reach, and
+    take those arcs out again."""
 
     phases = 0  # the reference kernel does not count its phases
 
     def __init__(self, n, tails, heads, caps, back):
-        super().__init__(n)
+        super().__init__(n + 2)
         for arc in zip(tails, heads, caps, back):
             self.add_arc(*arc)
 
-    def residual_reachable(self, s):
-        reached = super().residual_reachable(s)
-        return [v in reached for v in range(self.n)]
+    def _terminals(self, nodes, excess, deficits):
+        s, t = self.n - 2, self.n - 1
+        return [self.add_arc(s, v, x) if x > 0 else self.add_arc(v, t, -x)
+                for v in nodes if (x := excess[v]) > 0 or (deficits and x < 0)]
+
+    def _drop(self, arcs):
+        for e in reversed(arcs):
+            self.adj[self.head[e]].pop()
+            self.adj[self.head[e + 1]].pop()
+        if arcs:
+            del self.head[arcs[0]:], self.cap[arcs[0]:]
+
+    def route(self, nodes, excess):
+        arcs = self._terminals(nodes, excess, deficits=True)
+        self.max_flow(self.n - 2, self.n - 1)
+        for e in arcs:  # what is left of the excess or the deficit
+            v = self.head[e] if self.head[e + 1] == self.n - 2 else self.head[e + 1]
+            excess[v] = self.cap[e] if excess[v] > 0 else -self.cap[e]
+        self._drop(arcs)
+
+    def reached(self, nodes, excess):
+        arcs = self._terminals(nodes, excess, deficits=False)
+        seen = super().residual_reachable(self.n - 2) - {self.n - 2}
+        self._drop(arcs)
+        return sorted(seen)
 
 
 def columns(arcs):
@@ -83,18 +110,20 @@ def columns(arcs):
 
 
 def solved(kernel, n, arcs, s, t):
+    """The kernel on the arcs, its maximum s-t flow, and the nodes s reaches."""
     net = kernel(n, *columns(arcs))
-    return net, within(0.5, net.max_flow, s, t)  # about a millisecond at most on 10 nodes
+    # about a millisecond at most on 10 nodes
+    return (net, *within(0.5, st_max_flow, net, s, t))
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_instances())
 def test_kernel_matches_reference_and_brute_force(instance):
     n, arcs, s, t = instance
-    net, value = solved(_Dinic, n, arcs, s, t)
-    ref, ref_value = solved(_Reference, n, arcs, s, t)
+    net, value, reached = solved(_Dinic, n, arcs, s, t)
+    ref, ref_value, ref_reached = solved(_Reference, n, arcs, s, t)
     assert value == ref_value
-    assert net.residual_reachable(s) == ref.residual_reachable(s)
+    assert reached == ref_reached
     both_ways = [(u, v, c) for u, v, c, _ in arcs] + [(v, u, r) for u, v, _, r in arcs]
     assert value == brute_force_min_cut(Network(n, tuple(both_ways)), s, t, scale=1)
     # the residual capacities hold a flow of that value
@@ -127,24 +156,62 @@ def test_kernel_is_scale_equivariant(instance, c):
     # c and leaves the phases and the residual reach as they are, so a flow
     # solved at a coarse scale and multiplied out equals one solved at a fine one.
     n, arcs, s, t = instance
-    net, value = solved(_Dinic, n, arcs, s, t)
-    big, big_value = solved(_Dinic, n, [(u, v, c * x, c * r) for u, v, x, r in arcs], s, t)
+    net, value, reached = solved(_Dinic, n, arcs, s, t)
+    big, big_value, big_reached = solved(
+        _Dinic, n, [(u, v, c * x, c * r) for u, v, x, r in arcs], s, t
+    )
     assert big_value == c * value
     assert big.cap == [c * x for x in net.cap]
     assert big.phases == net.phases
-    assert big.residual_reachable(s) == net.residual_reachable(s)
+    assert big_reached == reached
+
+
+excesses = st.one_of(st.integers(-10, 10), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(), st.data())
+def test_route_matches_st_kernel_with_terminal_arcs(instance, data):
+    # The s-t kernel it replaced, on the same arcs plus, in node order, one
+    # from its source to each node with excess and one to its sink from each
+    # node with a deficit, runs the same phases and leaves the same residual
+    # capacities; what is left on the terminal arcs is the excess left.
+    n, arcs, _, _ = instance
+    excess = data.draw(st.lists(excesses, min_size=n, max_size=n))
+    tails, heads, caps, back = columns(arcs)
+    terminal = [v for v in range(n) if excess[v]]
+    s, t = n, n + 1
+    ref = st_dinic_reference._Dinic(
+        n + 2,
+        tails + [s if excess[v] > 0 else v for v in terminal],
+        heads + [v if excess[v] > 0 else t for v in terminal],
+        caps + [abs(excess[v]) for v in terminal],
+        back + [0] * len(terminal),
+    )
+    within(0.5, ref.max_flow, s, t)
+    net = _Dinic(n, tails, heads, caps, back)
+    left = list(excess)
+    within(0.5, net.route, range(n), left)
+    m = 2 * len(arcs)
+    assert net.cap == ref.cap[:m]
+    assert net.phases == ref.phases
+    assert left == [(1 if x > 0 else -1) * ref.cap[m + 2 * terminal.index(v)] if x else 0
+                    for v, x in enumerate(excess)]
+    reach = ref.residual_reachable(s)
+    assert set(net.reached(range(n), left)) == {v for v in range(n) if reach[v]}
 
 
 def test_phases_count_blocking_flows():
     # s=0, t=3: the direct arc 0 -> 3 is one phase, the path over 1 and 2 another
     net = _Dinic(4, [0, 1, 2, 0], [1, 2, 3, 3], [1] * 4, [0] * 4)
-    assert net.max_flow(0, 3) == 2 and net.phases == 2
-    assert net.max_flow(0, 3) == 0 and net.phases == 2
+    assert st_max_flow(net, 0, 3)[0] == 2 and net.phases == 2
+    assert st_max_flow(net, 0, 3)[0] == 0 and net.phases == 2
 
 
 def with_reference_kernel(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
         m.setattr(flow, "_Dinic", _Reference)
+        m.setattr(solver, "_Dinic", _Reference)
         return fn(*args)
 
 

@@ -332,6 +332,21 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("noise, flag", [
+        (["--sigma", "0.1"], "--sigma"),
+        (["--noise", "none", "--sigma", "0.1"], "--sigma"),
+        (["--noise", "gaussian"], "--noise gaussian"),
+        (["--noise", "laplace", "--sigma", "0"], "--noise laplace"),
+    ])
+    def test_experiment_rejects_noise_settings_that_add_none(self, tmp_path, capsys, noise, flag):
+        # either setting alone adds no noise, so the run would be noiseless
+        code = cli.main(["experiment", "--preset", "custom", "--sizes", "4,4", "--p-in", "1",
+                         "--p-out", "0.25", "--lam", "1", *noise, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_bound_pass_and_fail(self, fixture_files):
         d = fixture_files
         solved = run_cli("solve", "--graph", str(d / "g.txt"),
@@ -378,6 +393,28 @@ class TestCli:
         r2 = run_cli("sample", "--graph", str(d / "g.txt"), "--strategy", "uniform",
                      "--budget", "99", "--seed", "3", "--out", str(d / "mu.txt"))
         assert r2.returncode == 1
+
+    @pytest.mark.parametrize("strategy, flag", [("uniform", "--partition"), ("boundary", "--seed")])
+    def test_sample_rejects_the_other_strategys_flag(self, fixture_files, capsys, strategy, flag):
+        # the chosen strategy would ignore the flag
+        d = fixture_files
+        code = cli.main(["sample", "--graph", str(d / "g.txt"), "--partition", str(d / "p.txt"),
+                         "--strategy", strategy, "--budget", "2", "--seed", "3",
+                         "--out", str(d / "ms.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (d / "ms.txt").exists()
+
+    def test_sample_uniform_default_seed_is_zero(self, fixture_files):
+        d = fixture_files
+        outputs = []
+        for seed in ([], ["--seed", "0"]):
+            out = d / f"mu{len(seed)}.txt"
+            assert cli.main(["sample", "--graph", str(d / "g.txt"), "--strategy", "uniform",
+                             "--budget", "2", *seed, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_experiment_auto_lambda_error_when_uncertifiable(self, tmp_path):
         # L too large for unit weights: the sufficient condition fails

@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 import flow_reference
-from conftest import Network, brute_force_min_cut, random_connected_graph
+from conftest import Network, brute_force_min_cut, random_connected_graph, st_max_flow
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut
 from netlasso.errors import InvalidDemandSpecError
 from netlasso.flow import (
@@ -53,7 +53,7 @@ def kernel_max_flow(net: Network, s: int, t: int) -> tuple[int, list[int]]:
     caps = [scaled(c, 1) for _, _, c in net.arcs]
     tails, heads = [u for u, _, _ in net.arcs], [v for _, v, _ in net.arcs]
     kernel = _Dinic(net.node_count, tails, heads, caps, [0] * len(caps))
-    value = kernel.max_flow(s, t)
+    value, _ = st_max_flow(kernel, s, t)
     return value, [c - kernel.cap[2 * a] for a, c in enumerate(caps)]
 
 
