@@ -109,7 +109,8 @@ class _Dinic:
         """Move positive excess to negative excess over positive residual arcs
         until none can move, updating ``excess`` (one int per node id) in
         place. Only the excess of ``nodes`` counts, and no arc of positive
-        capacity may leave them."""
+        capacity may leave them. It may start from any flow within the
+        capacities, held in the residuals and matched in ``excess``."""
         head, cap, adj, dist, it = self.head, self.cap, self.adj, self.dist, self.it
         sources = [v for v in nodes if excess[v] > 0]
         sinks = [v for v in nodes if excess[v] < 0]

@@ -96,7 +96,7 @@ class SolverResult:
 class ExactResult:
     """Minimizer from ``solve_exact``, with the max flows it took (``cuts``),
     the distinct observed labels it chose from (``levels``) and the blocking
-    flows its max flows ran (``phases``)."""
+    flows its max flows ran (``phases``), each from its parent cut's flow."""
 
     x_hat: np.ndarray
     objective: float
@@ -121,11 +121,17 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     nodes split at the median threshold and each side recurses on its half
     of the labels, with neighbours already placed above or below acting as
     node excess (Hochbaum 2001; Chambolle & Darbon 2009). Each cut is one
-    exact integer max flow, routed on its group's nodes in one network built
-    for the whole solve; its source side is what the excess left reaches, the
-    minimal minimum cut, so the result is the componentwise smallest
-    minimizer. Nodes that no sample constrains, such as those of a component
-    without a sample, take the smallest label.
+    exact integer max flow on its group's nodes, in one network built for the
+    whole solve, started from the flow its parent cut left. Its upper side R,
+    what the excess left reaches, is the minimal minimum cut from any flow
+    within the capacities: F(S) = cap(S->S') - e0(S), with e0 the excess at
+    zero flow, equals res(S->S') - e(S) for any such flow. Once no positive
+    excess P reaches a deficit, F(R) = -P <= F(S) for every S, and a set with
+    F(S) = -P holds all of P with no residual arc out, so it contains R. Each
+    pair from R to its complement is saturated downhill, so the flow it left
+    in its ends' excess is the children's excess from the parent's side. The
+    result is the componentwise smallest minimizer. Nodes no sample
+    constrains, such as a sample-free component's, take the smallest label.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidConfigError("lam must be finite and >= 0")
@@ -157,41 +163,35 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     net = _Dinic(n, ii, jj, c, c)
     cap = net.cap
 
-    # A group holds the nodes whose x lies in levels[lo..hi], in id order, and the
-    # pairs within them. A cut zeroes each pair it splits and folds its capacity
-    # into its ends' pull, so no arc of positive capacity leaves a group.
+    # A group holds the nodes whose x lies in levels[lo..hi], in id order, the pairs
+    # within them and the mid its excess was set for (-1: every sample above). A cut
+    # zeroes the pairs it splits, so no arc of positive capacity leaves a group.
     lowest = [0] * n
-    pull = [0] * n
-    excess = [0] * n
+    excess = [0 if r < 0 else scale for r in rank]
+    two = 2 * scale
     cuts = 0
-    stack = [(list(range(n)), list(range(len(c))), 0, len(levels) - 1)]
+    stack = [(list(range(n)), list(range(len(c))), 0, len(levels) - 1, -1)]
     while stack:
-        nodes, pairs, lo, hi = stack.pop()
+        nodes, pairs, lo, hi, prev = stack.pop()
         if not nodes or lo == hi:
             continue
         mid = (lo + hi) // 2
-        for p in pairs:  # the parent cut's flow is still on them
-            cap[2 * p] = cap[2 * p + 1] = c[p]
-        for i in nodes:  # a sample pays scale on the wrong side of mid
+        for i in nodes:  # a sample's term at mid less at prev: +scale above, -scale at or below
             r = rank[i]
-            excess[i] = pull[i] + (0 if r < 0 else scale if r > mid else -scale)
+            excess[i] += two * ((r > mid) - (r > prev))
         net.route(nodes, excess)
         cuts += 1
         for i in net.reached(nodes, excess):
             lowest[i] = mid + 1
         inner = ([], [])  # the pairs within the lower group and within the upper
         for p in pairs:
-            i, j = ii[p], jj[p]
-            up = lowest[i] > lo
-            if up == (lowest[j] > lo):
+            up = lowest[ii[p]] > lo
+            if up == (lowest[jj[p]] > lo):
                 inner[up].append(p)
-                continue
-            cap[2 * p] = cap[2 * p + 1] = 0
-            below, above = (j, i) if up else (i, j)
-            pull[below] += c[p]
-            pull[above] -= c[p]
-        stack.append(([i for i in nodes if lowest[i] == lo], inner[False], lo, mid))
-        stack.append(([i for i in nodes if lowest[i] > lo], inner[True], mid + 1, hi))
+            else:
+                cap[2 * p] = cap[2 * p + 1] = 0
+        stack.append(([i for i in nodes if lowest[i] == lo], inner[False], lo, mid, mid))
+        stack.append(([i for i in nodes if lowest[i] > lo], inner[True], mid + 1, hi, mid))
 
     x_hat = np.array(levels)[lowest]
     emp = empirical_error(x_hat, obs)

@@ -4,9 +4,9 @@ edge arrays.
 Verbatim from that version: it scales every edge's capacity with its own
 ``scaled`` call, rescans every node's neighbour list at every level to sum
 its terminal capacity, and adds the arcs one ``add_arc`` call at a time.
-Tests require the array-built solver to give the same x_hat bytes, cuts and
-phases. Its max flows run on the live kernel, through the test-side
-``add_arc``.
+Tests require the array-built solver to give the same x_hat bytes and cuts;
+its phases are those of cuts that each start from zero flow. Its max flows
+run on the live kernel, through the test-side ``add_arc``.
 """
 
 import warnings

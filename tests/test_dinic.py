@@ -201,6 +201,45 @@ def test_route_matches_st_kernel_with_terminal_arcs(instance, data):
     assert set(net.reached(range(n), left)) == {v for v in range(n) if reach[v]}
 
 
+def preloaded(n, arcs, excess, flows):
+    """The kernel on the arcs with net flow flows[k] from u to v on arc pair k
+    already in its residuals, and the excess that flow leaves."""
+    net = _Dinic(n, *columns(arcs))
+    left = list(excess)
+    for k, ((u, v, _, _), f) in enumerate(zip(arcs, flows)):
+        net.cap[2 * k] -= f
+        net.cap[2 * k + 1] += f
+        left[u] -= f
+        left[v] += f
+    return net, left
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(), st.data())
+def test_route_from_any_flow_reaches_the_cold_cut(instance, data):
+    # The warm-start lemma behind solve_exact. F(S) = cap(S -> S') - e0(S), with
+    # e0 the excess at zero flow, is the same for every flow within the
+    # capacities. Routed from any of them, the positive excess left is -min F
+    # and what it reaches is the minimal minimizer of F.
+    n, arcs, _, _ = instance
+    excess = data.draw(st.lists(excesses, min_size=n, max_size=n))
+    flows = [data.draw(st.integers(-r, c)) for _, _, c, r in arcs]
+    cold, cold_left = preloaded(n, arcs, excess, [0] * len(arcs))
+    warm, warm_left = preloaded(n, arcs, excess, flows)
+    for net, left in ((cold, cold_left), (warm, warm_left)):
+        within(0.5, net.route, range(n), left)
+    assert sum(x for x in warm_left if x > 0) == sum(x for x in cold_left if x > 0)
+    assert set(warm.reached(range(n), warm_left)) == set(cold.reached(range(n), cold_left))
+    # the residuals still hold a flow within the capacities that matches the excess
+    balance = list(excess)
+    for k, (u, v, c, r) in enumerate(arcs):
+        f = c - warm.cap[2 * k]
+        assert -r <= f <= c and warm.cap[2 * k + 1] == r + f
+        balance[u] -= f
+        balance[v] += f
+    assert balance == warm_left
+
+
 def test_phases_count_blocking_flows():
     # s=0, t=3: the direct arc 0 -> 3 is one phase, the path over 1 and 2 another
     net = _Dinic(4, [0, 1, 2, 0], [1, 2, 3, 3], [1] * 4, [0] * 4)
