@@ -13,18 +13,19 @@ rounded, so results are exact for the real inputs.
 Max flow is one pure-Python Dinic solver on Python ints, so capacities of any
 size stay exact and parallel arcs stay distinct. It has no source or sink
 node: it moves node excess to node deficits (``_Dinic.route``). Each phase
-labels nodes by residual distance to the deficits (BFS back from them in node
-order, stopped once a layer holds a node with excess left), then from each
-node with excess at that distance, in node order, a DFS pushes a blocking flow
-along arcs one label closer, each push the least of the start's excess, the
-path's residuals and the end's deficit (Dinitz 1970; Ahuja & Orlin 1991).
-That is step for step Dinic on the s-t network with, in node order, an arc
-from a source to each node with excess and one from each node with a deficit
-to a sink, so the flows, phases and cuts are that network's. The nodes the
-excess left reaches through positive residual capacity form the minimal
-minimum cut's source side, whichever maximum flow was found. Every capacity
-and excess times c scales the flow by c and leaves the phases and cut as
-they are.
+labels nodes by residual distance from the excess (BFS from the nodes with
+excess in node order, stopped once a layer holds a node with a deficit left),
+then from each node with a deficit at that distance, in node order, a DFS
+back along arcs one label closer pulls a blocking flow, each push the least
+of the end's excess, the path's residuals and the start's deficit (Dinitz
+1970; Ahuja & Orlin 1991). That is step for step Dinic on the reversed s-t
+network: each arc turned around, in node order an arc from a source to each
+node with a deficit and one from each node with excess to a sink, so the
+flows, phases and cuts are that network's. When no deficit is met, the last
+BFS has labelled exactly the nodes the excess left reaches through positive
+residual capacity: the minimal minimum cut's source side, whichever maximum
+flow was found, and ``route`` returns it. Every capacity and excess times c
+scales the flow by c and leaves the phases and cut as they are.
 
 ``_route`` gives the kernel one arc pair per kept edge, its capacity both ways
 (the pair's flow is half the difference of its residual capacities): each
@@ -86,7 +87,8 @@ class _Dinic:
     Arc 2k runs tails[k] -> heads[k] with capacity caps[k], and arc 2k + 1
     runs back with capacity back[k] (an undirected edge when both are equal).
     Each node lists its arcs in id order. ``phases`` counts the blocking
-    flows that ``route`` has run.
+    flows that ``route`` has run. Phases label from the excess and search
+    back from the deficits, so the BFS that finds no deficit is the cut.
     """
 
     def __init__(self, n: int, tails, heads, caps: list[int], back: list[int]):
@@ -105,20 +107,23 @@ class _Dinic:
         self.dist = [-1] * n
         self.it = [0] * n
 
-    def route(self, nodes, excess: list[int]) -> None:
+    def route(self, nodes, excess: list[int]) -> list[int]:
         """Move positive excess to negative excess over positive residual arcs
         until none can move, updating ``excess`` (one int per node id) in
-        place. Only the excess of ``nodes`` counts, and no arc of positive
-        capacity may leave them. It may start from any flow within the
-        capacities, held in the residuals and matched in ``excess``."""
+        place, and return the nodes the positive excess left reaches through
+        positive residual capacity, itself included, in BFS order: the source
+        side of the minimal minimum cut. Only the excess of ``nodes`` counts,
+        and no arc of positive capacity may leave them. It may start from any
+        flow within the capacities, held in the residuals and matched in
+        ``excess``."""
         head, cap, adj, dist, it = self.head, self.cap, self.adj, self.dist, self.it
         sources = [v for v in nodes if excess[v] > 0]
         sinks = [v for v in nodes if excess[v] < 0]
         while True:
-            # Label nodes by residual distance to the deficits: BFS back from
-            # them over arcs whose reverse still has capacity, until a layer
-            # holds a node with excess left.
-            layer = [v for v in sinks if excess[v] < 0]
+            # Label nodes by residual distance from the excess: BFS from the
+            # nodes with excess left over arcs with capacity, until a layer
+            # holds a node with a deficit left.
+            layer = [v for v in sources if excess[v] > 0]
             for v in layer:
                 dist[v] = 1
             labelled = list(layer)
@@ -130,48 +135,49 @@ class _Dinic:
                 for v in layer:
                     for e in adj[v]:
                         u = head[e]
-                        if dist[u] < 0 and cap[e ^ 1] > 0:
+                        if dist[u] < 0 and cap[e] > 0:
                             dist[u] = d
                             reached.append(u)
-                            found = found or excess[u] > 0
+                            found = found or excess[u] < 0
                 labelled += reached
                 layer = reached
             if found:
                 self.phases += 1
-                # Blocking flow: from each node with excess at distance d, a
-                # DFS that steps one label closer to the deficits, so it only
-                # enters nodes that could still reach one.
-                for s in sources:
-                    if dist[s] == d and excess[s] > 0:
-                        self._block(s, excess)
+                # Blocking flow: from each node with a deficit at distance d, a
+                # DFS back along arcs one label closer to the excess, so it
+                # only enters nodes that some excess could still reach.
+                for t in sinks:
+                    if dist[t] == d and excess[t] < 0:
+                        self._block(t, excess)
             for v in labelled:
                 dist[v] = -1
                 it[v] = 0
             if not found:
-                return
+                return labelled
 
-    def _block(self, s: int, excess: list[int]) -> None:
-        """Push from s along label-decreasing paths until its excess is gone
-        or it is a dead end in this phase."""
+    def _block(self, t: int, excess: list[int]) -> None:
+        """Pull into t along paths whose labels fall by one per step back from
+        t until its deficit is gone or it is a dead end in this phase. A path
+        holds the arcs out of its nodes, so the flow runs on their reverses."""
         head, cap, adj, dist, it = self.head, self.cap, self.adj, self.dist, self.it
         path: list[int] = []
-        u = s
+        u = t
         while True:
-            if dist[u] == 1:  # a deficit when the phase began
-                if excess[u] < 0:
-                    push = min(excess[s], -excess[u], *(cap[e] for e in path))
+            if dist[u] == 1:  # held excess when the phase began
+                if excess[u] > 0:
+                    push = min(-excess[t], excess[u], *(cap[e ^ 1] for e in path))
                     for e in path:
-                        cap[e] -= push
-                        cap[e ^ 1] += push
-                    excess[s] -= push
-                    excess[u] += push
-                    if not excess[s]:
+                        cap[e ^ 1] -= push
+                        cap[e] += push
+                    excess[t] += push
+                    excess[u] -= push
+                    if not excess[t]:
                         return
-                    # Back up to the tail of the first saturated arc, if any.
+                    # Back up to the far end of the first saturated arc, if any.
                     for k, e in enumerate(path):
-                        if not cap[e]:
+                        if not cap[e ^ 1]:
                             del path[k:]
-                            u = head[path[-1]] if path else s
+                            u = head[path[-1]] if path else t
                             break
                     continue
             else:
@@ -179,7 +185,7 @@ class _Dinic:
                 m = len(arcs)
                 while i < m:
                     e = arcs[i]
-                    if cap[e] > 0 and dist[head[e]] == want:
+                    if cap[e ^ 1] > 0 and dist[head[e]] == want:
                         break
                     i += 1
                 it[u] = i
@@ -188,28 +194,10 @@ class _Dinic:
                     u = head[arcs[i]]
                     continue
             dist[u] = -1  # dead end in this phase
-            if u == s:
+            if u == t:
                 return
             path.pop()
-            u = head[path[-1]] if path else s
-
-    def reached(self, nodes, excess: list[int]) -> list[int]:
-        """The nodes that the positive excess left among ``nodes`` reaches
-        through positive residual capacity, itself included: after ``route``,
-        the source side of the minimal minimum cut."""
-        head, cap, adj, dist = self.head, self.cap, self.adj, self.dist
-        seen = [v for v in nodes if excess[v] > 0]
-        for v in seen:
-            dist[v] = 0
-        for u in seen:  # grows as it goes: a BFS
-            for e in adj[u]:
-                v = head[e]
-                if cap[e] > 0 and dist[v] < 0:
-                    dist[v] = 0
-                    seen.append(v)
-        for v in seen:
-            dist[v] = -1
-        return seen
+            u = head[path[-1]] if path else t
 
 
 def _finite(value) -> bool:
@@ -348,13 +336,13 @@ def _route(g: Graph, instance):
                  np.concatenate([jj, np.full(slack.size, reservoir)]), both, both)
     excess = b.tolist()
     excess.append(-sum(excess))
-    net.route(range(n + 1), excess)
-    if not any(v > 0 for v in excess):
+    reached = net.route(range(n + 1), excess)
+    if not reached:  # no excess left
         cap, m = net.cap, 2 * kept.size  # edge p with flow f: W - f at 2p, W + f at 2p + 1
         return tuple((up - down) // 2 for down, up in zip(cap[0:m:2], cap[1:m:2])), None, None
 
     reachable = np.zeros(n + 1, dtype=bool)
-    reachable[net.reached(range(n + 1), excess)] = True
+    reachable[reached] = True
     # With the reservoir reached, take the complement side: the unreached
     # nodes must absorb more than can reach them.
     supply_side = not reachable[reservoir]

@@ -96,7 +96,8 @@ class SolverResult:
 class ExactResult:
     """Minimizer from ``solve_exact``, with the max flows it took (``cuts``),
     the distinct observed labels it chose from (``levels``) and the blocking
-    flows its max flows ran (``phases``), each from its parent cut's flow."""
+    flows its max flows ran (``phases``), each max flow from its parent cut's
+    flow and each phase labelled by distance from the excess."""
 
     x_hat: np.ndarray
     objective: float
@@ -123,15 +124,17 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     node excess (Hochbaum 2001; Chambolle & Darbon 2009). Each cut is one
     exact integer max flow on its group's nodes, in one network built for the
     whole solve, started from the flow its parent cut left. Its upper side R,
-    what the excess left reaches, is the minimal minimum cut from any flow
-    within the capacities: F(S) = cap(S->S') - e0(S), with e0 the excess at
-    zero flow, equals res(S->S') - e(S) for any such flow. Once no positive
-    excess P reaches a deficit, F(R) = -P <= F(S) for every S, and a set with
-    F(S) = -P holds all of P with no residual arc out, so it contains R. Each
-    pair from R to its complement is saturated downhill, so the flow it left
-    in its ends' excess is the children's excess from the parent's side. The
-    result is the componentwise smallest minimizer. Nodes no sample
-    constrains, such as a sample-free component's, take the smallest label.
+    what the excess left reaches and so the set the kernel's last BFS
+    returns, is the minimal minimum cut from any flow within the capacities:
+    F(S) = cap(S->S') - e0(S), with e0 the excess at zero flow, equals
+    res(S->S') - e(S) for any such flow. Once no positive excess P reaches a
+    deficit, F(R) = -P <= F(S) for every S, and a set with F(S) = -P holds
+    all of P with no residual arc out, so it contains R. Each pair from R to
+    its complement is saturated downhill, so the flow it left in its ends'
+    excess is the children's excess from the parent's side; the split zeroes
+    those pairs from R's arcs. The result is the componentwise smallest
+    minimizer. Nodes no sample constrains, such as a sample-free component's,
+    take the smallest label.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidConfigError("lam must be finite and >= 0")
@@ -161,37 +164,36 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     ii, jj = ends[:, edges].tolist()
     c = caps[edges].tolist()
     net = _Dinic(n, ii, jj, c, c)
-    cap = net.cap
+    head, cap, adj = net.head, net.cap, net.adj
 
-    # A group holds the nodes whose x lies in levels[lo..hi], in id order, the pairs
-    # within them and the mid its excess was set for (-1: every sample above). A cut
-    # zeroes the pairs it splits, so no arc of positive capacity leaves a group.
+    # A group holds the nodes whose x lies in levels[lo..hi] (a lower group in its
+    # parent's order, an upper one in the order the cut's BFS reached them) and the
+    # mid its excess was set for (-1: every sample above). A cut zeroes the pairs it
+    # splits, so no arc of positive capacity leaves a group.
     lowest = [0] * n
     excess = [0 if r < 0 else scale for r in rank]
     two = 2 * scale
     cuts = 0
-    stack = [(list(range(n)), list(range(len(c))), 0, len(levels) - 1, -1)]
+    stack = [(list(range(n)), 0, len(levels) - 1, -1)]
     while stack:
-        nodes, pairs, lo, hi, prev = stack.pop()
+        nodes, lo, hi, prev = stack.pop()
         if not nodes or lo == hi:
             continue
         mid = (lo + hi) // 2
         for i in nodes:  # a sample's term at mid less at prev: +scale above, -scale at or below
             r = rank[i]
             excess[i] += two * ((r > mid) - (r > prev))
-        net.route(nodes, excess)
+        upper = net.route(nodes, excess)
         cuts += 1
-        for i in net.reached(nodes, excess):
+        for i in upper:
             lowest[i] = mid + 1
-        inner = ([], [])  # the pairs within the lower group and within the upper
-        for p in pairs:
-            up = lowest[ii[p]] > lo
-            if up == (lowest[jj[p]] > lo):
-                inner[up].append(p)
-            else:
-                cap[2 * p] = cap[2 * p + 1] = 0
-        stack.append(([i for i in nodes if lowest[i] == lo], inner[False], lo, mid, mid))
-        stack.append(([i for i in nodes if lowest[i] > lo], inner[True], mid + 1, hi, mid))
+        # Zero the pairs into the lower side; those leaving the group are zero already.
+        for i in upper:
+            for e in adj[i]:
+                if lowest[head[e]] <= lo:
+                    cap[e] = cap[e ^ 1] = 0
+        stack.append(([i for i in nodes if lowest[i] == lo], lo, mid, mid))
+        stack.append((upper, mid + 1, hi, mid))
 
     x_hat = np.array(levels)[lowest]
     emp = empirical_error(x_hat, obs)

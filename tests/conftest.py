@@ -100,13 +100,14 @@ def st_max_flow(net, s: int, t: int) -> tuple[int, set[int]]:
     by excess routing: s starts with one more excess than the capacity leaving
     it and t with one more deficit than the capacity entering it, so neither
     runs out and ``route`` moves exactly a maximum flow. Returns its value and
-    the nodes s reaches through positive residual capacity, s included."""
+    the set ``route`` returns: the nodes s reaches through positive residual
+    capacity, s included."""
     nodes = range(len(net.adj))
     excess = [0] * len(net.adj)
     excess[s] = start = sum(net.cap[e] for e in net.adj[s]) + 1
     excess[t] = -sum(net.cap[e ^ 1] for e in net.adj[t]) - 1
-    net.route(nodes, excess)
-    return start - excess[s], set(net.reached(nodes, excess))
+    reached = net.route(nodes, excess)
+    return start - excess[s], set(reached)
 
 
 def brute_force_min_cut(net: Network, s: int, t: int, scale: int) -> int:

@@ -2,11 +2,13 @@
 
 ``flow._Dinic`` verbatim from that version: a source and a sink node, each
 phase labelling nodes by residual distance to the sink, and a blocking-flow
-DFS from the source. Tests require the live kernel's ``route``, on the same
-arcs without terminal nodes, to leave the same residual capacities, excess,
-phases and reached nodes as this kernel's ``max_flow`` on the arcs plus, in
-node order, one arc from the source to each node with excess and one to the
-sink from each node with a deficit.
+DFS from the source. The live kernel labels from the excess and searches back
+from the deficits, the same steps on the reversed network. Tests require its
+``route``, on the same arcs without terminal nodes, to leave the same residual
+capacities, excess and phases as this kernel's ``max_flow`` on the arc pairs
+with tails and heads swapped plus, in node order, one arc from the source to
+each node with a deficit and one to the sink from each node with excess, and
+to return the nodes that reach this kernel's sink.
 """
 
 from collections import deque

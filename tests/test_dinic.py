@@ -65,10 +65,10 @@ def within(seconds, fn, *args):
 
 class _Reference(dinic_reference._Dinic):
     """The reference kernel behind the live kernel's constructor and excess
-    routing: ``route`` and ``reached`` join a source of their own (node n) to
-    each node with excess and each node with a deficit to a sink (node n + 1),
-    in node order, run the reference's s-t max flow or residual reach, and
-    take those arcs out again."""
+    routing: ``route`` joins a source of its own (node n) to each node with
+    excess and each node with a deficit to a sink (node n + 1), in node order,
+    runs the reference's s-t max flow, reads the nodes the source reaches
+    through positive residual capacity, and takes those arcs out again."""
 
     phases = 0  # the reference kernel does not count its phases
 
@@ -77,30 +77,20 @@ class _Reference(dinic_reference._Dinic):
         for arc in zip(tails, heads, caps, back):
             self.add_arc(*arc)
 
-    def _terminals(self, nodes, excess, deficits):
+    def route(self, nodes, excess):
         s, t = self.n - 2, self.n - 1
-        return [self.add_arc(s, v, x) if x > 0 else self.add_arc(v, t, -x)
-                for v in nodes if (x := excess[v]) > 0 or (deficits and x < 0)]
-
-    def _drop(self, arcs):
+        arcs = [self.add_arc(s, v, x) if x > 0 else self.add_arc(v, t, -x)
+                for v in nodes if (x := excess[v])]
+        self.max_flow(s, t)
+        for e in arcs:  # what is left of the excess or the deficit
+            v = self.head[e] if self.head[e + 1] == s else self.head[e + 1]
+            excess[v] = self.cap[e] if excess[v] > 0 else -self.cap[e]
+        seen = self.residual_reachable(s) - {s}
         for e in reversed(arcs):
             self.adj[self.head[e]].pop()
             self.adj[self.head[e + 1]].pop()
         if arcs:
             del self.head[arcs[0]:], self.cap[arcs[0]:]
-
-    def route(self, nodes, excess):
-        arcs = self._terminals(nodes, excess, deficits=True)
-        self.max_flow(self.n - 2, self.n - 1)
-        for e in arcs:  # what is left of the excess or the deficit
-            v = self.head[e] if self.head[e + 1] == self.n - 2 else self.head[e + 1]
-            excess[v] = self.cap[e] if excess[v] > 0 else -self.cap[e]
-        self._drop(arcs)
-
-    def reached(self, nodes, excess):
-        arcs = self._terminals(nodes, excess, deficits=False)
-        seen = super().residual_reachable(self.n - 2) - {self.n - 2}
-        self._drop(arcs)
         return sorted(seen)
 
 
@@ -169,13 +159,29 @@ def test_kernel_is_scale_equivariant(instance, c):
 excesses = st.one_of(st.integers(-10, 10), st.integers(-(2**80), 2**80))
 
 
+def reaching(net, t):
+    """The nodes with a path of positive residual capacity to t, t included."""
+    seen = {t}
+    grew = True
+    while grew:
+        grew = False
+        for e, v in enumerate(net.head):
+            u = net.head[e ^ 1]  # the tail of arc e
+            if v in seen and u not in seen and net.cap[e] > 0:
+                seen.add(u)
+                grew = True
+    return seen
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_instances(), st.data())
 def test_route_matches_st_kernel_with_terminal_arcs(instance, data):
-    # The s-t kernel it replaced, on the same arcs plus, in node order, one
-    # from its source to each node with excess and one to its sink from each
-    # node with a deficit, runs the same phases and leaves the same residual
-    # capacities; what is left on the terminal arcs is the excess left.
+    # The s-t kernel it replaced, on the same arc pairs with tails and heads
+    # swapped plus, in node order, one arc from its source to each node with a
+    # deficit and one to its sink from each node with excess (the excess
+    # negated), runs the same phases and leaves the same residual capacities;
+    # what is left on the terminal arcs is the excess left, and the nodes that
+    # reach its sink are the ones route returns.
     n, arcs, _, _ = instance
     excess = data.draw(st.lists(excesses, min_size=n, max_size=n))
     tails, heads, caps, back = columns(arcs)
@@ -183,22 +189,21 @@ def test_route_matches_st_kernel_with_terminal_arcs(instance, data):
     s, t = n, n + 1
     ref = st_dinic_reference._Dinic(
         n + 2,
-        tails + [s if excess[v] > 0 else v for v in terminal],
-        heads + [v if excess[v] > 0 else t for v in terminal],
+        heads + [s if excess[v] < 0 else v for v in terminal],
+        tails + [v if excess[v] < 0 else t for v in terminal],
         caps + [abs(excess[v]) for v in terminal],
         back + [0] * len(terminal),
     )
     within(0.5, ref.max_flow, s, t)
     net = _Dinic(n, tails, heads, caps, back)
     left = list(excess)
-    within(0.5, net.route, range(n), left)
+    reached = within(0.5, net.route, range(n), left)
     m = 2 * len(arcs)
     assert net.cap == ref.cap[:m]
     assert net.phases == ref.phases
     assert left == [(1 if x > 0 else -1) * ref.cap[m + 2 * terminal.index(v)] if x else 0
                     for v, x in enumerate(excess)]
-    reach = ref.residual_reachable(s)
-    assert set(net.reached(range(n), left)) == {v for v in range(n) if reach[v]}
+    assert set(reached) == reaching(ref, t) - {t}
 
 
 def preloaded(n, arcs, excess, flows):
@@ -226,10 +231,10 @@ def test_route_from_any_flow_reaches_the_cold_cut(instance, data):
     flows = [data.draw(st.integers(-r, c)) for _, _, c, r in arcs]
     cold, cold_left = preloaded(n, arcs, excess, [0] * len(arcs))
     warm, warm_left = preloaded(n, arcs, excess, flows)
-    for net, left in ((cold, cold_left), (warm, warm_left)):
-        within(0.5, net.route, range(n), left)
+    cold_cut, warm_cut = (within(0.5, net.route, range(n), left)
+                          for net, left in ((cold, cold_left), (warm, warm_left)))
     assert sum(x for x in warm_left if x > 0) == sum(x for x in cold_left if x > 0)
-    assert set(warm.reached(range(n), warm_left)) == set(cold.reached(range(n), cold_left))
+    assert set(warm_cut) == set(cold_cut)
     # the residuals still hold a flow within the capacities that matches the excess
     balance = list(excess)
     for k, (u, v, c, r) in enumerate(arcs):
@@ -238,6 +243,36 @@ def test_route_from_any_flow_reaches_the_cold_cut(instance, data):
         balance[u] -= f
         balance[v] += f
     assert balance == warm_left
+
+
+def minimal_minimizer(n, arcs, excess):
+    """The intersection of all node sets S that minimize F(S) = cap(S -> S')
+    - e0(S), with e0 the excess at zero flow, found by enumerating every S."""
+    best = meet = None
+    for mask in range(1 << n):
+        inside = [mask >> v & 1 for v in range(n)]
+        f = -sum(x for v, x in enumerate(excess) if inside[v])
+        for u, v, c, r in arcs:
+            f += c if inside[u] > inside[v] else r if inside[v] > inside[u] else 0
+        if best is None or f < best:
+            best, meet = f, mask
+        elif f == best:
+            meet &= mask
+    return {v for v in range(n) if meet >> v & 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(max_nodes=8), st.data())
+def test_route_returns_the_minimal_minimum_cut(instance, data):
+    # From zero flow and from any flow within the capacities, the set route
+    # returns is the smallest minimizer of F, by enumeration.
+    n, arcs, _, _ = instance
+    excess = data.draw(st.lists(excesses, min_size=n, max_size=n))
+    flows = [data.draw(st.integers(-r, c)) for _, _, c, r in arcs]
+    expected = minimal_minimizer(n, arcs, excess)
+    for start in ([0] * len(arcs), flows):
+        net, left = preloaded(n, arcs, excess, start)
+        assert set(within(0.5, net.route, range(n), left)) == expected
 
 
 def test_phases_count_blocking_flows():

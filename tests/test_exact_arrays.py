@@ -42,8 +42,10 @@ def test_matches_reference_on_preset(seed, lam):
     assert_same_solve(g, noisy_observations(g, partition, nodes, seed), lam)
 
 
-# phases by (clusters, seed); from zero flow at every cut: 163, 163, 157, 154 and 1554
-PHASES = {(10, 21): 147, (10, 22): 136, (10, 23): 151, (10, 24): 143, (100, 21): 1404}
+# phases by (clusters, seed), each phase labelled from the excess; labelled
+# toward the deficits: 147, 136, 151, 143 and 1404; from zero flow at every cut
+# as well: 163, 163, 157, 154 and 1554
+PHASES = {(10, 21): 145, (10, 22): 142, (10, 23): 151, (10, 24): 143, (100, 21): 1382}
 
 
 @pytest.mark.parametrize(
