@@ -25,7 +25,7 @@ from .generate import (
     generate_planted_partition,
     paper_like_config,
 )
-from .graphs import boundary, clustered_signal, tv
+from .graphs import boundary_mask, clustered_signal, tv
 from .sampling import sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, solve_exact
 from .solver import solve_admm  # noqa: F401  unused here; perfbench/tracing.py rebinds it
@@ -107,7 +107,7 @@ def cmd_generate(args) -> int:
     sizes = [len(c) for c in partition.clusters]
     print(
         f"generated graph: N={g.node_count} edges={g.edge_count} "
-        f"clusters={sizes} boundary={len(boundary(g, partition))} -> {out}"
+        f"clusters={sizes} boundary={int(boundary_mask(g, partition).sum())} -> {out}"
     )
     return EXIT_OK
 

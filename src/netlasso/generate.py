@@ -10,10 +10,22 @@ attempt, and a retry continues the same stream. Clusters are contiguous runs
 of node ids, so the in-cluster cells of row i are its first ones, up to the
 end of i's cluster: each cell is tested against p_out, then that prefix of
 each row against p_in.
+
+Row s's cells start s(N-1) - s(s-1)/2 outputs into the attempt's stream, and
+PCG64 advances by any stride in O(log stride) steps. So an attempt of at
+least twice _PAIRS_PER_WORKER pairs is split into contiguous chunks of rows,
+one per usable CPU and per _PAIRS_PER_WORKER pairs at most, and each chunk is
+drawn on its own thread from a copy of the stream advanced to its first row.
+The threads are started for the attempt and joined before its graph is built;
+outputs never depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +43,18 @@ from .sampling import _integer, _seed
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one
 # numpy call for a small graph, O(N) memory per attempt for a large one.
-_PAIRS_PER_DRAW = 1 << 16
+_PAIRS_PER_DRAW = 1 << 17
+# An attempt is drawn on one thread per this many pairs, up to the usable CPUs.
+_PAIRS_PER_WORKER = 1 << 20
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidConfigError(f"{name} is not finite") from None
 
 
 @dataclass(frozen=True)
@@ -52,11 +75,13 @@ class PlantedPartitionConfig:
         object.__setattr__(self, "sizes", tuple(_integer(s, "cluster size") for s in self.sizes))
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise InvalidConfigError("need at least one cluster, all sizes >= 1")
+        for name in ("p_in", "p_out", "weight"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
             if not 0.0 <= p <= 1.0:
                 raise InvalidConfigError(f"{name}={p} outside [0, 1]")
-        if not self.weight > 0.0:
-            raise InvalidConfigError("edge weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise InvalidConfigError(f"edge weight must be positive and finite, got {self.weight}")
         _seed(self.seed)
 
     @property
@@ -93,34 +118,127 @@ def _block_partition(sizes: tuple[int, ...]) -> Partition:
     return Partition(tuple(clusters))
 
 
+def _cpu_set() -> set[int]:
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:  # no CPU affinity on this platform
+        return set(range(os.cpu_count() or 1))
+
+
+def _usable_cpus() -> int:
+    return len(_cpu_set())
+
+
+def _pin(cpus: set[int]) -> None:
+    """Let the calling thread run on `cpus` only: a hint, skipped where refused."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def _pinned(cpu: int, task):
+    _pin({cpu})
+    return task()
+
+
+def _in_threads(tasks: list) -> list:
+    """Run tasks[0] here and the others on len(tasks) - 1 new threads, task k
+    pinned to the k-th usable CPU (modulo their count): a kernel that does
+    not balance load would otherwise keep every thread on this one's CPU.
+    Returns the results in order, or raises the first task's error, once
+    every thread has ended; this thread gets its CPU set back."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the first graph this large
+
+    mask = _cpu_set()
+    cpus = sorted(mask)
+    with ThreadPoolExecutor(len(tasks) - 1) as pool:
+        rest = [pool.submit(_pinned, cpus[k % len(cpus)], t) for k, t in enumerate(tasks[1:], 1)]
+        try:
+            first = _pinned(cpus[0], tasks[0])
+        finally:
+            _pin(mask)
+        return [first, *(future.result() for future in rest)]
+
+
+def _stream(state: dict, offset: int) -> np.random.Generator:
+    """A generator `offset` 64-bit outputs past `state`, a PCG64 state."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
+
+
+def _draw_rows(rng: np.random.Generator, rows: np.ndarray, n: int, run: np.ndarray,
+               p_in: float, p_out: float) -> np.ndarray:
+    """The edges (2, m) among the cells of consecutive `rows`, one draw each."""
+    ends = np.cumsum(n - 1 - rows)  # cell c < ends[r] of row rows[r] is j = c - ends[r] + n
+    u = rng.random(ends[-1])
+    hit = u < p_out
+    k = run[rows]  # the in-cluster cells of row rows[r] are its first k[r]
+    kc = np.cumsum(k)
+    inside = np.arange(kc[-1]) + np.repeat(ends - (n - 1 - rows) - kc + k, k)
+    hit[inside] = u[inside] < p_in
+    cells = np.flatnonzero(hit)
+    r = np.searchsorted(ends, cells, side="right")
+    return np.stack([rows[r], cells - ends[r] + n])
+
+
+def _row_chunks(n: int, step: int, workers: int) -> list[tuple[int, np.ndarray]]:
+    """The row groups, by first row, split into at most `workers` contiguous
+    chunks of about equal cell count, each with the cells in the rows above it."""
+    starts = np.arange(0, n - 1, step)
+    above = starts * (n - 1) - starts * (starts - 1) // 2
+    first = np.unique(np.searchsorted(above, n * (n - 1) // 2 * np.arange(workers) // workers))
+    first = first[first < starts.size]  # no chunk starts past the last group
+    return [(int(above[f]), chunk) for f, chunk in zip(first, np.split(starts, first[1:]))]
+
+
 def generate_planted_partition(cfg: PlantedPartitionConfig) -> tuple[Graph, Partition]:
     """Draw a planted-partition graph; retry until connected.
 
     Requires the whole graph connected and every cluster internally
     connected; raises DisconnectedAfterRetriesError after
     MAX_CONNECTIVITY_RETRIES failed attempts.
+
+    An attempt of C = N(N-1)/2 cells runs on W = min(usable CPUs,
+    C // _PAIRS_PER_WORKER) threads: this one and W - 1 started for the
+    attempt and joined before it is tested, so graphs below 2^21 pairs
+    (N < 2049) draw here alone. With W > 1 the row groups are split into W
+    contiguous chunks of about C / W cells; the chunk whose first row is s
+    draws from a copy of the attempt's starting PCG64 state advanced by the
+    s(N-1) - s(s-1)/2 cells of the rows before it, and the seeded generator
+    is then advanced by C, as if it had drawn them all. Every cell gets the
+    same uniform variate whatever W is, so the graph never depends on the
+    CPU count. Each chunk's thread, this one included, is pinned to its own
+    CPU while it draws, and this thread gets its CPU set back. A worker's
+    exception is raised here, after every thread has ended. The Graph and
+    both connectivity tests are built in this thread.
     """
     partition = _block_partition(cfg.sizes)
     n = cfg.node_count
     labels = partition.labels
     step = max(1, _PAIRS_PER_DRAW // n)
     run = np.repeat(np.cumsum(cfg.sizes), cfg.sizes) - 1 - np.arange(n)  # in-cluster cells of row i
+    cells = n * (n - 1) // 2
+    workers = min(_usable_cpus(), cells // _PAIRS_PER_WORKER)
+    chunks = _row_chunks(n, step, workers) if workers > 1 else []
+
+    def draw(rng, starts):  # the edges of the row groups that begin at starts, in order
+        return [
+            _draw_rows(rng, np.arange(s, min(s + step, n - 1)), n, run, cfg.p_in, cfg.p_out)
+            for s in starts.tolist()
+        ]
+
     rng = np.random.default_rng(cfg.seed)
     for _ in range(MAX_CONNECTIVITY_RETRIES):
-        parts = [np.empty((2, 0), np.int64)]  # no rows to draw when n == 1
-        for start in range(0, n - 1, step):
-            rows = np.arange(start, min(start + step, n - 1))
-            ends = np.cumsum(n - 1 - rows)  # cell c < ends[r] of row rows[r] is j = c - ends[r] + n
-            u = rng.random(ends[-1])
-            hit = u < cfg.p_out
-            k = run[rows]  # the in-cluster cells of row rows[r] are its first k[r]
-            kc = np.cumsum(k)
-            inside = np.arange(kc[-1]) + np.repeat(ends - (n - 1 - rows) - kc + k, k)
-            hit[inside] = u[inside] < cfg.p_in
-            cells = np.flatnonzero(hit)
-            r = np.searchsorted(ends, cells, side="right")
-            parts.append(np.stack([rows[r], cells - ends[r] + n]))
-        edges = np.concatenate(parts, axis=1)
+        if len(chunks) > 1:
+            state = rng.bit_generator.state
+            tasks = [functools.partial(draw, _stream(state, skip), chunk) for skip, chunk in chunks]
+            parts = [p for chunk_parts in _in_threads(tasks) for p in chunk_parts]
+            rng.bit_generator.advance(cells)
+        else:
+            parts = draw(rng, np.arange(0, n - 1, step))
+        edges = np.concatenate([np.empty((2, 0), np.int64), *parts], axis=1)  # no rows if n == 1
         g = Graph(n, edges, np.full(edges.shape[1], cfg.weight))
         ii, jj = g.endpoint_arrays()
         same = labels[ii] == labels[jj]  # as many components as clusters iff each is connected

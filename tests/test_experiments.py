@@ -22,7 +22,12 @@ from netlasso.experiments import (
     trial_seeds,
     write_outputs,
 )
-from netlasso.generate import PlantedPartitionConfig
+from netlasso.generate import (
+    PlantedPartitionConfig,
+    generate_planted_partition,
+    paper_like_config,
+)
+from netlasso.graphs import boundary
 
 
 def run_cli(*args):
@@ -166,6 +171,14 @@ class TestCli:
         assert r2.returncode == 0
         for name in ("graph.txt", "partition.txt", "signal.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_generate_prints_the_boundary_count(self, tmp_path, capsys):
+        assert cli.main(["generate", "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+        g, p = generate_planted_partition(paper_like_config(seed=4))
+        assert capsys.readouterr().out == (
+            f"generated graph: N=30 edges={g.edge_count} clusters=[7, 7, 8, 8] "
+            f"boundary={len(boundary(g, p))} -> {tmp_path}\n"
+        )
 
     def test_generate_custom_complete_graph(self, tmp_path):
         r = run_cli("generate", "--preset", "custom", "--sizes", "2,2", "--p-in", "1",

@@ -1,5 +1,8 @@
 """Planted-partition generator and noisy observation sampling."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from netlasso.errors import (
     InvalidConfigError,
     NodeOutOfRangeError,
 )
+from netlasso import generate
 from netlasso.generate import (
     NoiseConfig,
     PlantedPartitionConfig,
@@ -53,6 +57,38 @@ class TestConfigValidation:
             PlantedPartitionConfig(sizes=(3, 3), p_in=0.5, p_out=0.5, seed=seed)
         with pytest.raises(InvalidConfigError, match="seed must be an integer"):
             NoiseConfig(distribution="gaussian", sigma=0.1, seed=seed)
+
+    @pytest.mark.parametrize("weight", [float("inf"), -float("inf"), float("nan"), 0.0, -1.0])
+    def test_weight_must_be_positive_and_finite(self, weight):
+        # inf passed and failed only after a whole attempt, naming edge (0, 1)
+        with pytest.raises(InvalidConfigError, match="edge weight must be positive and finite"):
+            PlantedPartitionConfig(sizes=(3, 3), p_in=0.5, p_out=0.5, weight=weight)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_in", "0.5"),  # a bare TypeError
+        ("p_out", None),
+        ("weight", "1"),
+        ("weight", 1j),
+        ("p_in", True),  # bools were taken as 1 and 0
+        ("p_out", False),
+        ("weight", True),
+        ("weight", np.bool_(True)),
+    ])
+    def test_probabilities_and_weight_must_be_real_numbers(self, field, value):
+        kwargs = {"sizes": (3, 3), "p_in": 0.5, "p_out": 0.5, field: value}
+        with pytest.raises(InvalidConfigError, match=f"{field} must be a real number"):
+            PlantedPartitionConfig(**kwargs)
+
+    def test_weight_too_large_for_a_float(self):
+        with pytest.raises(InvalidConfigError, match="weight is not finite"):
+            PlantedPartitionConfig(sizes=(3, 3), p_in=0.5, p_out=0.5, weight=10**400)
+
+    def test_numpy_reals_accepted_as_floats(self):
+        cfg = PlantedPartitionConfig(
+            sizes=(3, 3), p_in=1, p_out=np.float32(0.25), weight=np.int64(2)
+        )
+        assert (cfg.p_in, cfg.p_out, cfg.weight) == (1.0, 0.25, 2.0)
+        assert all(type(v) is float for v in (cfg.p_in, cfg.p_out, cfg.weight))
 
     def test_noise_distribution_names(self):
         with pytest.raises(InvalidConfigError):
@@ -117,6 +153,62 @@ class TestGeneratePlantedPartition:
         assert g.node_count == 30
         assert sorted(len(c) for c in p.clusters) == [7, 7, 8, 8]
         assert set(g.weights.tolist()) == {1.0}
+
+
+class TestThreadedAttempts:
+    """An attempt drawn on three threads: 3 chunks of row groups."""
+
+    CFG = PlantedPartitionConfig(sizes=(40, 1, 1, 38), p_in=0.3, p_out=0.05, seed=3)
+
+    @pytest.fixture(autouse=True)
+    def three_threads(self, monkeypatch):
+        monkeypatch.setattr(generate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(generate, "_PAIRS_PER_WORKER", 1)
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 256)  # 3 rows per group
+        n = self.CFG.node_count
+        self.chunk_rows = [int(rows[0]) for _, rows in generate._row_chunks(n, 3, 3)]
+        assert self.chunk_rows == [0, 15, 36]
+
+    def spy(self, monkeypatch, fail_from_row=None):
+        """Records (first row, thread, threads alive) per row group drawn."""
+        seen = []
+        draw_rows = generate._draw_rows
+
+        def spied(rng, rows, *args):
+            seen.append((int(rows[0]), threading.get_ident(), threading.active_count()))
+            if fail_from_row is not None and rows[0] >= fail_from_row:
+                raise FloatingPointError(f"row {rows[0]}")
+            return draw_rows(rng, rows, *args)
+
+        monkeypatch.setattr(generate, "_draw_rows", spied)
+        return seen
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        seen = self.spy(monkeypatch)
+        tested_in = []
+        monkeypatch.setattr(
+            generate, "is_connected",
+            lambda g: tested_in.append(threading.get_ident()) or is_connected(g),
+        )
+        alive = threading.active_count()
+        affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        g, _ = generate_planted_partition(self.CFG)
+        assert threading.active_count() == alive
+        assert (os.sched_getaffinity(0) if affinity is not None else None) == affinity
+        assert tested_in == [threading.get_ident()]  # one attempt, tested here
+        drawn_by = {row: ident for row, ident, _ in seen}
+        assert drawn_by[0] == threading.get_ident() != drawn_by[15]  # the first chunk here
+        assert max(count for _, _, count in seen) <= alive + 2  # at most 2 threads started
+        assert g.edge_count > 0
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_a_failing_chunk_raises_here(self, chunk, monkeypatch):
+        seen = self.spy(monkeypatch, fail_from_row=self.chunk_rows[chunk])
+        alive = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"row {self.chunk_rows[chunk]}"):
+            generate_planted_partition(self.CFG)
+        assert threading.active_count() == alive
+        assert any(ident != threading.get_ident() for _, ident, _ in seen)
 
 
 class TestSampleObservations:

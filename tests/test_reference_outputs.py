@@ -140,6 +140,31 @@ def draw_groups(cfg: PlantedPartitionConfig) -> int:
     return -(-(n - 1) // max(1, generate._PAIRS_PER_DRAW // n))
 
 
+def chunk_edges(cfg: PlantedPartitionConfig, workers: int) -> list[int]:
+    """The first rows of all but the first chunk of an attempt on `workers` threads."""
+    n = cfg.node_count
+    chunks = generate._row_chunks(n, max(1, generate._PAIRS_PER_DRAW // n), workers)
+    return [int(rows[0]) for _, rows in chunks[1:]]
+
+
+@pytest.fixture(params=[1, 2, 3, 7])
+def workers(request, monkeypatch):
+    """Draws every attempt of two or more pairs on this many threads, whatever
+    the CPUs; tests that also lower _PAIRS_PER_DRAW fan small graphs out."""
+    monkeypatch.setattr(generate, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(generate, "_PAIRS_PER_WORKER", 1)
+    return request.param
+
+
+# With 16 pairs per draw and 2, 3 or 7 threads, these put chunk edges next to
+# 1-node clusters: between rows 4 | 5, 5 | 6 or 6 | 7 of the first and 2 | 3 to
+# 7 | 8 of the second, a 1-node cluster sits on one or both sides
+EDGE_CONFIGS = [
+    PlantedPartitionConfig(sizes=(5, 1, 1, 4, 1, 1, 3), p_in=0.9, p_out=0.3, seed=3),
+    PlantedPartitionConfig(sizes=(3, 1, 1, 1, 1, 1, 1, 4), p_in=1.0, p_out=0.4, seed=1),
+]
+
+
 # (config, draw groups, attempts or None if it never connects)
 MULTI_GROUP_CONFIGS = [
     (PlantedPartitionConfig(sizes=(150, 170), p_in=0.2, p_out=0.01, seed=1), 2, 1),
@@ -183,9 +208,51 @@ class TestGeneratorMatchesReference:
         assert_same_graph_or_same_failure(cfg, attempts)
 
     @pytest.mark.parametrize("cfg, groups, expected_attempts", MULTI_GROUP_CONFIGS)
-    def test_across_draw_groups(self, cfg, groups, expected_attempts, attempts):
+    def test_across_draw_groups(self, cfg, groups, expected_attempts, attempts, monkeypatch):
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 1 << 16)  # the groups the configs are for
         assert draw_groups(cfg) == groups
         assert assert_same_graph_or_same_failure(cfg, attempts) == expected_attempts
+
+    @pytest.mark.parametrize(
+        "cfg", [*FIXED_CONFIGS, *EDGE_CONFIGS, *random_configs(120, seed=2024)]
+    )
+    def test_same_graph_on_any_worker_count(self, cfg, workers, attempts, monkeypatch):
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 16)  # a few rows per group
+        assert_same_graph_or_same_failure(cfg, attempts)
+
+    @pytest.mark.parametrize("cfg, groups, expected_attempts", MULTI_GROUP_CONFIGS)
+    def test_across_draw_groups_on_any_worker_count(
+        self, cfg, groups, expected_attempts, workers, attempts, monkeypatch
+    ):
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 1 << 16)  # the groups the configs are for
+        assert draw_groups(cfg) == groups
+        edges = chunk_edges(cfg, workers)
+        assert (workers == 1) == (edges == []) and len(edges) < min(workers, groups)
+        assert assert_same_graph_or_same_failure(cfg, attempts) == expected_attempts
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_chunk_edges_fall_inside_and_between_1_node_clusters(self, count, monkeypatch):
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 16)
+        seen = set()
+        for cfg in [*FIXED_CONFIGS, *EDGE_CONFIGS]:
+            size = np.repeat(cfg.sizes, cfg.sizes)
+            label = generate._block_partition(cfg.sizes).labels
+            for row in chunk_edges(cfg, count):
+                seen |= {
+                    ("inside", label[row - 1] == label[row]),
+                    ("1-node cluster before", size[row - 1] == 1),
+                    ("1-node cluster after", size[row] == 1),
+                }
+        assert {("inside", True), ("1-node cluster before", True), ("1-node cluster after", True)} <= seen
+
+    def test_retries_continue_the_stream_on_any_worker_count(self, workers, attempts, monkeypatch):
+        monkeypatch.setattr(generate, "_PAIRS_PER_DRAW", 16)
+        cfg = PlantedPartitionConfig(sizes=(4, 1, 3), p_in=0.6, p_out=0.15, weight=0.75, seed=5)
+        assert len(chunk_edges(cfg, workers)) == min(workers, 4) - 1  # 4 row groups
+        ref_g, _, ref_attempts = reference_generate(cfg)
+        g, _ = generate_planted_partition(cfg)
+        assert ref_attempts == len(attempts) == 4
+        assert g.edges == ref_g.edges
 
     def test_retries_continue_the_stream(self, attempts):
         cfg = PlantedPartitionConfig(sizes=(4, 1, 3), p_in=0.6, p_out=0.15, weight=0.75, seed=5)
