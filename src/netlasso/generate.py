@@ -262,7 +262,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.distribution not in ("none", "gaussian", "laplace"):
             raise InvalidConfigError(f"unknown noise distribution {self.distribution!r}")
-        if self.sigma < 0.0 or not np.isfinite(self.sigma):
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
+        if not 0.0 <= self.sigma < math.inf:
             raise InvalidConfigError("sigma must be finite and >= 0")
         _seed(self.seed)
 

@@ -6,7 +6,10 @@ The problem: minimize over signals x
 
     sum_{i in M} |x[i] - y_i|  +  lam * sum_{{i,j} in E} W_ij |x[i] - x[j]|
 
-``solve_exact`` returns an exact minimizer (see its docstring). ADMM
+``solve_exact`` returns an exact minimizer (see its docstring). It first pins
+every sample i whose edges carry lam * W(delta i) < 1 at its label: moving x[i]
+toward y_i by d lowers the data term by d and raises the TV term by at most
+lam * W(delta i) * d < d, so every minimizer has x[i] = y_i. ADMM
 splitting: every edge {i,j} gets copies z_ij (of x_i) and z_ji (of x_j) with
 scaled duals, giving closed-form node and edge updates. The copies and duals
 are stacked ``(2, m)`` arrays, row 0 for the i ends and row 1 for the j ends,
@@ -95,9 +98,10 @@ class SolverResult:
 @dataclass(frozen=True)
 class ExactResult:
     """Minimizer from ``solve_exact``, with the max flows it took (``cuts``),
-    the distinct observed labels it chose from (``levels``) and the blocking
+    the distinct observed labels it chose from (``levels``), the blocking
     flows its max flows ran (``phases``), each max flow from its parent cut's
-    flow and each phase labelled by distance from the excess."""
+    flow and each phase labelled by distance from the excess, and the samples
+    it pinned at their labels before the first cut (``pinned``)."""
 
     x_hat: np.ndarray
     objective: float
@@ -107,6 +111,7 @@ class ExactResult:
     cuts: int
     levels: int
     phases: int
+    pinned: int = 0
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "x_hat"}
@@ -135,6 +140,18 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     those pairs from R's arcs. The result is the componentwise smallest
     minimizer. Nodes no sample constrains, such as a sample-free component's,
     take the smallest label.
+
+    A sample whose edges' capacities sum below the unit weight of its label,
+    lam * W(delta i) < 1, is pinned (``pinned`` counts them): moving x[i] toward
+    y_i by d lowers the data term by d and raises the TV term by at most
+    lam * W(delta i) * d < d, so every minimizer, the componentwise smallest
+    included, has x[i] = y_i. The test sums the same integer capacities the
+    network uses, fl(lam * W_e) at scale, so it is exact for the objective
+    solved. A pinned sample joins no group, and each edge to it leaves the
+    network as a label of weight cap_e at y_i on its other end. So every other
+    node carries terms w * |x - level|, its own label at weight 1 if sampled,
+    and a cut sets its excess from those terms alone. With no sample pinned,
+    the network, cuts and phases are those of the unpinned solver.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidConfigError("lam must be finite and >= 0")
@@ -157,10 +174,39 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     rank = label_rank.tolist()
     caps, scale = _scaled_distinct(pair_caps, [1.0])
     ends = np.stack(g.endpoint_arrays())
-    # One network for the whole solve. Its arc pairs come by smaller end, then
-    # edge: every node lists its arcs in the order adding them node by node would.
+    # Pin each sample whose edges' capacities sum below scale, lam * W(its edges) < 1.
+    at = ends.ravel()
+    at_sample = np.flatnonzero(label_rank[at] >= 0)
+    load = np.zeros(n, dtype=object)
+    np.add.at(load, at[at_sample], np.concatenate([caps, caps])[at_sample])
+    # Every free node's terms (rank, w), each w * |x - levels[rank]| of the objective
+    # at scale: a free sample's own label at weight scale, and each edge to a pinned
+    # sample at its capacity. The excess starts with every term above (mid -1).
+    lowest = [0] * n
+    excess = [0] * n
+    terms = [()] * n
+    pin = []
+    for i in obs.nodes:
+        if load[i] < scale:
+            pin.append(i)
+            lowest[i] = rank[i]
+        else:
+            terms[i] = ((rank[i], scale),)
+            excess[i] = scale
+    pinned = np.zeros(n, dtype=bool)
+    pinned[pin] = True
+    at_pin = pinned[ends]
+    live = pair_caps > 0.0
+    cut_off = np.flatnonzero(live & (at_pin[0] != at_pin[1]))  # one end pinned
+    held = np.where(at_pin[0, cut_off], ends[0, cut_off], ends[1, cut_off])
+    free = ends[0, cut_off] + ends[1, cut_off] - held
+    for p, j, c in zip(held.tolist(), free.tolist(), caps[cut_off].tolist()):
+        terms[j] += ((rank[p], c),)
+        excess[j] += c
+    # One network for the whole solve, on the free nodes. Its arc pairs come by smaller
+    # end, then edge: every node lists its arcs in the order adding them node by node would.
     by_tail = np.argsort(ends[0], kind="stable")
-    edges = by_tail[pair_caps[by_tail] > 0.0]
+    edges = by_tail[(live & ~(at_pin[0] | at_pin[1]))[by_tail]]
     ii, jj = ends[:, edges].tolist()
     c = caps[edges].tolist()
     net = _Dinic(n, ii, jj, c, c)
@@ -168,21 +214,19 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
 
     # A group holds the nodes whose x lies in levels[lo..hi] (a lower group in its
     # parent's order, an upper one in the order the cut's BFS reached them) and the
-    # mid its excess was set for (-1: every sample above). A cut zeroes the pairs it
-    # splits, so no arc of positive capacity leaves a group.
-    lowest = [0] * n
-    excess = [0 if r < 0 else scale for r in rank]
-    two = 2 * scale
+    # mid its excess was set for (-1: every term above). A cut zeroes the pairs it
+    # splits, so no arc of positive capacity leaves a group. A pinned sample sits at
+    # its label and joins no group.
     cuts = 0
-    stack = [(list(range(n)), 0, len(levels) - 1, -1)]
+    stack = [(np.flatnonzero(~pinned).tolist(), 0, len(levels) - 1, -1)]
     while stack:
         nodes, lo, hi, prev = stack.pop()
         if not nodes or lo == hi:
             continue
         mid = (lo + hi) // 2
-        for i in nodes:  # a sample's term at mid less at prev: +scale above, -scale at or below
-            r = rank[i]
-            excess[i] += two * ((r > mid) - (r > prev))
+        for i in nodes:  # each term at mid less at prev: +w above, -w at or below
+            for r, w in terms[i]:
+                excess[i] += 2 * w * ((r > mid) - (r > prev))
         upper = net.route(nodes, excess)
         cuts += 1
         for i in upper:
@@ -199,7 +243,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     emp = empirical_error(x_hat, obs)
     tv_term = tv(g, x_hat)
     return ExactResult(
-        x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), net.phases
+        x_hat, emp + lam * tv_term, emp, tv_term, lam, cuts, len(levels), net.phases, len(pin)
     )
 
 

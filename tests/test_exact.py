@@ -175,6 +175,23 @@ def test_ties_go_to_the_smallest_signal(path2):
     assert result.objective == 1.0 and result.cuts == 1 and result.levels == 2
 
 
+def test_a_sample_loaded_with_exactly_one_is_not_pinned(path2):
+    # lam * W = 1 at both samples, so [0, 1] ties with every constant in [0, 1] and
+    # neither sample is pinned; pinning at a load of 1 as well would return [0, 1]
+    result = solve_exact(path2, obs_of((0, 1), [0.0, 1.0]), 1.0)
+    assert result.x_hat.tolist() == [0.0, 0.0] and result.pinned == 0
+
+
+def test_samples_loaded_below_one_are_pinned(path4):
+    # lam * W(edges) is 1/3 at the ends and 2/3 inside: every sample keeps its label
+    result = solve_exact(path4, obs_of((0, 1, 2, 3), [3.0, 0.0, 2.0, 1.0]), 1 / 3)
+    assert result.x_hat.tolist() == [3.0, 0.0, 2.0, 1.0]
+    assert result.pinned == 4 and result.cuts == 0 and result.levels == 4
+    # node 1 is free, between labels 0 and 1 at weight 1/3 each, and takes the smaller
+    result = solve_exact(path4, obs_of((0, 2, 3), [0.0, 1.0, 5.0]), 1 / 3)
+    assert result.x_hat.tolist() == [0.0, 0.0, 1.0, 5.0] and result.pinned == 3
+
+
 def test_two_cluster_fixture_recovered_exactly(two_cluster_fixture):
     g, _, m = two_cluster_fixture
     result = solve_exact(g, obs_of(m, [1.0, 2.0]), 0.25)
@@ -182,7 +199,7 @@ def test_two_cluster_fixture_recovered_exactly(two_cluster_fixture):
     assert result.objective == 0.25 and result.tv_term == 1.0 and result.empirical_error == 0.0
     assert result.to_json_dict() == {
         "objective": 0.25, "empirical_error": 0.0, "tv_term": 1.0, "lam": 0.25,
-        "cuts": 1, "levels": 2, "phases": 1,
+        "cuts": 1, "levels": 2, "phases": 1, "pinned": 0,
     }
 
 

@@ -316,8 +316,10 @@ class TestCli:
         obs = fileio.read_observations(d / "obs.txt")
         opt = lp_optimum(g, obs, 0.25)
         assert abs(report["objective"] - opt) <= 1e-9 * (1.0 + opt)
-        # one max flow, one augmenting path over the path 3-2-1-0: one phase
+        # one max flow, one augmenting path over the path 3-2-1-0: one phase; each
+        # sample's edges carry lam * W = 0.25 * 4, exactly 1, so neither is pinned
         assert report["cuts"] == 1 and report["levels"] == 2 and report["phases"] == 1
+        assert report["pinned"] == 0
         assert report["tv_error_vs_true"] == 0.0 and report["mad_vs_true"] == 0.0
         assert (d / "xhat.txt").read_text() == "0 1.0\n1 1.0\n2 2.0\n3 2.0\n"
 

@@ -96,6 +96,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             NoiseConfig(distribution="gaussian", sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [True, "0.1", None, 1e400, -np.inf, np.nan])
+    def test_noise_sigma_must_be_a_finite_real(self, sigma):
+        with pytest.raises(InvalidConfigError, match="sigma"):
+            NoiseConfig("gaussian", sigma)
+
+    def test_noise_sigma_is_stored_as_a_float(self):
+        cfg = NoiseConfig("laplace", np.float32(0.5))
+        assert cfg.sigma == 0.5 and type(cfg.sigma) is float
+        assert type(NoiseConfig("gaussian", 1).sigma) is float
+
 
 class TestGeneratePlantedPartition:
     def test_disconnected_when_p_out_zero(self):
