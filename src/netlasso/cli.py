@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .certify import NccQuery, check_ncc, verify_error_bound
 from .errors import NetlassoError
-from .experiments import ExperimentConfig, run_experiment, summarize, write_outputs
+from .experiments import SOLVER_SETTINGS, ExperimentConfig, run_experiment, summarize, write_outputs
 from .generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -78,20 +78,6 @@ def _add_generator_args(sub, with_seed=True):
         sub.add_argument("--" + name.replace("_", "-"), type=float)
     if with_seed:
         sub.add_argument("--seed", type=int, default=0)
-
-
-# ADMM settings of ``experiment``: one flag each, with SolverConfig's type and default.
-_SOLVER_FIELDS = ("rho", "eps_abs", "eps_rel", "max_iters")
-
-
-def _add_solver_args(sub):
-    for name in _SOLVER_FIELDS:
-        default = SolverConfig.__dataclass_fields__[name].default
-        sub.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-
-
-def _solver_overrides(args) -> dict:
-    return {name: getattr(args, name) for name in _SOLVER_FIELDS}
 
 
 def cmd_generate(args) -> int:
@@ -180,7 +166,7 @@ def cmd_experiment(args) -> int:
         cert_l=args.cert_L,
         trials=args.trials,
         master_seed=args.master_seed,
-        solver=_solver_overrides(args),
+        solver={name: getattr(args, name) for name in SOLVER_SETTINGS},
     )
     trials = run_experiment(cfg)
     paths = write_outputs(args.out_dir, trials, plot_trial=args.plot_trial)
@@ -258,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=1)
     p_exp.add_argument("--master-seed", type=int, default=0)
     p_exp.add_argument("--plot-trial", type=int, default=0)
-    _add_solver_args(p_exp)
+    for name in SOLVER_SETTINGS:  # one flag each, with SolverConfig's type and default
+        default = SolverConfig.__dataclass_fields__[name].default
+        p_exp.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_exp.add_argument("--out-dir")
     p_exp.set_defaults(func=cmd_experiment)
 

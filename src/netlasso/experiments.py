@@ -30,12 +30,14 @@ from .generate import (
     observe,
     paper_like_config,
 )
-from .graphs import Graph, Partition, boundary, clustered_signal, tv
+from .graphs import Graph, Partition, boundary_mask, clustered_signal, tv
 from .sampling import _integer, _seed, sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, SolverResult, solve_admm
 
 STRATEGY_BOUNDARY = "boundary"
 STRATEGY_UNIFORM = "uniform"
+# The SolverConfig fields an experiment may override; lam is the experiment's own.
+SOLVER_SETTINGS = ("rho", "eps_abs", "eps_rel", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class ExperimentConfig:
     cert_l: float = 1.0
     trials: int = 1
     master_seed: int = 0
-    solver: dict = field(default_factory=dict)  # rho/eps_abs/eps_rel/max_iters overrides
+    solver: dict = field(default_factory=dict)  # overrides of SOLVER_SETTINGS
 
     def __post_init__(self):
         if _integer(self.trials, "trial count") < 1:
@@ -56,6 +58,11 @@ class ExperimentConfig:
         _seed(self.master_seed, "master seed")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise InvalidConfigError(f"lam must be a number or 'auto', got {self.lam!r}")
+        unknown = sorted(set(self.solver) - set(SOLVER_SETTINGS))
+        if unknown:
+            raise InvalidConfigError(f"unknown solver setting {unknown[0]!r}")
+        # a number lam and the settings' values, checked before any trial runs
+        SolverConfig(lam=0.0 if self.lam == "auto" else self.lam, **self.solver)
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ def results_rows(trials: list[TrialResult]) -> list[dict]:
                     "strategy": o.strategy,
                     "nodes": tr.graph.node_count,
                     "edges": tr.graph.edge_count,
-                    "boundary_edges": len(boundary(tr.graph, tr.partition)),
+                    "boundary_edges": int(boundary_mask(tr.graph, tr.partition).sum()),
                     "budget": tr.budget,
                     "lam": repr(tr.lam),
                     "tv_error": repr(o.tv_error),

@@ -3,22 +3,24 @@
 Graph files: a header line ``N <node_count>`` followed by one ``i j w`` line
 per edge (0-based endpoints, decimal weight). Signals and observation label
 files: ``i v`` per line. Partitions: ``i c`` per line mapping node to cluster
-index. Node sets: one integer per line. Blank lines and ``#`` comments are
-ignored everywhere. Parsers raise FileFormatError with the offending line
-number on any invariant violation; errors about the file as a whole (a
-signal or partition that does not cover exactly its nodes, an empty cluster,
-a partition or graph of another size) carry no line.
+index. Node sets: one integer per line. Blank lines and whole-line ``#``
+comments are ignored everywhere (``0 1 1.0 # note`` is an error). Parsers
+raise FileFormatError with the offending line number on any invariant
+violation; errors about the whole file (a signal or partition that does not
+cover exactly its nodes, an empty cluster, a partition or graph of another
+size) carry no line.
 
 Every reader first tries the array path, which reads the file in one pass:
 when the file is plain (printable ASCII, tabs and ``\n`` line ends, no ``#``)
 and a graph's header is its first line, numpy's C parser reads all rows at
 once into int64 ids and float64 values, and the checks run as array masks.
-The array path declines any other file (comments, CRLF line ends, non-ASCII
+The array path declines any other file (comments, CR line ends, non-ASCII
 text) and any file that the C parser rejects or that fails a check. The line
-parser then reads it again line by line, as Python's ``int`` and ``float``
-do (so ``1_000``, ``+5`` and non-ASCII digits still read), and raises the
-error of the first bad line. The two paths agree on every file, because the
-array path only takes what it reads exactly as the line parser would. Errors
+parser then reads it again line by line: one tokenizer, ``_rows``, splits and
+parses each line for all three readers, as Python's ``int`` and ``float`` do
+(so ``1_000``, ``+5`` and non-ASCII digits still read), and raises the error
+of the first bad line. The two paths agree on every file, because the array
+path only takes what it reads exactly as the line parser would. Errors
 found after parsing (a fractional or negative cluster index, an observed node
 outside the true signal) recover their line by scanning the file again.
 """
@@ -78,6 +80,22 @@ def _line_of(path, node: int) -> int:
     return next(lineno for lineno, line in _content_lines(path) if int(line.split()[0]) == node)
 
 
+def _rows(lines, path, width: int, parse, expected: str, unparsable: str):
+    """``(line number, parse(tokens))`` for each ``(line number, line)`` of
+    ``lines``. A line of other than ``width`` tokens raises ``expected``, one
+    that ``parse`` rejects (ValueError) ``unparsable``, each formatted with
+    ``line=`` the line."""
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != width:
+            raise FileFormatError(expected.format(line=line), path, lineno)
+        try:
+            row = parse(parts)
+        except ValueError:
+            raise FileFormatError(unparsable.format(line=line), path, lineno) from None
+        yield lineno, row
+
+
 def _node_count(line: str, path, lineno: int) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "N":
@@ -104,27 +122,18 @@ def read_graph(path: str | os.PathLike) -> Graph:
 
 
 def _read_graph_lines(path) -> Graph:
-    node_count = None
-    edges = []
-    weights = []
-    linenos = []
-    for lineno, line in _content_lines(path):
-        if node_count is None:
-            node_count = _node_count(line, path, lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError("expected edge line 'i j w'", path, lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise FileFormatError(f"unparsable edge line {line!r}", path, lineno) from None
-        edges.append((i, j))
-        weights.append(w)
-        linenos.append(lineno)
-    if node_count is None:
+    lines = _content_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise FileFormatError("missing header 'N <node_count>'", path, 1)
+    node_count = _node_count(first[1], path, first[0])
+    rows = _rows(lines, path, 3, lambda p: ((int(p[0]), int(p[1])), float(p[2])),
+                 "expected edge line 'i j w'", "unparsable edge line {line!r}")
+    linenos, edges, weights = [], [], []  # flat lists: a list of row tuples costs GC time
+    for lineno, (ends, w) in rows:
+        linenos.append(lineno)
+        edges.append(ends)
+        weights.append(w)
     try:
         return validate_graph(edges, weights, node_count)
     except GraphError as exc:
@@ -153,15 +162,9 @@ def read_value_map(path: str | os.PathLike) -> dict[int, float]:
 
 def _read_value_map_lines(path) -> dict[int, float]:
     values: dict[int, float] = {}
-    for lineno, line in _content_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError("expected line 'i v'", path, lineno)
-        try:
-            i = int(parts[0])
-            v = float(parts[1])
-        except ValueError:
-            raise FileFormatError(f"unparsable line {line!r}", path, lineno) from None
+    rows = _rows(_content_lines(path), path, 2, lambda p: (int(p[0]), float(p[1])),
+                 "expected line 'i v'", "unparsable line {line!r}")
+    for lineno, (i, v) in rows:
         if i < 0:
             raise FileFormatError(f"negative node id {i}", path, lineno)
         if i in values:
@@ -187,12 +190,8 @@ def read_signal(path: str | os.PathLike, g: Graph) -> np.ndarray:
 
 
 def write_value_map(path: str | os.PathLike, values) -> None:
-    if isinstance(values, np.ndarray):
-        items = list(enumerate(values.tolist()))
-    elif isinstance(values, dict):
-        items = sorted(values.items())
-    else:
-        items = list(values)
+    """Write ``i v`` lines for a signal array (node i, value) or ``(i, v)`` pairs."""
+    items = enumerate(values.tolist()) if isinstance(values, np.ndarray) else values
     with open(path, "w", encoding="utf-8") as fh:
         for i, v in items:
             fh.write(f"{i} {float(v)!r}\n")
@@ -238,19 +237,14 @@ def read_node_set(path: str | os.PathLike) -> tuple[int, ...]:
 
 
 def _read_node_set_lines(path) -> tuple[int, ...]:
-    nodes = []
-    seen = set()
-    for lineno, line in _content_lines(path):
-        try:
-            i = int(line)
-        except ValueError:
-            raise FileFormatError(f"expected a node id, got {line!r}", path, lineno) from None
+    nodes = set()
+    expected = "expected a node id, got {line!r}"
+    for lineno, i in _rows(_content_lines(path), path, 1, lambda p: int(p[0]), expected, expected):
         if i < 0:
             raise FileFormatError(f"negative node id {i}", path, lineno)
-        if i in seen:
+        if i in nodes:
             raise FileFormatError(f"duplicate node {i}", path, lineno)
-        seen.add(i)
-        nodes.append(i)
+        nodes.add(i)
     return tuple(sorted(nodes))
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .errors import (
     NodeOutOfRangeError,
 )
 from .graphs import Graph, Observations, Partition, component_roots, is_connected
-from .sampling import _integer, _seed
+from .sampling import _integer, _real, _seed
 
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one
@@ -46,15 +45,6 @@ MAX_CONNECTIVITY_RETRIES = 100
 _PAIRS_PER_DRAW = 1 << 17
 # An attempt is drawn on one thread per this many pairs, up to the usable CPUs.
 _PAIRS_PER_WORKER = 1 << 20
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidConfigError(f"{name} is not finite") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -15,6 +16,15 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidConfigError(f"{name} is not finite") from None
 
 
 def _seed(value, name: str = "seed") -> int:

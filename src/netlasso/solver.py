@@ -40,6 +40,7 @@ from .errors import (
 )
 from .flow import _Dinic, _scaled_distinct
 from .graphs import Graph, Observations, as_signal, is_connected, tv
+from .sampling import _real
 
 ORACLE_MAX_NODES = 8
 ORACLE_MAX_SAMPLES = 4
@@ -56,6 +57,14 @@ def objective(g: Graph, x, obs: Observations, lam: float) -> float:
     return empirical_error(x, obs) + lam * tv(g, x)
 
 
+def _lam(value) -> float:
+    """The regularization weight as a float; it must be a finite real >= 0."""
+    lam = _real(value, "lam")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise InvalidConfigError("lam must be finite and >= 0")
+    return lam
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM parameters; defaults are deliberately conservative."""
@@ -68,8 +77,9 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise InvalidConfigError("lam must be finite and >= 0")
+        object.__setattr__(self, "lam", _lam(self.lam))
+        for name in ("rho", "eps_abs", "eps_rel"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (np.isfinite(self.rho) and self.rho > 0.0):
             raise InvalidConfigError("rho must be finite and positive")
         if not all(np.isfinite(t) and t > 0.0 for t in (self.eps_abs, self.eps_rel)):
@@ -153,8 +163,7 @@ def solve_exact(g: Graph, obs: Observations, lam: float) -> ExactResult:
     and a cut sets its excess from those terms alone. With no sample pinned,
     the network, cuts and phases are those of the unpinned solver.
     """
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise InvalidConfigError("lam must be finite and >= 0")
+    lam = _lam(lam)
     with np.errstate(over="ignore"):
         pair_caps = lam * g.weights
     if not np.isfinite(pair_caps).all():

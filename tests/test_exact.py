@@ -14,7 +14,7 @@ from netlasso import cli, experiments
 from netlasso.errors import DimensionMismatchError, InvalidConfigError, NodeOutOfRangeError
 from netlasso.flow import DemandSpec, feasible_flow, verify_demand_witness
 from netlasso.graphs import Observations, validate_graph
-from netlasso.solver import solve_exact, solve_oracle
+from netlasso.solver import SolverConfig, solve_exact, solve_oracle
 
 LAMS = (0.0, 0.05, 1.0, 7.0)
 
@@ -237,10 +237,13 @@ def test_deterministic():
     assert first.x_hat.tobytes() == again.x_hat.tobytes() and first.cuts == again.cuts
 
 
-@pytest.mark.parametrize("lam", [-0.1, -np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("lam", [-0.1, -np.inf, np.inf, np.nan, "0.1", None, True])
 def test_rejects_bad_lam(path2, lam):
+    # SolverConfig's rule: a config error, not numpy's TypeError on a string or None
     with pytest.raises(InvalidConfigError, match="lam"):
         solve_exact(path2, obs_of((0,), [1.0]), lam)
+    with pytest.raises(InvalidConfigError, match="lam"):
+        SolverConfig(lam=lam)
 
 
 def test_rejects_lam_times_weight_beyond_float(path4):

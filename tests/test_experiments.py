@@ -79,6 +79,15 @@ class TestHarness:
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(lam="automatic")
 
+    @pytest.mark.parametrize("solver, name", [
+        ({"foo": 1}, "foo"), ({"lam": 0.1}, "lam"), ({"record_trace": True}, "record_trace"),
+        ({"rho": "1"}, "rho"), ({"max_iters": 0}, "max_iters"), ({"eps_rel": -1.0}, "tolerances"),
+    ])
+    def test_rejects_bad_solver_setting_at_construction(self, solver, name):
+        # before any trial runs, as a config error naming the setting
+        with pytest.raises(InvalidConfigError, match=name):
+            ExperimentConfig(generator=SMALL_GEN, lam=0.2, solver=solver)
+
     def test_rejects_negative_master_seed(self):
         with pytest.raises(InvalidConfigError, match="master seed must be >= 0"):
             ExperimentConfig(master_seed=-1)

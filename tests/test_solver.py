@@ -69,10 +69,18 @@ class TestSolverConfig:
         {"rho": np.inf}, {"rho": np.nan}, {"rho": -np.inf},
         {"eps_abs": np.inf}, {"eps_abs": np.nan}, {"eps_rel": np.inf}, {"eps_rel": np.nan},
         {"max_iters": 2.5}, {"max_iters": 100.0}, {"max_iters": True}, {"max_iters": "10"},
+        # no real number: a config error, not numpy's TypeError from isfinite
+        {"lam": "0.1"}, {"lam": None}, {"lam": True}, {"rho": "1"}, {"eps_abs": None},
+        {"eps_rel": "1e-5"},
     ])
     def test_rejects_non_finite_and_non_integer(self, bad):
         with pytest.raises(InvalidConfigError):
-            SolverConfig(lam=1.0, **bad)
+            SolverConfig(**{"lam": 1.0, **bad})
+
+    def test_keeps_settings_as_floats(self):
+        cfg = SolverConfig(lam=np.float64(0.5), rho=2, eps_abs=np.float32(0.25))
+        assert [type(v) for v in (cfg.lam, cfg.rho, cfg.eps_abs)] == [float] * 3
+        assert (cfg.lam, cfg.rho, cfg.eps_abs) == (0.5, 2.0, 0.25)
 
     def test_accepts_numpy_integer_max_iters(self, path2):
         res = solve_admm(path2, obs_of((0,), [1.0]), SolverConfig(lam=1.0, max_iters=np.int64(3)))
