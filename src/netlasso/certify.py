@@ -35,12 +35,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidQueryError, LNotGreaterThanOneError
+from .errors import InvalidQueryError, LNotGreaterThanOneError, _real
 from .flow import (
     CutCertificate,
     _cut,
     _cut_verified,
-    _finite,
     _flow_verified,
     _ratio,
     _route,
@@ -59,7 +58,7 @@ from .graphs import (
 
 
 def _check_positive(value, name: str) -> None:
-    if not (_finite(value) and value > 0):
+    if not (math.isfinite(_real(value, name, InvalidQueryError)) and value > 0):
         raise InvalidQueryError(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -291,10 +290,10 @@ def check_support_condition(
 def recovery_error_bound(K: float, L: float, eps_l1: float) -> float:
     """Error-bound value (K + 4/(L-1)) * eps_l1; requires finite L > 1, K > 0
     and eps_l1 >= 0."""
-    if not (_finite(L) and L > 1.0):
+    if not (math.isfinite(_real(L, "L", LNotGreaterThanOneError)) and L > 1.0):
         raise LNotGreaterThanOneError(f"L must be a finite number > 1, got {L!r}")
     _check_positive(K, "K")
-    if not (_finite(eps_l1) and eps_l1 >= 0.0):
+    if not (math.isfinite(_real(eps_l1, "eps_l1", InvalidQueryError)) and eps_l1 >= 0.0):
         raise InvalidQueryError(f"eps_l1 must be a finite number >= 0, got {eps_l1!r}")
     return (K + 4.0 / (L - 1.0)) * eps_l1
 
@@ -324,7 +323,7 @@ def verify_error_bound(
 ) -> ErrorBoundReport:
     """Compare the recovered signal's TV error against the certified bound,
     with a finite ``tolerance`` (a negative one makes the check stricter)."""
-    if not _finite(tolerance):
+    if not math.isfinite(_real(tolerance, "tolerance", InvalidQueryError)):
         raise InvalidQueryError(f"tolerance must be a finite number, got {tolerance!r}")
     x_true = np.asarray(x_true, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)

@@ -2,8 +2,12 @@
 
 Every input-contract violation raises a subclass of NetlassoError, so callers
 can catch one base type at the CLI boundary while tests assert on the precise
-condition.
+condition. The package's two number rules live here too: ``_integer`` takes a
+``numbers.Integral`` and ``_real`` a ``numbers.Real`` within the float range,
+neither takes a bool, and each raises the caller's error class.
 """
+
+import numbers
 
 
 class NetlassoError(Exception):
@@ -99,3 +103,26 @@ class FileFormatError(NetlassoError):
                 where += f"{line}:"
             where += " "
         super().__init__(where + message)
+
+
+def _integer(value, name: str, error=InvalidConfigError) -> int:
+    """value as an int; a bool and a non-``numbers.Integral`` raise error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, error=InvalidConfigError) -> float:
+    """value as a float; a bool, a non-``numbers.Real`` and an overflow raise error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is not finite") from None
+
+
+def _seed(value, name: str = "seed") -> int:
+    if (seed := _integer(value, name)) < 0:
+        raise InvalidConfigError(f"{name} must be >= 0, got {seed}")
+    return seed

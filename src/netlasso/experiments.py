@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .certify import check_support_condition, recovery_error_bound
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, _integer, _real, _seed
 from .generate import (
     NoiseConfig,
     PlantedPartitionConfig,
@@ -31,7 +31,7 @@ from .generate import (
     paper_like_config,
 )
 from .graphs import Graph, Partition, boundary_mask, clustered_signal, tv
-from .sampling import _integer, _seed, sample_boundary_aware, sample_uniform
+from .sampling import sample_boundary_aware, sample_uniform
 from .solver import SolverConfig, SolverResult, solve_admm
 
 STRATEGY_BOUNDARY = "boundary"
@@ -56,8 +56,12 @@ class ExperimentConfig:
         if _integer(self.trials, "trial count") < 1:
             raise InvalidConfigError("trial count must be at least 1")
         _seed(self.master_seed, "master seed")
-        if isinstance(self.lam, str) and self.lam != "auto":
-            raise InvalidConfigError(f"lam must be a number or 'auto', got {self.lam!r}")
+        if self.budget is not None and _integer(self.budget, "budget") < 1:
+            raise InvalidConfigError("budget must be at least 1")
+        NoiseConfig(self.noise, self.sigma)  # each trial builds it with its own seed
+        cert_l = _real(self.cert_l, "cert_l")  # only lam='auto' uses it
+        if not (0.0 < cert_l < np.inf if self.lam == "auto" else cert_l == 1.0):
+            raise InvalidConfigError("cert_l must be 1.0 or, with lam='auto', finite and > 0")
         unknown = sorted(set(self.solver) - set(SOLVER_SETTINGS))
         if unknown:
             raise InvalidConfigError(f"unknown solver setting {unknown[0]!r}")
@@ -299,7 +303,7 @@ def write_recovery_svg(path, trial: TrialResult) -> None:
 
 
 def write_outputs(out_dir, trials: list[TrialResult], plot_trial: int = 0) -> dict[str, str]:
-    if not 0 <= plot_trial < len(trials):
+    if not 0 <= _integer(plot_trial, "plot trial") < len(trials):
         raise InvalidConfigError(f"plot trial {plot_trial} outside 0..{len(trials) - 1}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {

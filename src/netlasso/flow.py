@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDemandSpecError
+from .errors import InvalidConfigError, InvalidDemandSpecError, _real
 from .graphs import Edge, Graph, _index_array
 
 
@@ -200,15 +200,6 @@ class _Dinic:
             u = head[path[-1]] if path else t
 
 
-def _finite(value) -> bool:
-    """Whether value is a finite number; strings, None and ints beyond the
-    float range are not."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
 @dataclass(frozen=True)
 class DemandSpec:
     """Required net outflows plus a set of slack nodes.
@@ -231,10 +222,11 @@ class DemandSpec:
             raise InvalidDemandSpecError("a node id of the demand is not an integer") from None
         object.__setattr__(self, "injections", injections)
         object.__setattr__(self, "slack_nodes", slack_nodes)
-        if not _finite(self.slack_bound) or self.slack_bound < 0.0:
+        bound = _real(self.slack_bound, "slack_bound", InvalidDemandSpecError)
+        if not math.isfinite(bound) or self.slack_bound < 0.0:
             raise InvalidDemandSpecError("slack_bound must be a finite number >= 0")
         for i, b in self.injections.items():
-            if not _finite(b):
+            if not math.isfinite(_real(b, f"injection at node {i}", InvalidDemandSpecError)):
                 raise InvalidDemandSpecError(f"injection at node {i} is not a finite number")
 
 

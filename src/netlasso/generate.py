@@ -35,9 +35,11 @@ from .errors import (
     DisconnectedAfterRetriesError,
     InvalidConfigError,
     NodeOutOfRangeError,
+    _integer,
+    _real,
+    _seed,
 )
 from .graphs import Graph, Observations, Partition, component_roots, is_connected
-from .sampling import _integer, _real, _seed
 
 MAX_CONNECTIVITY_RETRIES = 100
 # Rows of the pair triangle are drawn in groups of about this many pairs: one

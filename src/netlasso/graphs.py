@@ -28,6 +28,7 @@ from .errors import (
     NodeOutOfRangeError,
     NonPositiveWeightError,
     SelfLoopError,
+    _integer,
 )
 
 Edge = tuple[int, int]
@@ -77,7 +78,7 @@ class Graph(_ByValue):
         self.__post_init__()
 
     def __post_init__(self):
-        n = self.node_count
+        n = _integer(self.node_count, "node_count", GraphError)
         if n <= 0:
             raise GraphError("node_count must be positive")
         edges = self._ends
@@ -102,7 +103,7 @@ class Graph(_ByValue):
             bad[order[1:]] |= keys[1:] == keys[:-1]
         _raise_first(edges, bad, n)
         ends.flags.writeable = weights.flags.writeable = False
-        self.__dict__.update(_ends=ends, weights=weights, _keys=keys, _order=order)
+        self.__dict__.update(node_count=n, _ends=ends, weights=weights, _keys=keys, _order=order)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -262,6 +263,7 @@ def validate_graph(
     pair, of the later copy). Ids that are not integers (GraphError) or
     exceed int64 (NodeOutOfRangeError) come first.
     """
+    node_count = _integer(node_count, "node_count", GraphError)
     if isinstance(raw_edges, np.ndarray):
         ends = _edge_array(raw_edges)
         edge_count = ends.shape[1]

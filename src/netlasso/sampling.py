@@ -2,36 +2,10 @@
 
 from __future__ import annotations
 
-import numbers
-import operator
-
 import numpy as np
 
-from .errors import BudgetExceedsNodesError, InvalidConfigError
+from .errors import BudgetExceedsNodesError, _integer, _seed
 from .graphs import Graph, Partition, boundary_mask, endpoint_sums, heaviest_edges
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidConfigError(f"{name} is not finite") from None
-
-
-def _seed(value, name: str = "seed") -> int:
-    seed = _integer(value, name)
-    if seed < 0:
-        raise InvalidConfigError(f"{name} must be >= 0, got {seed}")
-    return seed
 
 
 def _check_budget(g: Graph, budget: int) -> int:

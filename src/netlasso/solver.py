@@ -37,10 +37,11 @@ from .errors import (
     DimensionMismatchError,
     InstanceTooLargeError,
     InvalidConfigError,
+    _integer,
+    _real,
 )
 from .flow import _Dinic, _scaled_distinct
 from .graphs import Graph, Observations, as_signal, is_connected, tv
-from .sampling import _real
 
 ORACLE_MAX_NODES = 8
 ORACLE_MAX_SAMPLES = 4
@@ -84,8 +85,7 @@ class SolverConfig:
             raise InvalidConfigError("rho must be finite and positive")
         if not all(np.isfinite(t) and t > 0.0 for t in (self.eps_abs, self.eps_rel)):
             raise InvalidConfigError("tolerances must be finite and positive")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise InvalidConfigError("max_iters must be an integer")
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be at least 1")
 

@@ -8,6 +8,10 @@ import pytest
 from netlasso.flow import _Dinic
 from netlasso.graphs import Graph, Observations, Partition, validate_graph
 
+# What no integer or real setting or query takes, each with its own error class;
+# a real one also refuses 10**400, which no float holds.
+NOT_NUMBERS = (True, False, "1", None)
+
 # The benchmark's HiGHS LP for the l1/TV optimum; it imports nothing from netlasso.
 _spec = importlib.util.spec_from_file_location(
     "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"

@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import NOT_NUMBERS
 from ncc_reference import (
     orientation_feasible,
     orientation_spec,
@@ -133,8 +135,12 @@ class TestNccQueryValidation:
 
     @pytest.mark.parametrize(
         "K,L",
-        [(None, 1.0), ("2", 1.0), (10**400, 1.0), (1.0, "2"), (1.0, None), (1.0, -(10**400))],
-        ids=["K=None", "K='2'", "K=10**400", "L='2'", "L=None", "L=-10**400"],
+        [(None, 1.0), ("2", 1.0), (10**400, 1.0), (1.0, "2"), (1.0, None), (1.0, -(10**400)),
+         *((bad, 1.0) for bad in NOT_NUMBERS), *((1.0, bad) for bad in NOT_NUMBERS),
+         (1.0, 10**400), (Decimal(1), 1.0), (1.0, Decimal(2))],
+        ids=["K=None", "K='2'", "K=10**400", "L='2'", "L=None", "L=-10**400",
+             *(f"K={bad!r}" for bad in NOT_NUMBERS), *(f"L={bad!r}" for bad in NOT_NUMBERS),
+             "L=10**400", "K=Decimal", "L=Decimal"],
     )
     def test_parameters_that_are_no_finite_number(self, two_cluster_fixture, K, L):
         g, p, m = two_cluster_fixture
@@ -144,6 +150,21 @@ class TestNccQueryValidation:
     def test_takes_int_and_rational_parameters(self, two_cluster_fixture):
         g, p, m = two_cluster_fixture
         assert check_ncc(NccQuery(g, p, m, K=2, L=Fraction(1, 2))).verdict == "holds"
+
+    @pytest.mark.parametrize("K, L", [
+        (np.float64(4.0), np.int64(4)), (np.int32(4), np.float32(4.0)), (4, 4.0),
+    ])
+    def test_takes_numpy_scalar_parameters(self, two_cluster_fixture, K, L):
+        g, p, m = two_cluster_fixture
+        cert = check_ncc(NccQuery(g, p, m, K=K, L=L))
+        assert cert.verdict == "holds" and cert.scale == 1 and (cert.K, cert.L) == (4, 4)
+
+    def test_rational_k_keeps_its_exact_scale(self):
+        # K = 1/3 is no float: the flow is solved in thirds, and K is kept as given
+        g = validate_graph([(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0], 4)
+        query = NccQuery(g, Partition.from_labels([0, 0, 1, 1]), (0, 3), K=Fraction(1, 3), L=2)
+        cert = check_ncc(query)
+        assert cert.scale == 3 and cert.K == Fraction(1, 3) and verify_ncc_cut(query, cert)
 
 
 class TestCheckNcc:
@@ -768,6 +789,13 @@ class TestRecoveryErrorBound:
     def test_direct_arithmetic(self):
         assert recovery_error_bound(4.0, 5.0, 0.1) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("K, L, eps_l1", [
+        (4, 5, 1), (Fraction(4), Fraction(5), Fraction(1)),
+        (np.int64(4), np.float32(5.0), np.float64(1.0)),
+    ])
+    def test_takes_ints_rationals_and_numpy_scalars(self, K, L, eps_l1):
+        assert recovery_error_bound(K, L, eps_l1) == 5.0
+
     def test_l_not_greater_than_one(self):
         with pytest.raises(LNotGreaterThanOneError):
             recovery_error_bound(4.0, 1.0, 0.1)
@@ -783,6 +811,9 @@ class TestRecoveryErrorBound:
         (10.0, math.nan, 1.0, LNotGreaterThanOneError),
         (10.0, 2.0, math.nan, InvalidQueryError),
         (10.0, 2.0, math.inf, InvalidQueryError),
+        *((bad, 2.0, 1.0, InvalidQueryError) for bad in (*NOT_NUMBERS, 10**400)),
+        *((10.0, bad, 1.0, LNotGreaterThanOneError) for bad in (*NOT_NUMBERS, 10**400)),
+        *((10.0, 2.0, bad, InvalidQueryError) for bad in (*NOT_NUMBERS, 10**400)),
     ])
     def test_non_finite_inputs_rejected(self, K, L, eps_l1, error):
         with pytest.raises(error):
@@ -798,7 +829,7 @@ class TestVerifyErrorBound:
         assert isinstance(report, ErrorBoundReport)
         assert report.passed and report.tv_error == 0.0 and report.bound == 0.0
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, *NOT_NUMBERS, 10**400])
     def test_non_finite_tolerance_rejected(self, two_cluster_fixture, tolerance):
         g, p, m = two_cluster_fixture
         x = clustered_signal(p, [1.0, 2.0])

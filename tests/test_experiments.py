@@ -6,11 +6,12 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import lp_optimum
+from conftest import NOT_NUMBERS, lp_optimum
 from netlasso import cli, fileio
 from netlasso.certify import NccQuery, check_ncc
 from netlasso.errors import InvalidConfigError
@@ -95,11 +96,49 @@ class TestHarness:
     @pytest.mark.parametrize(
         "kwargs,name",
         [({"master_seed": 1.5}, "master seed"), ({"master_seed": "1"}, "master seed"),
-         ({"trials": 1.5}, "trial count"), ({"trials": "2"}, "trial count")],
+         ({"trials": 1.5}, "trial count"), ({"trials": "2"}, "trial count"),
+         *(({"master_seed": bad}, "master seed") for bad in (True, False, None)),
+         *(({"trials": bad}, "trial count") for bad in (True, False, None))],
     )
     def test_rejects_seed_or_trials_that_is_no_integer(self, kwargs, name):
         with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise": "foo"}, "unknown noise distribution 'foo'"),
+        ({"noise": "gaussian", "sigma": "0.1"}, "sigma must be a real number"),
+        ({"noise": "gaussian", "sigma": -1.0}, "sigma must be finite"),
+        ({"budget": "3"}, "budget must be an integer"),
+        ({"budget": 2.0}, "budget must be an integer"),
+        ({"budget": True}, "budget must be an integer"),
+        ({"budget": False}, "budget must be an integer"),
+        ({"budget": 0}, "budget must be at least 1"),
+        *(({"cert_l": bad}, "cert_l must be a real number") for bad in NOT_NUMBERS),
+        ({"cert_l": 10**400}, "cert_l is not finite"),
+        *(({"cert_l": bad}, "cert_l must be 1.0") for bad in (float("nan"), np.inf, 0.0, -1.0)),
+        # an explicit lam would ignore the certificate's L
+        *(({"lam": 0.2, "cert_l": bad}, "cert_l must be 1.0") for bad in (3, 2.0, float("nan"))),
+    ])
+    def test_rejects_bad_setting_at_construction(self, kwargs, message):
+        # each constructed and failed only in the first trial, or (cert_l with
+        # an explicit lam) ran without it
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            ExperimentConfig(generator=SMALL_GEN, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lam": 0.05, "cert_l": 1.0}, {"lam": 0.2, "cert_l": 1}, {"cert_l": Fraction(3, 2)},
+        {"cert_l": np.float32(2.0)}, {"budget": np.int64(4)}, {"budget": None},
+        {"noise": "laplace", "sigma": np.float64(0.1)},
+    ])
+    def test_takes_any_number_type(self, kwargs):
+        ExperimentConfig(generator=SMALL_GEN, **kwargs)
+
+    def test_plot_trial_must_be_an_integer(self, tmp_path):
+        trials = run_experiment(ExperimentConfig(generator=SMALL_GEN, lam=0.2))
+        for bad in (True, 0.0, "0"):
+            with pytest.raises(InvalidConfigError, match="plot trial must be an integer"):
+                write_outputs(tmp_path, trials, plot_trial=bad)
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_fields(self):
         cfg = ExperimentConfig(generator=SMALL_GEN, lam=0.2, trials=2, master_seed=1)
@@ -354,6 +393,16 @@ class TestCli:
                          "--out-dir", str(tmp_path)])
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("lam, cert_l", [("0.2", "nan"), ("0.2", "3"), ("auto", "nan")])
+    def test_experiment_rejects_cert_l_it_would_not_use(self, tmp_path, capsys, lam, cert_l):
+        # with an explicit lam the flag was ignored and the run exited 0
+        code = cli.main(["experiment", "--preset", "custom", "--sizes", "4,4", "--p-in", "1",
+                         "--p-out", "0.25", "--lam", lam, "--cert-L", cert_l,
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cert_l must be 1.0")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("noise, flag", [

@@ -2,6 +2,7 @@
 flow; demand feasibility against Hoffman's cut condition."""
 
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 import flow_reference
-from conftest import Network, brute_force_min_cut, random_connected_graph, st_max_flow
+from conftest import (
+    NOT_NUMBERS,
+    Network,
+    brute_force_min_cut,
+    random_connected_graph,
+    st_max_flow,
+)
 from netlasso.certify import NccQuery, check_ncc, verify_ncc_cut
 from netlasso.errors import InvalidDemandSpecError
 from netlasso.flow import (
@@ -447,13 +454,22 @@ class TestFeasibleFlow:
             {"slack_bound": None},
             {"injections": {0: "1"}},
             {"injections": {0: 10**400}},
+            *({"slack_bound": bad} for bad in (*NOT_NUMBERS, 10**400)),
+            *({"injections": {0: bad}} for bad in (*NOT_NUMBERS, Decimal(1))),
         ],
         ids=["huge-negative-bound", "string-bound", "none-bound", "string-injection",
-             "huge-injection"],
+             "huge-injection", *(f"bound={bad!r}" for bad in NOT_NUMBERS), "bound=10**400",
+             *(f"injection={bad!r}" for bad in NOT_NUMBERS), "injection=Decimal"],
     )
     def test_demand_spec_rejects_no_finite_number(self, kwargs):
         with pytest.raises(InvalidDemandSpecError):
             DemandSpec(**kwargs)
+
+    def test_demand_spec_keeps_numbers_as_given(self):
+        injections = {0: Fraction(1, 3), 1: np.float64(0.5), 2: 2, 3: np.int64(-3)}
+        spec = DemandSpec(injections, frozenset({3}), Fraction(1, 6))
+        assert spec.injections == injections and spec.slack_bound == Fraction(1, 6)
+        assert [type(b) for b in spec.injections.values()] == [Fraction, np.float64, int, np.int64]
 
     def test_integrality_and_witness_reverification_random(self):
         rng = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import NOT_NUMBERS
 from netlasso.errors import (
     DimensionMismatchError,
     DisconnectedAfterRetriesError,
@@ -40,7 +41,9 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
             NoiseConfig(distribution="gaussian", sigma=0.1, seed=-1)
 
-    @pytest.mark.parametrize("sizes", [(7.9, 3), ("7", 3), (3, None)])
+    @pytest.mark.parametrize(
+        "sizes", [(7.9, 3), ("7", 3), (3, None), *((bad, 2) for bad in NOT_NUMBERS)]
+    )
     def test_sizes_must_be_integers(self, sizes):
         # 7.9 was truncated to 7 and "7" parsed
         with pytest.raises(InvalidConfigError, match="cluster size must be an integer"):
@@ -50,7 +53,7 @@ class TestConfigValidation:
         cfg = PlantedPartitionConfig(sizes=(np.int64(3), 2), p_in=0.5, p_out=0.5, seed=np.int32(1))
         assert cfg.sizes == (3, 2) and all(type(s) is int for s in cfg.sizes)
 
-    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True, False])
     def test_seed_must_be_an_integer(self, seed):
         # numpy's generator raised a bare TypeError for these
         with pytest.raises(InvalidConfigError, match="seed must be an integer"):
@@ -73,6 +76,12 @@ class TestConfigValidation:
         ("p_out", False),
         ("weight", True),
         ("weight", np.bool_(True)),
+        ("p_in", False),
+        ("p_in", None),
+        ("p_out", True),
+        ("p_out", "0.5"),
+        ("weight", False),
+        ("weight", None),
     ])
     def test_probabilities_and_weight_must_be_real_numbers(self, field, value):
         kwargs = {"sizes": (3, 3), "p_in": 0.5, "p_out": 0.5, field: value}
@@ -96,7 +105,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             NoiseConfig(distribution="gaussian", sigma=-0.1)
 
-    @pytest.mark.parametrize("sigma", [True, "0.1", None, 1e400, -np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", [True, "0.1", None, 1e400, -np.inf, np.nan, False, 10**400])
     def test_noise_sigma_must_be_a_finite_real(self, sigma):
         with pytest.raises(InvalidConfigError, match="sigma"):
             NoiseConfig("gaussian", sigma)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graph_reference
-from conftest import random_connected_graph
+from conftest import NOT_NUMBERS, random_connected_graph
 from netlasso.errors import (
     CoefficientCountMismatchError,
     DimensionMismatchError,
@@ -38,6 +38,20 @@ class TestValidateGraph:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             validate_graph([(0, 0)], [1.0], 2)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, np.float64(4.0), *NOT_NUMBERS])
+    def test_node_count_that_is_no_integer_rejected(self, n):
+        # 2.5 built a graph that solve_exact failed on with numpy's IndexError,
+        # and "1" leaked a TypeError
+        for build in (lambda: Graph(n, [(0, 1)], [1.0]),
+                      lambda: validate_graph([(0, 1)], [1.0], n),
+                      lambda: validate_graph([(0, 2**70)], [1.0], n)):
+            with pytest.raises(GraphError, match="node_count must be an integer"):
+                build()
+
+    def test_node_count_is_kept_as_an_int(self):
+        for g in (Graph(np.int64(3), [(0, 1)], [1.0]), validate_graph([(0, 1)], [1.0], np.int32(3))):
+            assert g.node_count == 3 and type(g.node_count) is int
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(NonPositiveWeightError):

@@ -78,7 +78,7 @@ class TestUniform:
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
             sample_uniform(path4, 2, seed=-1)
 
-    @pytest.mark.parametrize("seed", [1.5, "3", None, 2.0])
+    @pytest.mark.parametrize("seed", [1.5, "3", None, 2.0, True, False])
     def test_seed_that_is_no_integer_rejected(self, path4, seed):
         with pytest.raises(InvalidConfigError, match="seed must be an integer"):
             sample_uniform(path4, 2, seed=seed)
@@ -105,7 +105,7 @@ class TestUniform:
         assert np.all(np.abs(freq - 0.5) <= 0.05)
 
 
-@pytest.mark.parametrize("budget", [2.7, 2.0, "3", None, np.float64(2.0)])
+@pytest.mark.parametrize("budget", [2.7, 2.0, "3", None, np.float64(2.0), True, False])
 def test_budget_that_is_no_integer_rejected(path4, budget):
     # used to be truncated (2.7 drew 2 nodes) or parsed ("3" drew 3)
     p = Partition((frozenset({0, 1}), frozenset({2, 3})))

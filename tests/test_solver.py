@@ -72,6 +72,8 @@ class TestSolverConfig:
         # no real number: a config error, not numpy's TypeError from isfinite
         {"lam": "0.1"}, {"lam": None}, {"lam": True}, {"rho": "1"}, {"eps_abs": None},
         {"eps_rel": "1e-5"},
+        {"lam": False}, {"lam": 10**400}, {"rho": True}, {"eps_abs": False}, {"eps_rel": 10**400},
+        {"max_iters": False}, {"max_iters": None}, {"max_iters": np.float64(10.0)},
     ])
     def test_rejects_non_finite_and_non_integer(self, bad):
         with pytest.raises(InvalidConfigError):
@@ -81,6 +83,9 @@ class TestSolverConfig:
         cfg = SolverConfig(lam=np.float64(0.5), rho=2, eps_abs=np.float32(0.25))
         assert [type(v) for v in (cfg.lam, cfg.rho, cfg.eps_abs)] == [float] * 3
         assert (cfg.lam, cfg.rho, cfg.eps_abs) == (0.5, 2.0, 0.25)
+
+    def test_keeps_max_iters_as_an_int(self):
+        assert type(SolverConfig(lam=1.0, max_iters=np.int64(3)).max_iters) is int
 
     def test_accepts_numpy_integer_max_iters(self, path2):
         res = solve_admm(path2, obs_of((0,), [1.0]), SolverConfig(lam=1.0, max_iters=np.int64(3)))
