@@ -19,7 +19,14 @@ import numpy as np
 from . import fileio
 from .certify import NccQuery, check_ncc, verify_error_bound
 from .errors import NetlassoError
-from .experiments import SOLVER_SETTINGS, ExperimentConfig, run_experiment, summarize, write_outputs
+from .experiments import (
+    SOLVER_SETTINGS,
+    ExperimentConfig,
+    check_plot_trial,
+    run_experiment,
+    summarize,
+    write_outputs,
+)
 from .generate import (
     PlantedPartitionConfig,
     generate_planted_partition,
@@ -168,6 +175,7 @@ def cmd_experiment(args) -> int:
         master_seed=args.master_seed,
         solver={name: getattr(args, name) for name in SOLVER_SETTINGS},
     )
+    check_plot_trial(args.plot_trial, cfg.trials)  # before any trial runs
     trials = run_experiment(cfg)
     paths = write_outputs(args.out_dir, trials, plot_trial=args.plot_trial)
     summary = summarize(trials)

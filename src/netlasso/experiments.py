@@ -302,9 +302,14 @@ def write_recovery_svg(path, trial: TrialResult) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def check_plot_trial(plot_trial: int, trial_count: int) -> None:
+    """Raise InvalidConfigError unless plot_trial indexes one of trial_count trials."""
+    if not 0 <= _integer(plot_trial, "plot trial") < trial_count:
+        raise InvalidConfigError(f"plot trial {plot_trial} outside 0..{trial_count - 1}")
+
+
 def write_outputs(out_dir, trials: list[TrialResult], plot_trial: int = 0) -> dict[str, str]:
-    if not 0 <= _integer(plot_trial, "plot trial") < len(trials):
-        raise InvalidConfigError(f"plot trial {plot_trial} outside 0..{len(trials) - 1}")
+    check_plot_trial(plot_trial, len(trials))
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "results": os.path.join(out_dir, "results.csv"),

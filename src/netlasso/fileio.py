@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FileFormatError, GraphError, NetlassoError
-from .graphs import Graph, Observations, Partition, as_signal, validate_graph
+from .graphs import _INT64_MAX, Graph, Observations, Partition, as_signal, validate_graph
 
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _VALUE_ROW = np.dtype([("i", np.int64), ("v", np.float64)])
@@ -106,6 +106,8 @@ def _node_count(line: str, path, lineno: int) -> int:
         raise FileFormatError(f"bad node count {parts[1]!r}", path, lineno) from None
     if node_count <= 0:
         raise FileFormatError("node count must be positive", path, lineno)
+    if node_count > _INT64_MAX:
+        raise FileFormatError(f"node count must be at most {_INT64_MAX}", path, lineno)
     return node_count
 
 

@@ -81,6 +81,8 @@ class Graph(_ByValue):
         n = _integer(self.node_count, "node_count", GraphError)
         if n <= 0:
             raise GraphError("node_count must be positive")
+        if n > _INT64_MAX:
+            raise GraphError(f"node_count must be at most {_INT64_MAX}")
         edges = self._ends
         edges = _edge_array(edges) if isinstance(edges, np.ndarray) else tuple(edges)
         m = edges.shape[1] if isinstance(edges, np.ndarray) else len(edges)
@@ -145,14 +147,24 @@ class Graph(_ByValue):
         return self._ends[0], self._ends[1]
 
 
+_BOOLS = {bool, np.bool_}  # numpy turns them into numbers in a list of numbers
+
+
 def _float_weights(raw) -> np.ndarray:
-    """A new float64 array of raw. An entry that is not a number (a string)
-    becomes nan, and an int beyond the float range becomes +-inf, so the
-    weight check rejects them at their position."""
+    """A new float64 array of raw. A bool raises NonPositiveWeightError with
+    its position. An entry that is not a number (a string) becomes nan, and an
+    int beyond the float range becomes +-inf, so the weight check rejects them
+    at their position."""
     values = np.asarray(raw)
-    if values.dtype.kind in "biuf":
+    if values.dtype.kind in "iuf" and (
+        isinstance(raw, np.ndarray) or values.ndim != 1 or _BOOLS.isdisjoint(map(type, raw))
+    ):
         return np.array(values, np.float64)
-    return np.array([_float(v) for v in np.asarray(raw, dtype=object).flat], np.float64)
+    entries = list(np.asarray(raw, dtype=object).flat)
+    for k, v in enumerate(entries):
+        if type(v) in _BOOLS:
+            raise NonPositiveWeightError(f"weight {k} must be a real number, got {v!r}", k)
+    return np.array([_float(v) for v in entries], np.float64)
 
 
 def _float(v) -> float:
@@ -164,6 +176,7 @@ def _float(v) -> float:
         return math.nan
 
 
+_INT64_MAX = np.iinfo(np.int64).max
 _NOT_AN_ID = np.iinfo(np.int64).min  # below every node id, so every check rejects it
 
 

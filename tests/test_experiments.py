@@ -140,6 +140,17 @@ class TestHarness:
                 write_outputs(tmp_path, trials, plot_trial=bad)
         assert list(tmp_path.iterdir()) == []
 
+    def test_plot_trial_checked_before_the_trials_run(self, tmp_path, capsys, monkeypatch):
+        # --trials 2 --plot-trial 5 ran both trials before it exited 1
+        def no_trials(cfg):
+            raise AssertionError("the trials ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_trials)
+        assert cli.main(["experiment", "--preset", "custom", "--sizes", "4,4", "--trials", "2",
+                         "--plot-trial", "5", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: plot trial 5 outside 0..1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_summary_fields(self):
         cfg = ExperimentConfig(generator=SMALL_GEN, lam=0.2, trials=2, master_seed=1)
         s = summarize(run_experiment(cfg))

@@ -38,6 +38,8 @@ def test_graph_comments_and_blank_lines(tmp_path):
         ("N 2\n0 1 1.0\n1 0 2.0\n", 3),  # duplicate edge, reversed order
         ("N 2\n0 5 1.0\n", 2),  # node out of range
         ("N 0\n", 1),  # bad node count
+        ("N 1" + "0" * 400 + "\n0 1 1.0\n", 1),  # node count beyond int64
+        ("# c\nN 9223372036854775808\n0 1 1.0\n", 2),  # node count beyond int64
         ("N 2\n0 1 nan\n", 2),  # non-finite weight
         ("N 2\n0 1 inf\n", 2),  # non-finite weight
         ("N 5\n3 4 1.0\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n4 3 2.0\n", 8),  # late duplicate

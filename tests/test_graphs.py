@@ -49,6 +49,27 @@ class TestValidateGraph:
             with pytest.raises(GraphError, match="node_count must be an integer"):
                 build()
 
+    def test_node_count_beyond_int64_rejected(self):
+        # 10**400 built a graph whose weighted_degrees raised numpy's OverflowError
+        for n in (10**400, 2**63):
+            for build in (lambda: Graph(n, [], []), lambda: validate_graph([(0, 1)], [1.0], n)):
+                with pytest.raises(GraphError, match="node_count must be at most"):
+                    build()
+
+    @pytest.mark.parametrize("weights,index", [
+        ([True], 0), ([True, 2.0], 0), ([2.0, np.True_], 1), ([1.0, False], 1),
+        (np.array([True, True]), 0), (np.array([1.0, True], dtype=object), 1),
+    ])
+    def test_bool_weight_rejected_with_index(self, weights, index):
+        # [True] and [True, 2.0] built graphs with weight 1.0
+        edges = [(0, 1), (1, 2)][: len(weights)]
+        for build in (lambda: validate_graph(edges, weights, 3),
+                      lambda: validate_graph(edges[::-1], weights, 3),
+                      lambda: Graph(3, edges, weights)):
+            with pytest.raises(NonPositiveWeightError, match="must be a real number") as err:
+                build()
+            assert err.value.index == index
+
     def test_node_count_is_kept_as_an_int(self):
         for g in (Graph(np.int64(3), [(0, 1)], [1.0]), validate_graph([(0, 1)], [1.0], np.int32(3))):
             assert g.node_count == 3 and type(g.node_count) is int
